@@ -10,6 +10,7 @@ emitted, 1 = no witness up to the bound (the bound is echoed), 2 = bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,8 +139,16 @@ def cmd_buchi(args) -> int:
         folded, pinned = fold_constants(machine)
         for accept_state in sorted(set(accepting)):
             reduction = buchi_to_reach(folded, accept_state, rep_cap=args.cap)
+            # y stores the counter value at an accepting visit, so it ranges
+            # up to the counter ceiling rather than the parameter bound.
+            ceiling = args.cap
+            if ceiling is None:
+                ceiling = (max([bound, *pinned.values()])
+                           + len(reduction.machine.states) ** 3)
             witness = parametric_reach(reduction.machine, reduction.target,
-                                       bound, pinned=pinned, ceiling=args.cap)
+                                       bound, pinned=pinned,
+                                       bounds={reduction.y: ceiling},
+                                       ceiling=ceiling)
             if witness is None:
                 continue
             gamma, lasso = buchi_witness_to_lasso(reduction, witness)
@@ -267,7 +276,10 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later
+    call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="flatmc",
         description="Reachability, repeated reachability, and flat freeze "

@@ -9,6 +9,19 @@ are (state, level) pairs. Edges within a level are single value-preserving
 steps; edges between levels are runs through the open interval separating
 them, checked on a machine whose tests have been resolved for that interval.
 
+Instantiations share that interval work within one solver call. Inside an
+open interval between two levels, a test against a parameter holds
+throughout or never, depending only on which side of the interval the
+parameter's level lies; the resulting test pattern fixes the test-free
+machine for the interval, so each distinct pattern is stripped once. Runs of
+a test-free unary machine through an interval are invariant under shifting
+the interval: interior values stay positive, and a decrement at the lower
+end leaves the interval whether or not it is enabled there. So the exits of
+an interval depend only on the pattern, the start state and side, and the
+width, and are searched once and shifted into place. Instantiations are
+still tried one at a time in the documented order, so the first witness is
+the same as without sharing.
+
 Every positive answer ships a concrete run that is re-validated before it is
 returned.
 """
@@ -196,25 +209,46 @@ def strip_tests(machine: CounterMachine, segment: int, levels: LevelSet,
     if len(seen_levels) != len(interior):
         raise MachineError(
             "assignment does not identify parameters bijectively with levels")
+    pattern = _test_pattern(_inequality_tests(machine), level_index, segment)
+    return _strip(machine, pattern)
+
+
+def _inequality_tests(machine: CounterMachine) -> tuple[tuple[str, bool], ...]:
+    """The parameter and whether it is a greater-than test, for each
+    inequality parameter test of `machine` in transition order."""
+    return tuple((t.op.param, t.op.rel == ">") for t in machine.transitions
+                 if isinstance(t.op, ParamTest) and t.op.rel != "=")
+
+
+def _test_pattern(tests: tuple[tuple[str, bool], ...],
+                  level_of: Mapping[str, int], segment: int) -> tuple[bool, ...]:
+    """For each of the inequality tests listed by `_inequality_tests`,
+    whether it holds throughout the open interval between levels `segment`
+    and `segment + 1`; `level_of` gives the index of each parameter's level.
+    A comparison with the level at index j is decided by j alone, and this
+    pattern alone decides which transitions survive stripping."""
+    return tuple(level_of[x] <= segment if greater else level_of[x] > segment
+                 for x, greater in tests)
+
+
+def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
+    """The test-free machine selected by a test pattern: updates are kept,
+    inequality tests that hold become 0-updates, and every other test is
+    dropped, since zero and equality tests compare with a level value and
+    never fire strictly inside an interval."""
     kept: list[tuple[str, Update, str]] = []
     origin: list[int] = []
+    holds = iter(pattern)
     for i, t in enumerate(machine.transitions):
         op = t.op
         if isinstance(op, Update):
             kept.append((t.source, op, t.target))
             origin.append(i)
-        elif isinstance(op, ConstTest):
-            continue  # only =0 here, which never fires strictly inside
-        else:
-            j = level_index[op.param]
-            if op.rel == "=":
-                continue
-            holds_inside = (j <= segment) if op.rel == ">" else (j >= segment + 1)
-            if holds_inside:
-                kept.append((t.source, Update(0), t.target))
-                origin.append(i)
+        elif isinstance(op, ParamTest) and op.rel != "=" and next(holds):
+            kept.append((t.source, Update(0), t.target))
+            origin.append(i)
     stripped = CounterMachine.build(
-        kept, initial=machine.initial, params=(), labels=machine.labels,
+        kept, initial=machine.initial, labels=machine.labels,
         extra_states=machine.states)
     return StrippedMachine(stripped, tuple(origin))
 
@@ -270,13 +304,29 @@ def enumerate_gammas(params, ranges: Mapping[str, tuple[int, int]]):
     """All instantiations of `params` within the given inclusive ranges,
     ordered by smallest maximum value first, then by sorted value tuple, then
     positionally. The first witness found under this order is the one
-    reported."""
+    reported.
+
+    Instantiations are generated one layer of equal maximum at a time, so
+    only the current layer is ever held in memory."""
     names = list(params)
-    spaces = [range(ranges[x][0], ranges[x][1] + 1) for x in names]
-    tuples = sorted(itertools.product(*spaces),
-                    key=lambda vs: (max(vs, default=0), tuple(sorted(vs)), vs))
-    for vs in tuples:
-        yield dict(zip(names, vs))
+    if not names:
+        yield {}
+        return
+    spans = [ranges[x] for x in names]
+    for peak in range(max(lo for lo, _ in spans), max(hi for _, hi in spans) + 1):
+        # Each tuple with maximum `peak` is produced once, from the first
+        # position holding that maximum.
+        layer = []
+        for first, (lo, hi) in enumerate(spans):
+            if not lo <= peak <= hi:
+                continue
+            pools = [range(a, min(b, peak - 1) + 1) for a, b in spans[:first]]
+            pools.append((peak,))
+            pools.extend(range(a, min(b, peak) + 1) for a, b in spans[first + 1:])
+            layer.extend(itertools.product(*pools))
+        layer.sort(key=lambda vs: (tuple(sorted(vs)), vs))
+        for vs in layer:
+            yield dict(zip(names, vs))
 
 
 def parametric_reach(machine: CounterMachine, target: str, bound: int,
@@ -301,6 +351,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     for x in (*pinned, *bounds):
         if x not in machine.params:
             raise MachineError(f"unknown parameter {x!r}")
+    if any(v < 0 for v in pinned.values()):
+        raise MachineError("pinned parameter values must be non-negative")
     ranges: dict[str, tuple[int, int]] = {}
     for x in machine.params:
         if x in pinned:
@@ -318,8 +370,10 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         initial=machine.initial, params=machine.params,
         extra_states=machine.states)
 
+    tests = _inequality_tests(extended)
+    memo: dict = {}
     for gamma in enumerate_gammas(machine.params, ranges):
-        run = _level_search(extended, gamma, target, sink, top)
+        run = _level_search(extended, tests, gamma, sink, top, memo)
         if run is None:
             continue
         cut = next(i for i, c in enumerate(run.configs) if c.state == sink)
@@ -332,30 +386,50 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     return None
 
 
-def _level_search(machine: CounterMachine, gamma: Gamma, target: str,
-                  sink: str, top: int) -> Optional[Run]:
+def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
+                  gamma: Gamma, sink: str, top: int, memo: dict) -> Optional[Run]:
     """Search for a run from (initial, 0) to (sink, 0) whose configurations
     touch the level values at the joints, with excursions strictly between
-    adjacent levels in between."""
+    adjacent levels in between.
+
+    `memo` carries the interval work from one instantiation to the next: it
+    maps a test pattern to its stripped machine and to the exits already
+    found, keyed by start state, start side and interval width. An exit is
+    stored relative to the lower end of its interval, with its steps already
+    mapped back to transitions of `machine`."""
     level_values = sorted({0, top, *gamma.values()})
-    levels = LevelSet(tuple(level_values))
+    segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
+    level_of = {x: index_of[v] for x, v in gamma.items()}
+    entries: dict[int, tuple[StrippedMachine, dict]] = {}
 
-    stripped: dict[int, StrippedMachine] = {}
-
-    def stripped_for(segment: int) -> StrippedMachine:
-        if segment not in stripped:
-            stripped[segment] = _strip_for_search(machine, segment, levels, gamma)
-        return stripped[segment]
+    def exits_from(here: Config, segment: int) -> list:
+        if segment not in entries:
+            pattern = _test_pattern(tests, level_of, segment)
+            entry = memo.get(pattern)
+            if entry is None:
+                entry = memo[pattern] = (_strip(machine, pattern), {})
+            entries[segment] = entry
+        strip, exits = entries[segment]
+        width = level_values[segment + 1] - level_values[segment]
+        from_lo = here.value == level_values[segment]
+        key = (here.state, from_lo, width)
+        if key not in exits:
+            start = Config(here.state, 0 if from_lo else width)
+            exits[key] = [
+                (end, run.configs[1:], tuple(strip.origin[s] for s in run.steps))
+                for end, run in _segment_exits(strip, start, 0, width).items()]
+        return exits[key]
 
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the real machine) or traverse one open
-    # interval (a run of the stripped machine, mapped back).
+    # interval (a run of the stripped machine, mapped back and shifted up by
+    # the interval's lower end).
     start = Config(machine.initial, 0)
     goal = Config(sink, 0)
     if start == goal:
         return Run((start,), ())
-    parents: dict[Config, tuple[Config, tuple[Config, ...], tuple[int, ...]]] = {}
+    parents: dict[Config, tuple[Config, tuple[Config, ...], tuple[int, ...], int]] = {}
     seen = {start}
     queue = deque([start])
 
@@ -363,24 +437,24 @@ def _level_search(machine: CounterMachine, gamma: Gamma, target: str,
         chunks = []
         node = end
         while node != start:
-            prev, configs, steps = parents[node]
-            chunks.append((configs, steps))
+            prev, configs, steps, shift = parents[node]
+            chunks.append((configs, steps, shift))
             node = prev
         chunks.reverse()
         all_configs: list[Config] = [start]
         all_steps: list[int] = []
-        for configs, steps in chunks:
-            all_configs.extend(configs)
+        for configs, steps, shift in chunks:
+            all_configs.extend(Config(q, v + shift) for q, v in configs)
             all_steps.extend(steps)
         return Run(tuple(all_configs), tuple(all_steps))
 
-    def offer(node: Config, prev: Config, configs, steps) -> Optional[Run]:
+    def offer(node: Config, prev: Config, configs, steps, shift: int) -> Optional[Run]:
         if node == goal:
-            parents[node] = (prev, tuple(configs), tuple(steps))
+            parents[node] = (prev, configs, steps, shift)
             return rebuild(node)
         if node not in seen:
             seen.add(node)
-            parents[node] = (prev, tuple(configs), tuple(steps))
+            parents[node] = (prev, configs, steps, shift)
             queue.append(node)
         return None
 
@@ -390,49 +464,19 @@ def _level_search(machine: CounterMachine, gamma: Gamma, target: str,
         for step, conf in successors(machine, gamma, here):
             if conf.value != here.value:
                 continue
-            found = offer(conf, here, [conf], [step])
+            found = offer(conf, here, (conf,), (step,), 0)
             if found is not None:
                 return found
         for segment in (idx, idx - 1):
-            if not 0 <= segment < levels.segments():
+            if not 0 <= segment < segments:
                 continue
-            lo, hi = level_values[segment], level_values[segment + 1]
-            strip = stripped_for(segment)
-            for exit_conf, run in _segment_exits(strip, here, lo, hi).items():
-                mapped = [strip.origin[s] for s in run.steps]
-                found = offer(exit_conf, here, run.configs[1:], mapped)
+            lo = level_values[segment]
+            for end, configs, steps in exits_from(here, segment):
+                found = offer(Config(end.state, end.value + lo), here,
+                              configs, steps, lo)
                 if found is not None:
                     return found
     return None
-
-
-def _strip_for_search(machine: CounterMachine, segment: int, levels: LevelSet,
-                      gamma: Gamma) -> StrippedMachine:
-    """strip_tests generalized for the solver: parameters sharing a value are
-    merged into one level, and a parameter may sit on the bottom or top level.
-    Inside the open interval between levels `segment` and `segment + 1`, a
-    comparison with the level at index j is decided by j alone."""
-    kept: list[tuple[str, Update, str]] = []
-    origin: list[int] = []
-    index_of = {v: j for j, v in enumerate(levels.values)}
-    for i, t in enumerate(machine.transitions):
-        op = t.op
-        if isinstance(op, Update):
-            kept.append((t.source, op, t.target))
-            origin.append(i)
-        elif isinstance(op, ConstTest):
-            continue  # only =0 here; 0 is a level, never strictly inside
-        else:
-            if op.rel == "=":
-                continue  # interior values never equal a level value
-            j = index_of[gamma[op.param]]
-            holds_inside = (j <= segment) if op.rel == ">" else (j >= segment + 1)
-            if holds_inside:
-                kept.append((t.source, Update(0), t.target))
-                origin.append(i)
-    strippedm = CounterMachine.build(kept, initial=machine.initial, params=(),
-                                     extra_states=machine.states)
-    return StrippedMachine(strippedm, tuple(origin))
 
 
 def _segment_exits(strip: StrippedMachine, start: Config, lo: int,

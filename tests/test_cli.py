@@ -119,6 +119,34 @@ class TestBuchi:
         assert main(["check", out, machine]) == 0
 
 
+    def test_stored_value_may_exceed_the_bound(self, write, tmp_path):
+        # The only lassos cycle s2 -> s3 -> s2 at values 2 and 1, with
+        # x0 = 1: the value stored at the accepting visit is 2, above the
+        # parameter bound. The bound applies to x0 alone.
+        data = {"states": ["s0", "s1", "s2", "s3", "s4", "s5"],
+                "initial": "s0", "params": ["x0"],
+                "transitions": [
+                    {"from": "s0", "op": "<x:x0", "to": "s5"},
+                    {"from": "s5", "op": "0", "to": "s1"},
+                    {"from": "s3", "op": "+1", "to": "s2"},
+                    {"from": "s4", "op": "=x:x0", "to": "s0"},
+                    {"from": "s4", "op": "=0", "to": "s3"},
+                    {"from": "s5", "op": "+1", "to": "s3"},
+                    {"from": "s2", "op": "-1", "to": "s3"},
+                    {"from": "s2", "op": "-1", "to": "s3"},
+                    {"from": "s0", "op": "+1", "to": "s0"},
+                    {"from": "s2", "op": "=x:x0", "to": "s5"},
+                    {"from": "s5", "op": "+1", "to": "s4"},
+                    {"from": "s1", "op": "=x:x0", "to": "s2"}]}
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "s1,s2", "--bound", "1",
+                     "--cap", "256", "--witness", out]) == 0
+        witness = witness_from_data(json.loads(open(out).read()))
+        assert witness.gamma["x0"] <= 1
+        assert main(["check", out, machine]) == 0
+
+
 class TestMc:
     def test_always_p(self, write, tmp_path):
         data = {"states": ["q"], "initial": "q", "labels": {"q": ["p"]},

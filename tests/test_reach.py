@@ -3,7 +3,9 @@ level-decomposition reachability solver."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -13,10 +15,15 @@ from flatmc.machines import (
     CounterMachine,
     MachineError,
     Update,
+    fresh_name,
     validate_run,
 )
 from flatmc.reach import (
     LevelSet,
+    StrippedMachine,
+    _inequality_tests,
+    _level_search,
+    _segment_exits,
     default_bound,
     enumerate_gammas,
     fold_constants,
@@ -26,6 +33,7 @@ from flatmc.reach import (
     strip_tests,
     plain_rep_reach,
 )
+from flatmc.reductions import buchi_to_reach
 from tests.gen import all_gammas, random_machine, random_oca
 from tests.oracles import gamma_reach_oracle, interval_run_oracle
 
@@ -236,6 +244,45 @@ class TestEnumerationOrder:
         maxes = [max(g.values()) for g in order]
         assert maxes == sorted(maxes)
 
+    def test_equals_full_sort(self):
+        # The documented order, computed by sorting the whole product.
+        def sorted_product(names, ranges):
+            spaces = [range(ranges[x][0], ranges[x][1] + 1) for x in names]
+            tuples = sorted(
+                itertools.product(*spaces),
+                key=lambda vs: (max(vs, default=0), tuple(sorted(vs)), vs))
+            return [dict(zip(names, vs)) for vs in tuples]
+
+        rng = random.Random(4242)
+        cases = [([], {}), (["x"], {"x": (0, 3)}),
+                 (["x", "y"], {"x": (0, 2), "y": (0, 4)}),
+                 (["x", "c"], {"x": (0, 4), "c": (3, 3)}),
+                 (["x", "y"], {"x": (0, 3), "y": (0, -1)})]
+        for _ in range(40):
+            names = [f"x{i}" for i in range(rng.randint(1, 4))]
+            ranges = {}
+            for x in names:
+                if rng.random() < 0.3:
+                    pin = rng.randint(0, 5)
+                    ranges[x] = (pin, pin)
+                else:
+                    ranges[x] = (0, rng.randint(0, 4))
+            cases.append((names, ranges))
+        for names, ranges in cases:
+            assert list(enumerate_gammas(names, ranges)) == \
+                sorted_product(names, ranges)
+
+    def test_first_item_without_enumerating_everything(self):
+        # (2561)^3 instantiations: sorting them up front would not finish.
+        ranges = {x: (0, 2560) for x in ("x", "y", "z")}
+        start = time.perf_counter()
+        gammas = enumerate_gammas(["x", "y", "z"], ranges)
+        first = [next(gammas) for _ in range(8)]
+        assert time.perf_counter() - start < 1.0
+        assert first[0] == {"x": 0, "y": 0, "z": 0}
+        assert first[1] == {"x": 0, "y": 0, "z": 1}
+        assert all(max(g.values()) == 1 for g in first[1:])
+
 
 class TestParametricReach:
     def test_climb_to_smallest_gamma(self):
@@ -332,6 +379,94 @@ class TestParametricReach:
                 continue
             ceiling = 2 + len(m.states) ** 3
             assert all(c.value <= ceiling for c in w.run.configs)
+
+
+def _random_test_free(rng: random.Random) -> StrippedMachine:
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    triples = [(rng.choice(states), rng.choice(["+1", "+1", "-1", "-1", "0"]),
+                rng.choice(states))
+               for _ in range(rng.randint(1, 3 * len(states)))]
+    machine = CounterMachine.build(triples, initial=states[0],
+                                   extra_states=states)
+    return StrippedMachine(machine, tuple(range(len(triples))))
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing, so every lookup is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestSharedIntervalWork:
+    def test_segment_exits_are_shift_invariant(self):
+        # A decrement at lo leaves the interval whether or not it is enabled,
+        # so exits from (q, lo) and (q, hi) are those of (0, hi - lo) shifted.
+        rng = random.Random(7070)
+        compared = 0
+        for _ in range(150):
+            strip = _random_test_free(rng)
+            lo = rng.randint(1, 9)
+            width = rng.randint(1, 6)
+            hi = lo + width
+            for q in sorted(strip.machine.states):
+                for side in (0, width):
+                    got = _segment_exits(strip, Config(q, lo + side), lo, hi)
+                    base = _segment_exits(strip, Config(q, side), 0, width)
+                    shifted = [
+                        (Config(c.state, c.value + lo),
+                         tuple(Config(d.state, d.value + lo)
+                               for d in run.configs), run.steps)
+                        for c, run in base.items()]
+                    assert [(c, run.configs, run.steps)
+                            for c, run in got.items()] == shifted
+                    compared += len(got)
+        assert compared >= 300
+
+    def test_shared_memo_matches_memo_free_search(self):
+        # Each instantiation's level search returns the same run whether the
+        # memo carries interval work over from earlier instantiations or
+        # nothing is shared, and parametric_reach reports the first of these
+        # runs. The Buchi reductions of the same machines are searched too:
+        # their many equality tests make one interval width recur with
+        # different patterns, start states and sides.
+        rng = random.Random(3131)
+        bound, ceiling = 5, 12
+        compared = hits = 0
+        for _ in range(40):
+            m = random_machine(rng, max_states=4, max_params=1)
+            accept = rng.choice(sorted(m.states))
+            reduction = buchi_to_reach(m, accept, rep_cap=ceiling)
+            for machine, target in ((m, accept),
+                                    (reduction.machine, reduction.target)):
+                sink = fresh_name("sink", machine.states)
+                extended = CounterMachine.build(
+                    [(t.source, t.op, t.target) for t in machine.transitions]
+                    + [(target, Update(0), sink), (sink, Update(-1), sink)],
+                    initial=machine.initial, params=machine.params,
+                    extra_states=machine.states)
+                tests = _inequality_tests(extended)
+                memo: dict = {}
+                first = None
+                for gamma in all_gammas(machine.params, bound):
+                    shared = _level_search(extended, tests, gamma, sink,
+                                           ceiling, memo)
+                    fresh = _level_search(extended, tests, gamma, sink,
+                                          ceiling, _Forgetful())
+                    assert shared == fresh
+                    compared += 1
+                    if fresh is not None and first is None:
+                        cut = next(i for i, c in enumerate(fresh.configs)
+                                   if c.state == sink)
+                        first = (gamma, fresh.configs[:cut],
+                                 fresh.steps[:cut - 1])
+                got = parametric_reach(machine, target, bound, ceiling=ceiling)
+                if first is None:
+                    assert got is None
+                    continue
+                hits += 1
+                assert (got.gamma, got.run.configs, got.run.steps) == first
+        assert compared >= 1000 and hits >= 20
 
 
 class TestPlainRepReach:
