@@ -18,7 +18,7 @@ from typing import Optional
 
 from flatmc import formulas, jsonio
 from flatmc.alternating import dump_a2a, machine_to_a2a
-from flatmc.formulas import FormulaError, evaluate, flat_violation, is_sentence
+from flatmc.formulas import FormulaError, evaluate
 from flatmc.machines import (
     ClassMismatch,
     Config,
@@ -31,9 +31,9 @@ from flatmc.machines import (
 from flatmc.reach import default_bound, fold_constants, parametric_reach
 from flatmc.reductions import (
     buchi_to_reach,
-    buchi_witness_to_lasso,
     lasso_word,
     model_check,
+    repeated_reach,
     succinct_to_unary,
 )
 
@@ -101,21 +101,24 @@ def _report(args, verdict: str, bound: Optional[int] = None,
             print(verdict)
 
 
+def _nonnegative_limits(args) -> None:
+    for flag in ("bound", "cap"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag} must be non-negative, got {value}")
+
+
 def _bound(args, machine: CounterMachine) -> int:
+    _nonnegative_limits(args)
     return args.bound if args.bound is not None else default_bound(machine)
 
 
 def cmd_reach(args) -> int:
     machine = _load_machine(args.machine)
-    if args.target not in machine.states:
-        raise InputError(f"target {args.target!r} is not a state")
     bound = _bound(args, machine)
-    try:
-        folded, pinned = fold_constants(machine)
-        witness = parametric_reach(folded, args.target, bound, pinned=pinned,
-                                   ceiling=args.cap)
-    except ClassMismatch as err:
-        raise InputError(str(err)) from err
+    folded, pinned = fold_constants(machine)
+    witness = parametric_reach(folded, args.target, bound, pinned=pinned,
+                               ceiling=args.cap)
     if witness is None:
         _report(args, "absent", bound)
         return 1
@@ -131,59 +134,28 @@ def cmd_buchi(args) -> int:
     accepting = [q for q in args.accepting.split(",") if q]
     if not accepting:
         raise InputError("no accepting states given")
-    for q in accepting:
-        if q not in machine.states:
-            raise InputError(f"accepting state {q!r} is not a state")
     bound = _bound(args, machine)
-    try:
-        folded, pinned = fold_constants(machine)
-        for accept_state in sorted(set(accepting)):
-            reduction = buchi_to_reach(folded, accept_state, rep_cap=args.cap)
-            # y stores the counter value at an accepting visit, so it ranges
-            # up to the counter ceiling rather than the parameter bound.
-            ceiling = args.cap
-            if ceiling is None:
-                ceiling = (max([bound, *pinned.values()])
-                           + len(reduction.machine.states) ** 3)
-            witness = parametric_reach(reduction.machine, reduction.target,
-                                       bound, pinned=pinned,
-                                       bounds={reduction.y: ceiling},
-                                       ceiling=ceiling)
-            if witness is None:
-                continue
-            gamma, lasso = buchi_witness_to_lasso(reduction, witness)
-            gamma = {x: v for x, v in gamma.items() if x in machine.params}
-            certificate = jsonio.witness_to_data(dict(witness.gamma),
-                                                 witness.run)
-            data = jsonio.witness_to_data(
-                gamma, Run(lasso.configs, lasso.steps),
-                loop_start=lasso.loop_start, certificate=certificate)
-            _emit_witness(args, data)
-            _report(args, "present", bound, witness=data,
-                    accepting=accept_state)
-            return 0
-    except ClassMismatch as err:
-        raise InputError(str(err)) from err
-    _report(args, "absent", bound)
-    return 1
+    # Only the machine's parameters are bounded by B: the stored value y
+    # ranges up to the counter ceiling.
+    found = repeated_reach(machine, accepting, bound, ceiling=args.cap)
+    if found is None:
+        _report(args, "absent", bound)
+        return 1
+    certificate = jsonio.witness_to_data(dict(found.certificate.gamma),
+                                         found.certificate.run)
+    data = jsonio.witness_to_data(
+        found.gamma, Run(found.lasso.configs, found.lasso.steps),
+        loop_start=found.lasso.loop_start, certificate=certificate)
+    _emit_witness(args, data)
+    _report(args, "present", bound, witness=data, accepting=found.accept_state)
+    return 0
 
 
 def cmd_mc(args) -> int:
     machine = _load_machine(args.machine)
     phi = _load_formula(args.formula)
-    violation = flat_violation(phi)
-    if violation is not None:
-        offending, polarity = violation
-        raise InputError(f"not flat: the freeze quantifier occurs under a "
-                         f"{polarity} occurrence of "
-                         f"{formulas.render(offending)}")
-    if not is_sentence(phi):
-        raise InputError("not a sentence: some register test is unbound")
     bound = _bound(args, machine)
-    try:
-        witness = model_check(machine, phi, bound)
-    except (ClassMismatch, FormulaError) as err:
-        raise InputError(str(err)) from err
+    witness = model_check(machine, phi, bound)
     if witness is None:
         _report(args, "absent", bound)
         return 1
@@ -198,39 +170,37 @@ def cmd_mc(args) -> int:
 
 def cmd_translate(args) -> int:
     machine = _load_machine(args.machine)
-    try:
-        if args.mode == "a2a":
-            if not args.target:
-                raise InputError("--mode a2a needs --target")
-            folded, _pinned = fold_constants(machine)
-            translated = machine_to_a2a(folded, args.target)
-            print(dump_a2a(translated.automaton), end="")
-        elif args.mode == "unary":
-            phi = formulas.nnf(_load_formula(args.formula or "true"))
-            reduction = succinct_to_unary(machine, phi)
-            print(json.dumps({
-                "machine": jsonio.machine_to_data(reduction.machine),
-                "formula": formulas.render(reduction.formula),
-            }, indent=2))
-        elif args.mode == "buchi2reach":
-            if not args.target:
-                raise InputError("--mode buchi2reach needs --target")
-            if args.target not in machine.states:
-                raise InputError(f"target {args.target!r} is not a state")
-            folded, _pinned = fold_constants(machine)
-            reduction = buchi_to_reach(folded, args.target, rep_cap=args.cap)
-            print(json.dumps({
-                "machine": jsonio.machine_to_data(reduction.machine),
-                "target": reduction.target,
-            }, indent=2))
-        else:  # foldconst
-            folded, pinned = fold_constants(machine)
-            print(json.dumps({
-                "machine": jsonio.machine_to_data(folded),
-                "pinned": pinned,
-            }, indent=2))
-    except (ClassMismatch, FormulaError, MachineError) as err:
-        raise InputError(str(err)) from err
+    _nonnegative_limits(args)
+    if args.mode == "a2a":
+        if not args.target:
+            raise InputError("--mode a2a needs --target")
+        folded, _pinned = fold_constants(machine)
+        translated = machine_to_a2a(folded, args.target)
+        print(dump_a2a(translated.automaton), end="")
+    elif args.mode == "unary":
+        phi = formulas.nnf(_load_formula(args.formula or "true"))
+        reduction = succinct_to_unary(machine, phi)
+        print(json.dumps({
+            "machine": jsonio.machine_to_data(reduction.machine),
+            "formula": formulas.render(reduction.formula),
+        }, indent=2))
+    elif args.mode == "buchi2reach":
+        if not args.target:
+            raise InputError("--mode buchi2reach needs --target")
+        if args.target not in machine.states:
+            raise InputError(f"target {args.target!r} is not a state")
+        folded, _pinned = fold_constants(machine)
+        reduction = buchi_to_reach(folded, args.target, rep_cap=args.cap)
+        print(json.dumps({
+            "machine": jsonio.machine_to_data(reduction.machine),
+            "target": reduction.target,
+        }, indent=2))
+    else:  # foldconst
+        folded, pinned = fold_constants(machine)
+        print(json.dumps({
+            "machine": jsonio.machine_to_data(folded),
+            "pinned": pinned,
+        }, indent=2))
     return 0
 
 
@@ -285,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reachability, repeated reachability, and flat freeze "
                     "LTL model checking for one-counter machines with "
                     "parameterized tests.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for reproducibility; all commands are "
-                             "deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -342,10 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except MachineError as err:
+    except (InputError, MachineError, ClassMismatch, FormulaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,17 @@ def machine_to_data(machine: CounterMachine) -> dict:
     }
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _strings(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MachineError(f"{what} must be a list of strings")
+    return value
+
+
 def machine_from_data(data: Any) -> CounterMachine:
     if not isinstance(data, dict):
         raise MachineError("machine file must be a JSON object")
@@ -49,20 +60,29 @@ def machine_from_data(data: Any) -> CounterMachine:
     for key in ("states", "initial", "transitions"):
         if key not in data:
             raise MachineError(f"machine file misses {key!r}")
+    if not isinstance(data["initial"], str):
+        raise MachineError("initial must be a string")
+    labels = data.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise MachineError("labels must map states to lists of propositions")
+    for q, props in labels.items():
+        _strings(props, f"labels of {q!r}")
+    if not isinstance(data["transitions"], list):
+        raise MachineError("transitions must be a list")
     transitions = []
     for i, entry in enumerate(data["transitions"]):
         if not isinstance(entry, dict) or set(entry) - _TRANSITION_KEYS:
             raise MachineError(f"malformed transition object at index {i}")
         for key in _TRANSITION_KEYS:
-            if key not in entry:
-                raise MachineError(f"transition {i} misses {key!r}")
+            if not isinstance(entry.get(key), str):
+                raise MachineError(f"transition {i} needs a string {key!r}")
         transitions.append((entry["from"], parse_op(entry["op"]), entry["to"]))
     return CounterMachine.build(
         transitions,
         initial=data["initial"],
-        params=data.get("params", ()),
-        labels=data.get("labels") or None,
-        extra_states=data["states"])
+        params=_strings(data.get("params", []), "params"),
+        labels=labels or None,
+        extra_states=_strings(data["states"], "states"))
 
 
 def run_to_data(run: Run) -> list[dict]:
@@ -82,14 +102,14 @@ def _run_from_data(data: Any) -> Run:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or set(entry) - _ENTRY_KEYS:
             raise MachineError(f"malformed run entry at index {i}")
-        if "state" not in entry or "value" not in entry:
-            raise MachineError(f"run entry {i} misses state or value")
-        if not isinstance(entry["value"], int):
-            raise MachineError(f"run entry {i} has a non-integer value")
+        if not isinstance(entry.get("state"), str):
+            raise MachineError(f"run entry {i} needs a string state")
+        if not _is_int(entry.get("value")):
+            raise MachineError(f"run entry {i} needs an integer value")
         configs.append(Config(entry["state"], entry["value"]))
         if i > 0:
             via = entry.get("via")
-            if not isinstance(via, int):
+            if not _is_int(via):
                 raise MachineError(f"run entry {i} misses its transition index")
             steps.append(via)
     return Run(tuple(configs), tuple(steps))
@@ -137,11 +157,11 @@ def witness_from_data(data: Any) -> WitnessFile:
         raise MachineError("witness file needs gamma and run")
     gamma = data["gamma"]
     if not isinstance(gamma, dict) or not all(
-            isinstance(v, int) and v >= 0 for v in gamma.values()):
+            _is_int(v) and v >= 0 for v in gamma.values()):
         raise MachineError("gamma must map parameter names to naturals")
     run = _run_from_data(data["run"])
     loop_start = data.get("loop_start")
-    if loop_start is not None and not isinstance(loop_start, int):
+    if loop_start is not None and not _is_int(loop_start):
         raise MachineError("loop_start must be an integer")
     return WitnessFile(dict(gamma), run, loop_start,
                        data.get("formula_holds"), data.get("certificate"))

@@ -2,7 +2,10 @@
 
 Repeated reachability reduces to plain reachability by storing a revisited
 counter value in a fresh parameter (or, for runs whose counter diverges,
-jumping to a state from which the test-stripped machine loops forever).
+jumping to a state from which the test-stripped machine loops forever);
+`repeated_reach` runs that reduction over a set of accepting states and is
+the one repeated-reachability entry point, used by `model_check` and by the
+command line.
 Model checking a flat sentence reduces to repeated reachability of a tableau
 product whose registers become parameters. Machines with binary-encoded
 updates reduce to unary ones by expanding each large update into a gadget
@@ -60,6 +63,8 @@ from flatmc.machines import (
 )
 from flatmc.reach import (
     ReachWitness,
+    _inequality_tests,
+    _strip,
     fold_constants,
     parametric_reach,
     plain_rep_lasso,
@@ -77,29 +82,12 @@ class BuchiInstance:
 
 
 @dataclass(frozen=True)
-class BuchiReduction:
-    """The reachability instance equivalent to repeating `accept_state`, plus
-    the provenance to translate a reachability witness back into a lasso."""
-    machine: CounterMachine
-    target: str
-    source: CounterMachine
-    accept_state: str
-    y: str
-    origin: Mapping[int, int]       # new machine transition -> source transition
-    store_index: int                # index of the (accept, =y, store) transition
-    chain_entries: frozenset[str]   # states with an infinite high run to accept
-    stripped: CounterMachine        # the test-free divergence machine
-    stripped_origin: tuple[int, ...]     # stripped transition -> source transition
-    rep_cap: int
-
-
-@dataclass(frozen=True)
 class DivergenceContext:
     """Shared analysis of the test-free divergence machine: for each state,
     whether an infinite run from counter 0 visits a given state infinitely
     often. Computed once per machine and reused across accept states."""
     machine: CounterMachine
-    origin: tuple[int, ...]
+    origin: tuple[int, ...]         # stripped transition -> source transition
     cap: int
     component: Mapping[Config, int]
     cyclic: frozenset[int]
@@ -120,22 +108,19 @@ class DivergenceContext:
                          if Config(q, 0) in reached)
 
 
-def _strip_for_divergence(machine: CounterMachine):
-    """Remove all tests an eventually-high run cannot take (=0, =x, <x) and
-    replace >x by a free step; keep updates. Returns the test-free machine
-    and its transition provenance."""
-    triples = []
-    origin = []
-    for i, t in enumerate(machine.transitions):
-        if isinstance(t.op, Update):
-            triples.append((t.source, t.op, t.target))
-            origin.append(i)
-        elif isinstance(t.op, ParamTest) and t.op.rel == ">":
-            triples.append((t.source, Update(0), t.target))
-            origin.append(i)
-    stripped = CounterMachine.build(triples, initial=machine.initial,
-                                    extra_states=machine.states)
-    return stripped, tuple(origin)
+@dataclass(frozen=True)
+class BuchiReduction:
+    """The reachability instance equivalent to repeating `accept_state`, plus
+    the provenance to translate a reachability witness back into a lasso."""
+    machine: CounterMachine
+    target: str
+    source: CounterMachine
+    accept_state: str
+    y: str
+    origin: Mapping[int, int]       # new machine transition -> source transition
+    store_index: int                # index of the (accept, =y, store) transition
+    chain_entries: frozenset[str]   # states with an infinite high run to accept
+    context: DivergenceContext
 
 
 def divergence_context(machine: CounterMachine,
@@ -144,8 +129,13 @@ def divergence_context(machine: CounterMachine,
     cap: a configuration can be revisited (at the same or a higher value) iff
     it lies on a cycle of the configuration graph extended with downward
     edges (q, v+1) -> (q, v), which are sound because test-free runs can be
-    replayed shifted upward."""
-    stripped, origin = _strip_for_divergence(machine)
+    replayed shifted upward.
+
+    The machine is stripped for the interval above every parameter, where
+    exactly the greater-than tests hold."""
+    strip = _strip(machine, tuple(greater for _x, greater
+                                  in _inequality_tests(machine)))
+    stripped = strip.machine
     if rep_cap is None:
         rep_cap = 8 * len(stripped.states) ** 3
     forward: dict[Config, list[Config]] = {}
@@ -161,7 +151,7 @@ def divergence_context(machine: CounterMachine,
             for there in outs:
                 reverse.setdefault(there, []).append(here)
     component, cyclic = _cyclic_components(forward)
-    return DivergenceContext(machine=stripped, origin=origin, cap=rep_cap,
+    return DivergenceContext(machine=stripped, origin=strip.origin, cap=rep_cap,
                              component=component, cyclic=frozenset(cyclic),
                              reverse={c: tuple(cs) for c, cs in reverse.items()})
 
@@ -223,6 +213,15 @@ def _cyclic_components(forward: Mapping[Config, list]) -> tuple[dict, set]:
     return component, cyclic
 
 
+def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
+    """The control states that lie on a cycle of the transition graph: the
+    only ones a run can visit infinitely often."""
+    forward = {q: [t.target for _i, t in machine.outgoing(q)]
+               for q in machine.states}
+    component, cyclic = _cyclic_components(forward)
+    return frozenset(q for q in machine.states if component.get(q) in cyclic)
+
+
 def buchi_to_reach(machine: CounterMachine, accept_state: str,
                    rep_cap: Optional[int] = None,
                    context: Optional[DivergenceContext] = None) -> BuchiReduction:
@@ -244,8 +243,6 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
 
     if context is None:
         context = divergence_context(machine, rep_cap)
-    stripped = context.machine
-    stripped_origin = context.origin
     chain_entries = context.loop_entries(accept_state)
 
     taken = set(machine.states)
@@ -295,8 +292,7 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     return BuchiReduction(machine=built, target=target, source=machine,
                           accept_state=accept_state, y=y, origin=origin,
                           store_index=store_index, chain_entries=chain_entries,
-                          stripped=stripped, stripped_origin=stripped_origin,
-                          rep_cap=context.cap)
+                          context=context)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
@@ -330,9 +326,10 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         cut = len(run.steps) - chain_len
         anchor = run.configs[cut]
         base = None
-        cap = reduction.rep_cap
+        context = reduction.context
+        cap = context.cap
         for _ in range(3):
-            base = plain_rep_lasso(reduction.stripped, anchor.state,
+            base = plain_rep_lasso(context.machine, anchor.state,
                                    reduction.accept_state, cap=cap)
             if base is not None:
                 break
@@ -344,7 +341,7 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         configs = run.configs[:cut + 1] + tuple(
             Config(c.state, c.value + shift) for c in base.configs[1:])
         steps = run.steps[:cut] + tuple(
-            reduction.stripped_origin[s] for s in base.steps)
+            context.origin[s] for s in base.steps)
         lasso = LassoRun(configs, steps, loop_start=cut + base.loop_start)
     defect = validate_lasso(source, gamma, lasso)
     if defect is not None:
@@ -354,6 +351,60 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         # stored loops are anchored there, so this indicates a bug.
         raise AssertionError("translated loop does not start at the accept state")
     return gamma, lasso
+
+
+@dataclass(frozen=True)
+class BuchiWitness:
+    """A lasso looping from `accept_state` under `gamma`, the machine's own
+    parameters, and the reduced machine's witness it was translated from."""
+    accept_state: str
+    gamma: dict[str, int]
+    lasso: LassoRun
+    certificate: ReachWitness
+
+
+def repeated_reach(machine: CounterMachine, accepting, bound: int,
+                   ceiling: Optional[int] = None,
+                   store_bound: Optional[int] = None) -> Optional[BuchiWitness]:
+    """Decide whether some run of `machine` visits a state of `accepting`
+    infinitely often under an instantiation of its parameters <= bound.
+
+    Constants are folded and the divergence analysis is built once for all
+    accepting states. States on no control cycle are skipped; the others go
+    through `buchi_to_reach` and `parametric_reach` in sorted order, and the
+    first witness is returned. Counter values are explored up to `ceiling`,
+    by default max(bound, constants) + |Q'|^3 for the states Q' of the
+    reduced machine; the stored value y ranges up to `store_bound`, by
+    default the ceiling.
+    """
+    accepting = set(accepting)
+    for q in sorted(accepting):
+        if q not in machine.states:
+            raise MachineError(f"accepting state {q!r} is not a state")
+    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P,
+                                 MachineClass.OCA_PC):
+        raise ClassMismatch("repeated_reach requires unary updates")
+    folded, pinned = fold_constants(machine)
+    if ceiling is None:
+        # Q' holds the states and their copies, a store and a target state,
+        # and a chain state per parameter (a dummy one if there is none).
+        reduced = 2 * len(folded.states) + 2 + max(1, len(folded.params))
+        ceiling = max([bound, *pinned.values()]) + reduced ** 3
+    if store_bound is None:
+        store_bound = ceiling
+    context = divergence_context(folded, ceiling)
+    for accept_state in sorted(accepting & _states_on_cycles(folded)):
+        reduction = buchi_to_reach(folded, accept_state, context=context)
+        found = parametric_reach(reduction.machine, reduction.target, bound,
+                                 pinned=pinned,
+                                 bounds={reduction.y: store_bound},
+                                 ceiling=ceiling)
+        if found is None:
+            continue
+        gamma, lasso = buchi_witness_to_lasso(reduction, found)
+        own = {x: v for x, v in gamma.items() if x in machine.params}
+        return BuchiWitness(accept_state, own, lasso, found)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -803,79 +854,23 @@ class McWitness:
     formula_checked: bool
 
 
-def _project(run: Run, marks, action) -> tuple[Run, list[int]]:
-    """Map a run through a step filter: `action(step)` returns the replacing
-    transition index or None to drop the step. Dropped steps keep the current
-    projected configuration. Returns the projected run and, for each input
-    mark (a configuration index), the corresponding projected index."""
-    out_configs = [run.configs[0]]
-    out_steps: list[int] = []
-    marks = list(marks)
-    out_marks = [0] * len(marks)
-    for pos, step in enumerate(run.steps):
-        mapped = action(step)
-        if mapped is not None:
-            out_steps.append(mapped)
-            out_configs.append(run.configs[pos + 1])
-        for m, mark in enumerate(marks):
-            if mark == pos + 1:
-                out_marks[m] = len(out_configs) - 1
-    for m, mark in enumerate(marks):
-        if mark == 0:
-            out_marks[m] = 0
-    return Run(tuple(out_configs), tuple(out_steps)), out_marks
-
-
-def _project_product(product_run: Run, marks, mc: McReduction):
-    """Project a product run onto the source machine of the tableau product:
-    chain and initialization steps vanish, machine steps keep their index.
-    Configuration values carry over unchanged."""
-    source = mc.source
-    configs = [Config(source.initial, 0)]
+def _project(run: Run, marks, origin: Mapping[int, int],
+             source: CounterMachine) -> tuple[Run, list[int]]:
+    """Map a run of a derived machine onto its `source`: a step in `origin`
+    becomes the source transition it maps to, any other step vanishes, and
+    counter values carry over. Also maps each mark (a configuration index)
+    to the index of its image."""
+    configs = [Config(source.initial, run.configs[0].value)]
     steps: list[int] = []
-    marks = list(marks)
-    out_marks = [0] * len(marks)
-    for pos, step in enumerate(product_run.steps):
-        origin = mc.step_origin.get(step)
-        if origin is not None:
-            steps.append(origin)
-            configs.append(Config(source.transitions[origin].target,
-                                  product_run.configs[pos + 1].value))
-        for m, mark in enumerate(marks):
-            if mark == pos + 1:
-                out_marks[m] = len(configs) - 1
-    return Run(tuple(configs), tuple(steps)), out_marks
-
-
-def _contract_gadgets(run: Run, marks, red: SuccinctReduction):
-    """Collapse gadget traversals of the unary expansion back into single
-    large-update steps of the source machine."""
-    source = red.source
-    configs = [run.configs[0]]
-    steps: list[int] = []
-    marks = list(marks)
-    out_marks = [0] * len(marks)
+    image = [0]
     for pos, step in enumerate(run.steps):
-        emitted = None
-        if step in red.copy_origin:
-            emitted = red.copy_origin[step]
-        elif step in red.exit_origin:
-            emitted = red.exit_origin[step]
+        emitted = origin.get(step)
         if emitted is not None:
             steps.append(emitted)
             configs.append(Config(source.transitions[emitted].target,
                                   run.configs[pos + 1].value))
-        for m, mark in enumerate(marks):
-            if mark == pos + 1:
-                out_marks[m] = len(configs) - 1
-    return Run(tuple(configs), tuple(steps)), out_marks
-
-
-def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
-    forward = {q: [t.target for _i, t in machine.outgoing(q)]
-               for q in machine.states}
-    component, cyclic = _cyclic_components(forward)
-    return frozenset(q for q in machine.states if component.get(q) in cyclic)
+        image.append(len(configs) - 1)
+    return Run(tuple(configs), tuple(steps)), [image[m] for m in marks]
 
 
 def _register_free(phi: Formula) -> bool:
@@ -912,39 +907,30 @@ def model_check(machine: CounterMachine, phi: Formula,
     work = succinct.machine if succinct else machine
     work_phi = succinct.formula if succinct else normal
     mc = flat_mc_to_buchi(work, work_phi)
-    product, accepting = mc.instance.machine, mc.instance.accepting
     scale = max((abs(t.op.delta) for t in machine.transitions
                  if isinstance(t.op, Update)), default=1)
-    ceiling = bound + scale * len(machine.states) ** 3 + 2 * len(product.params) + 2
-    context = divergence_context(product, ceiling)
-    # A state can only repeat if it lies on a cycle of the transition graph.
-    cycle_states = _states_on_cycles(product)
-    for accept_state in sorted(accepting):
-        if accept_state not in cycle_states:
-            continue
-        reduction = buchi_to_reach(product, accept_state, context=context)
-        folded, pinned = fold_constants(reduction.machine)
-        witness = parametric_reach(folded, reduction.target, bound,
-                                   pinned=pinned, ceiling=ceiling)
-        if witness is None:
-            continue
-        _, product_lasso = buchi_witness_to_lasso(reduction, witness)
-        lasso = _translate_lasso(product_lasso, mc, succinct)
-        defect = validate_lasso(machine, {}, lasso)
-        if defect is not None:
+    ceiling = (bound + scale * len(machine.states) ** 3
+               + 2 * len(mc.instance.machine.params) + 2)
+    # Every derived parameter, the stored value included, is bounded by B.
+    found = repeated_reach(mc.instance.machine, mc.instance.accepting, bound,
+                           ceiling=ceiling, store_bound=bound)
+    if found is None:
+        return None
+    lasso = _translate_lasso(found.lasso, mc, succinct)
+    defect = validate_lasso(machine, {}, lasso)
+    if defect is not None:
+        raise AssertionError(
+            f"model_check produced an invalid lasso: {defect.reason}")
+    word: Optional[LassoWord] = None
+    checked = False
+    if lasso.loop_delta == 0 or _register_free(phi):
+        word = lasso_word(machine, lasso)
+        checked = True
+        if not evaluate(word, 0, {}, phi):
             raise AssertionError(
-                f"model_check produced an invalid lasso: {defect.reason}")
-        word: Optional[LassoWord] = None
-        checked = False
-        if lasso.loop_delta == 0 or _register_free(phi):
-            word = lasso_word(machine, lasso)
-            checked = True
-            if not evaluate(word, 0, {}, phi):
-                raise AssertionError(
-                    "model_check witness fails the formula re-check")
-        return McWitness(gamma=dict(witness.gamma), lasso=lasso, word=word,
-                         formula_checked=checked)
-    return None
+                "model_check witness fails the formula re-check")
+    return McWitness(gamma=dict(found.certificate.gamma), lasso=lasso,
+                     word=word, formula_checked=checked)
 
 
 def _translate_lasso(product_lasso: LassoRun, mc: McReduction,
@@ -957,9 +943,13 @@ def _translate_lasso(product_lasso: LassoRun, mc: McReduction,
     marks = [product_lasso.loop_start,
              product_lasso.loop_start + loop_steps,
              product_lasso.loop_start + 2 * loop_steps]
-    projected, marks = _project_product(unrolled, marks, mc)
+    # Tableau chain and initialization steps vanish; so do gadget steps
+    # other than the exit, which stands for the whole large update.
+    projected, marks = _project(unrolled, marks, mc.step_origin, mc.source)
     if succinct is not None:
-        projected, marks = _contract_gadgets(projected, marks, succinct)
+        projected, marks = _project(
+            projected, marks,
+            {**succinct.copy_origin, **succinct.exit_origin}, succinct.source)
     first, second = marks[0], marks[1]
     if second == first:
         raise AssertionError("product loop projects to an empty loop")

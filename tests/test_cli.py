@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from flatmc import reductions
 from flatmc.cli import main
 from flatmc.jsonio import (
     machine_from_data,
@@ -97,6 +98,35 @@ class TestReach:
         machine = write("m.json", dict(CLIMB_AND_TEST, comment="hi"))
         assert main(["reach", machine, "--target", "q"]) == 2
 
+    def test_negative_cap_is_input_error(self, write, capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        assert main(["reach", machine, "--target", "q2", "--bound", "3",
+                     "--cap", "-5"]) == 2
+        assert "--cap must be non-negative" in capsys.readouterr().err
+
+
+MISTYPED = {
+    "from": {"transitions": [{"from": 3, "op": "+1", "to": "q"}]},
+    "op": {"transitions": [{"from": "q", "op": 1, "to": "q"}]},
+    "labels": {"labels": ["p"]},
+    "states": {"states": "q"},
+}
+
+
+class TestStrictTypes:
+    @pytest.mark.parametrize("field", [*MISTYPED, "value"])
+    def test_mistyped_field_is_input_error(self, field, write, capsys):
+        data = dict(CLIMB_AND_TEST, **MISTYPED.get(field, {}))
+        machine = write("m.json", data)
+        if field == "value":
+            witness = write("w.json", {"gamma": {"x": 0}, "run": [
+                {"state": "q", "value": True, "via": None}]})
+            code = main(["check", witness, machine])
+        else:
+            code = main(["reach", machine, "--target", "q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBuchi:
     def test_self_loop(self, write):
@@ -104,6 +134,42 @@ class TestBuchi:
                 "transitions": [{"from": "q", "op": "0", "to": "q"}]}
         machine = write("m.json", data)
         assert main(["buchi", machine, "--accepting", "q", "--bound", "3"]) == 0
+
+    def test_negative_cap_is_input_error(self, write):
+        data = {"states": ["q"], "initial": "q",
+                "transitions": [{"from": "q", "op": "0", "to": "q"}]}
+        machine = write("m.json", data)
+        assert main(["buchi", machine, "--accepting", "q", "--bound", "3",
+                     "--cap", "-1"]) == 2
+
+    def test_one_divergence_analysis_for_all_accepting_states(
+            self, write, monkeypatch):
+        # Both accepting states lie on cycles and neither repeats, so both
+        # are searched.
+        data = {"states": ["a", "b"], "initial": "a",
+                "transitions": [{"from": "a", "op": "-1", "to": "a"},
+                                {"from": "a", "op": "0", "to": "b"},
+                                {"from": "b", "op": "-1", "to": "b"}]}
+        machine = write("m.json", data)
+        calls = []
+        original = reductions.divergence_context
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "divergence_context", counted)
+        assert main(["buchi", machine, "--accepting", "a,b",
+                     "--bound", "2"]) == 1
+        assert len(calls) == 1
+
+    def test_off_cycle_bad_input_still_exits_2(self, write):
+        succinct = write("s.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": "q", "op": "+2", "to": "r"}]})
+        assert main(["buchi", succinct, "--accepting", "r"]) == 2
+        assert main(["buchi", write("m.json", CLIMB_AND_TEST),
+                     "--accepting", "q2,nowhere"]) == 2
 
     def test_starving_machine(self, write):
         data = {"states": ["q"], "initial": "q",

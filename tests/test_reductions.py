@@ -24,17 +24,22 @@ from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
+    MachineError,
+    Update,
     validate_lasso,
 )
+from flatmc import reductions
 from flatmc.reach import parametric_reach
 from flatmc.reductions import (
     bit_at,
     bits,
     buchi_to_reach,
     buchi_witness_to_lasso,
+    divergence_context,
     flat_mc_to_buchi,
     model_check,
     relativize,
+    repeated_reach,
     succinct_to_unary,
 )
 from tests.gen import all_gammas, random_formula, random_lasso, random_machine
@@ -101,6 +106,96 @@ class TestBuchiToReach:
                 gamma, lasso = buchi_witness_to_lasso(red, witness)
                 assert validate_lasso(m, gamma, lasso) is None
                 assert all(gamma[x] <= 3 for x in m.params)
+
+
+def first_per_state_witness(machine, accepting, bound, ceiling):
+    """Reference for repeated_reach: reduce and solve every accepting state
+    on its own, in sorted order, off-cycle states included."""
+    for accept in sorted(accepting):
+        red = buchi_to_reach(machine, accept, rep_cap=ceiling)
+        witness = parametric_reach(red.machine, red.target, bound,
+                                   bounds={red.y: ceiling}, ceiling=ceiling)
+        if witness is not None:
+            return accept, witness, buchi_witness_to_lasso(red, witness)[1]
+    return None
+
+
+class TestRepeatedReach:
+    def test_same_first_witness_as_per_state_reductions(self):
+        rng = random.Random(2718)
+        present = 0
+        for _ in range(40):
+            m = random_machine(rng, max_states=4, max_params=2)
+            accepting = rng.sample(sorted(m.states), min(2, len(m.states)))
+            ceiling = 3 + len(m.states) ** 2
+            found = repeated_reach(m, accepting, 2, ceiling=ceiling)
+            expected = first_per_state_witness(m, accepting, 2, ceiling)
+            if expected is None:
+                assert found is None, (m, accepting)
+                continue
+            present += 1
+            accept, witness, lasso = expected
+            assert found.accept_state == accept
+            assert found.certificate == witness
+            assert found.lasso == lasso
+            assert found.gamma == {x: witness.gamma[x] for x in m.params}
+            assert validate_lasso(m, found.gamma, found.lasso) is None
+        assert present >= 10
+
+    def test_default_ceiling_counts_reduced_states(self, monkeypatch):
+        seen = []
+        original = reductions.parametric_reach
+
+        def spy(machine, target, bound, **kwargs):
+            seen.append((machine, bound, kwargs))
+            return original(machine, target, bound, **kwargs)
+
+        monkeypatch.setattr(reductions, "parametric_reach", spy)
+        rng = random.Random(99)
+        for _ in range(10):
+            m = random_machine(rng, max_states=3, max_params=1,
+                               with_consts=True)
+            repeated_reach(m, sorted(m.states), 2)
+        assert seen
+        for reduced, bound, kwargs in seen:
+            highest = max([bound, *kwargs["pinned"].values()])
+            assert kwargs["ceiling"] == highest + len(reduced.states) ** 3
+
+    def test_store_bound_limits_the_stored_value(self):
+        # The only lassos store the value 2 with x0 = 1 (see the CLI test
+        # of the same machine): found with y up to the ceiling, not with y
+        # bounded like the parameters.
+        m = CounterMachine.build(
+            [("s0", "<x:x0", "s5"), ("s5", "0", "s1"), ("s3", "+1", "s2"),
+             ("s4", "=x:x0", "s0"), ("s4", "=0", "s3"), ("s5", "+1", "s3"),
+             ("s2", "-1", "s3"), ("s2", "-1", "s3"), ("s0", "+1", "s0"),
+             ("s2", "=x:x0", "s5"), ("s5", "+1", "s4"), ("s1", "=x:x0", "s2")],
+            initial="s0", params=["x0"])
+        found = repeated_reach(m, ["s1", "s2"], 1, ceiling=256)
+        assert found is not None and found.gamma["x0"] <= 1
+        assert found.certificate.gamma["y"] > 1
+        assert repeated_reach(m, ["s1", "s2"], 1, ceiling=256,
+                              store_bound=1) is None
+
+    def test_bad_input_rejected_before_the_cycle_filter(self):
+        # Neither accepting state lies on a cycle, so no search would run.
+        succinct = CounterMachine.build([("q", "+2", "r")], initial="q")
+        with pytest.raises(ClassMismatch):
+            repeated_reach(succinct, ["r"], 3)
+        plain = CounterMachine.build([("q", "0", "r")], initial="q")
+        with pytest.raises(MachineError):
+            repeated_reach(plain, ["r", "nowhere"], 3)
+        assert repeated_reach(plain, ["r"], 3) is None
+
+    def test_divergence_machine_keeps_updates_and_greater_tests(self):
+        m = CounterMachine.build(
+            [("a", "+1", "b"), ("b", ">x:x", "a"), ("b", "<x:x", "a"),
+             ("b", "=x:x", "a"), ("a", "=0", "b"), ("a", "-1", "a")],
+            initial="a", params=["x"])
+        context = divergence_context(m, 4)
+        assert context.origin == (0, 1, 5)
+        assert [t.op for t in context.machine.transitions] == \
+            [Update(1), Update(0), Update(-1)]
 
 
 class TestFlatMcToBuchi:
