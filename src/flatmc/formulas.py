@@ -114,6 +114,13 @@ def implies(left: Formula, right: Formula) -> Formula:
 _TOKEN = re.compile(r"\s*(->|[()&|!@.\[\]<=>]|[A-Za-z0-9_]+)")
 _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 
+# `parse` rejects formulas nested deeper than this, in the text (each
+# parenthesis and each operand of a unary, U, R or -> operator opens a level)
+# or in the built tree (each operator node is a level, after F, G and true
+# expand). Deeper formulas would overflow the recursive traversals that
+# follow, such as `nnf`, `render` and `evaluate`.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -130,6 +137,7 @@ class _Parser:
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         if self.index < len(self.tokens):
@@ -161,6 +169,16 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}", at)
         return tok
 
+    def nested(self, part) -> Formula:
+        """Parse a nested operand with `part`, one level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_DEPTH} levels", self.here())
+        self.depth += 1
+        result = part()
+        self.depth -= 1
+        return result
+
     # Binary operators from loosest to tightest; U/R and -> associate to the
     # right, & and | to the left.
     def formula(self) -> Formula:
@@ -171,7 +189,7 @@ class _Parser:
         tok = self.peek()
         if tok in ("U", "R"):
             self.take()
-            right = self.until_level()
+            right = self.nested(self.until_level)
             return Until(left, right) if tok == "U" else Release(left, right)
         return left
 
@@ -179,7 +197,7 @@ class _Parser:
         left = self.or_level()
         if self.peek() == "->":
             self.take()
-            return implies(left, self.implies_level())
+            return implies(left, self.nested(self.implies_level))
         return left
 
     def or_level(self) -> Formula:
@@ -200,21 +218,21 @@ class _Parser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         if tok == "X":
             self.take()
-            return Next(self.unary())
+            return Next(self.nested(self.unary))
         if tok == "F":
             self.take()
-            return finally_(self.unary())
+            return finally_(self.nested(self.unary))
         if tok == "G":
             self.take()
-            return globally(self.unary())
+            return globally(self.nested(self.unary))
         if tok == "@":
             self.take()
             reg = self.ident("register name")
             self.expect(".")
-            return Freeze(reg, self.unary())
+            return Freeze(reg, self.nested(self.unary))
         return self.atom()
 
     def atom(self) -> Formula:
@@ -225,7 +243,7 @@ class _Parser:
         if tok == "false":
             return false_formula()
         if tok == "(":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if tok == "[":
@@ -243,12 +261,32 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
+    """The formula written in `text`; a FormulaError if it is malformed or
+    nests deeper than MAX_DEPTH."""
     parser = _Parser(text)
     result = parser.formula()
     if parser.peek() is not None:
         raise FormulaSyntaxError(f"trailing input {parser.peek()!r}",
                                  parser.here())
+    if _depth(result) > MAX_DEPTH:
+        # Left-associative & and | chains nest in the tree only.
+        raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
     return result
+
+
+def _depth(phi: Formula) -> int:
+    """The most operator nodes above a leaf of `phi`, found without
+    recursion."""
+    deepest = 0
+    todo = [(phi, 0)]
+    while todo:
+        f, depth = todo.pop()
+        deepest = max(deepest, depth)
+        if isinstance(f, (Neg, Next, Freeze)):
+            todo.append((f.body, depth + 1))
+        elif isinstance(f, (And, Or, Until, Release)):
+            todo += [(f.left, depth + 1), (f.right, depth + 1)]
+    return deepest
 
 
 _PREC = {Until: 1, Release: 1, Or: 3, And: 4}

@@ -5,7 +5,13 @@ counter value in a fresh parameter (or, for runs whose counter diverges,
 jumping to a state from which the test-stripped machine loops forever);
 `repeated_reach` runs that reduction over a set of accepting states and is
 the one repeated-reachability entry point, used by `model_check` and by the
-command line.
+command line. The test-stripped machine is a one-dimensional vector addition
+system with states, so the states that loop forever through an accepting
+state f are found on its control graph, with no counter cap: f needs an
+entry value, the least one from which a non-empty closed walk through f
+ends no lower than it started, and it is at most |SCC(f)| - 1; the states
+that loop are those from which counter value 0 reaches f with at least that
+value. Both are least-credit fixpoints over the graph.
 Model checking a flat sentence reduces to repeated reachability of a tableau
 product whose registers become parameters. Machines with binary-encoded
 updates reduce to unary ones by expanding each large update into a gadget
@@ -58,7 +64,6 @@ from flatmc.machines import (
     Update,
     classify,
     fresh_name,
-    successors,
     validate_lasso,
 )
 from flatmc.reach import (
@@ -83,29 +88,118 @@ class BuchiInstance:
 
 @dataclass(frozen=True)
 class DivergenceContext:
-    """Shared analysis of the test-free divergence machine: for each state,
-    whether an infinite run from counter 0 visits a given state infinitely
-    often. Computed once per machine and reused across accept states."""
+    """The test-free divergence machine of a machine and its control graph:
+    the strongly connected component (SCC) of each state, the SCCs with a
+    cycle, and each state's incoming edges with their counter effects. Built
+    once per machine and reused across accept states.
+
+    A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
+    a value at least `need(f)`, the least entry value of a non-empty closed
+    walk through f with effect >= 0. Both are decided on the control graph
+    by least-credit fixpoints (`_credits`), with no cap on counter values;
+    `cap` bounds only the search that rebuilds a loop witness."""
     machine: CounterMachine
     origin: tuple[int, ...]         # stripped transition -> source transition
     cap: int
-    component: Mapping[Config, int]
-    cyclic: frozenset[int]
-    reverse: Mapping[Config, tuple[Config, ...]]
+    component: Mapping[str, int]    # control state -> SCC id
+    cyclic: frozenset[int]          # ids of the SCCs containing a cycle
+    incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
+
+    def _credits(self, goal: str, value: int,
+                 scc: Optional[int] = None) -> dict[str, int]:
+        """For each state that can reach `goal`, the least counter value
+        from which it reaches `goal` with a value >= `value`: the least
+        fixpoint of credit(p) = min over edges p -d-> r of
+        max(0, credit(r) - d), starting from credit(goal) = value. Run as a
+        worklist over predecessors; with `scc`, confined to that SCC."""
+        credit = {goal: value}
+        work = deque([goal])
+        queued = {goal}
+        while work:
+            here = work.popleft()
+            queued.discard(here)
+            for back, delta in self.incoming[here]:
+                if scc is not None and self.component[back] != scc:
+                    continue
+                lowered = max(0, credit[here] - delta)
+                if lowered < credit.get(back, lowered + 1):
+                    credit[back] = lowered
+                    if back not in queued:
+                        queued.add(back)
+                        work.append(back)
+        return credit
+
+    def need(self, accept_state: str) -> Optional[int]:
+        """The least entry value of a non-empty closed walk through
+        `accept_state` with effect >= 0, or None if there is none.
+
+        Such a walk stays inside the state's SCC S, and the value is at most
+        |S| - 1 when it exists. If S has a simple cycle of positive effect,
+        a shortest path to it and its turns need at most that, and enough
+        turns pay for the way back. Otherwise every closed walk has effect
+        <= 0, so the walk splits into simple cycles of effect 0, one of them
+        through the state. The search checks that bound first, then counts
+        up from 0."""
+        scc = self.component[accept_state]
+        if scc not in self.cyclic:
+            return None
+        top = sum(1 for c in self.component.values() if c == scc) - 1
+
+        def closes(value: int) -> bool:
+            credit = self._credits(accept_state, value, scc)
+            return any(t.target in credit
+                       and max(0, credit[t.target] - t.op.delta) <= value
+                       for _i, t in self.machine.outgoing(accept_state))
+
+        if not closes(top):
+            return None
+        return next((v for v in range(top) if closes(v)), top)
 
     def loop_entries(self, accept_state: str) -> frozenset[str]:
-        anchors = [Config(accept_state, v) for v in range(self.cap + 1)
-                   if self.component.get(Config(accept_state, v)) in self.cyclic]
-        reached = set(anchors)
-        queue = deque(anchors)
-        while queue:
-            here = queue.popleft()
-            for back in self.reverse.get(here, ()):
-                if back not in reached:
-                    reached.add(back)
-                    queue.append(back)
-        return frozenset(q for q in self.machine.states
-                         if Config(q, 0) in reached)
+        """The states q such that some run from (q, 0) visits
+        `accept_state` infinitely often."""
+        need = self.need(accept_state)
+        if need is None:
+            return frozenset()
+        credit = self._credits(accept_state, need)
+        return frozenset(q for q, c in credit.items() if c == 0)
+
+    def _distances(self, goal: str,
+                   scc: Optional[int] = None) -> dict[str, int]:
+        """For each state that can reach `goal`, the length of a shortest
+        path to it; with `scc`, of a shortest path inside that SCC."""
+        distance = {goal: 0}
+        work = deque([goal])
+        while work:
+            here = work.popleft()
+            for back, _delta in self.incoming[here]:
+                if back not in distance and (
+                        scc is None or self.component[back] == scc):
+                    distance[back] = distance[here] + 1
+                    work.append(back)
+        return distance
+
+    def loop_cap(self, accept_state: str) -> int:
+        """A counter cap at which `plain_rep_lasso` finds a loop through
+        `accept_state` from every loop entry: the larger of `cap` and
+        need + 2D + 2E + 1, where D (E) is the longest of the shortest path
+        lengths to the accept state from the states that reach it (inside
+        its SCC).
+
+        From an entry, a run reaching the accept state with a value at least
+        the need either stays below need + D or, where it first reaches
+        that value, can switch to a shortest path; so some such run stays at
+        or below need + 2D, ending at a value w >= need. From w, a closed
+        walk with effect >= 0 either stays at or below w + E or, where it
+        first goes above, can switch to a shortest path back inside the SCC
+        and end above w; so some loop stays at or below w + 2E + 1."""
+        need = self.need(accept_state)
+        if need is None:
+            return self.cap
+        far = max(self._distances(accept_state).values())
+        near = max(self._distances(accept_state,
+                                   self.component[accept_state]).values())
+        return max(self.cap, need + 2 * far + 2 * near + 1)
 
 
 @dataclass(frozen=True)
@@ -121,49 +215,42 @@ class BuchiReduction:
     store_index: int                # index of the (accept, =y, store) transition
     chain_entries: frozenset[str]   # states with an infinite high run to accept
     context: DivergenceContext
+    dummy: Optional[str]            # parameter added to a parameterless one
 
 
 def divergence_context(machine: CounterMachine,
                        rep_cap: Optional[int] = None) -> DivergenceContext:
-    """Analyze the test-free divergence machine of `machine` up to a counter
-    cap: a configuration can be revisited (at the same or a higher value) iff
-    it lies on a cycle of the configuration graph extended with downward
-    edges (q, v+1) -> (q, v), which are sound because test-free runs can be
-    replayed shifted upward.
+    """Build the divergence analysis of `machine`: strip its tests for the
+    interval above every parameter, where exactly the greater-than tests
+    hold, and find the SCCs of the stripped control graph. Each accept state
+    is then analyzed on that graph alone, in time polynomial in its size and
+    independent of any counter cap (see `DivergenceContext`).
 
-    The machine is stripped for the interval above every parameter, where
-    exactly the greater-than tests hold."""
+    `rep_cap`, by default 8|Q|^3 for the stripped states Q, bounds only the
+    counter values of the loop search that rebuilds a witness."""
     strip = _strip(machine, tuple(greater for _x, greater
                                   in _inequality_tests(machine)))
     stripped = strip.machine
     if rep_cap is None:
         rep_cap = 8 * len(stripped.states) ** 3
-    forward: dict[Config, list[Config]] = {}
-    reverse: dict[Config, list[Config]] = {}
-    for q in stripped.states:
-        for v in range(rep_cap + 1):
-            here = Config(q, v)
-            outs = [c for _i, c in successors(stripped, {}, here)
-                    if c.value <= rep_cap]
-            if v > 0:
-                outs.append(Config(q, v - 1))
-            forward[here] = outs
-            for there in outs:
-                reverse.setdefault(there, []).append(here)
-    component, cyclic = _cyclic_components(forward)
-    return DivergenceContext(machine=stripped, origin=strip.origin, cap=rep_cap,
-                             component=component, cyclic=frozenset(cyclic),
-                             reverse={c: tuple(cs) for c, cs in reverse.items()})
+    component, cyclic = _control_components(stripped)
+    incoming: dict[str, list] = {q: [] for q in stripped.states}
+    for t in stripped.transitions:
+        incoming[t.target].append((t.source, t.op.delta))
+    return DivergenceContext(
+        machine=stripped, origin=strip.origin, cap=rep_cap,
+        component=component, cyclic=frozenset(cyclic),
+        incoming={q: tuple(edges) for q, edges in incoming.items()})
 
 
-def _cyclic_components(forward: Mapping[Config, list]) -> tuple[dict, set]:
-    """Iterative Tarjan: strongly connected components of the configuration
-    graph, and the set of component ids containing a cycle."""
-    index: dict[Config, int] = {}
-    low: dict[Config, int] = {}
-    on_stack: set[Config] = set()
-    stack: list[Config] = []
-    component: dict[Config, int] = {}
+def _cyclic_components(forward: Mapping[str, list]) -> tuple[dict, set]:
+    """Iterative Tarjan: strongly connected components of a graph given by
+    successor lists, and the set of component ids containing a cycle."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    component: dict[str, int] = {}
     sizes: dict[int, int] = {}
     counter = 0
     next_component = 0
@@ -213,13 +300,18 @@ def _cyclic_components(forward: Mapping[Config, list]) -> tuple[dict, set]:
     return component, cyclic
 
 
+def _control_components(machine: CounterMachine) -> tuple[dict, set]:
+    """The SCCs of the control graph of `machine`, as `_cyclic_components`
+    returns them."""
+    return _cyclic_components({q: [t.target for _i, t in machine.outgoing(q)]
+                               for q in machine.states})
+
+
 def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
     """The control states that lie on a cycle of the transition graph: the
     only ones a run can visit infinitely often."""
-    forward = {q: [t.target for _i, t in machine.outgoing(q)]
-               for q in machine.states}
-    component, cyclic = _cyclic_components(forward)
-    return frozenset(q for q in machine.states if component.get(q) in cyclic)
+    component, cyclic = _control_components(machine)
+    return frozenset(q for q in machine.states if component[q] in cyclic)
 
 
 def buchi_to_reach(machine: CounterMachine, accept_state: str,
@@ -233,7 +325,8 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     For runs whose counter diverges, a chain of strict greater-than tests
     over every parameter lets the target be entered from any state that can
     loop forever through the accept state once all tests are dropped. With no
-    parameters, a dummy one is added so the chain is nonempty.
+    parameters, a dummy one is added so the chain is nonempty; only the chain
+    tests it, so its value 0 serves whenever any value does.
     """
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
         raise ClassMismatch(
@@ -256,8 +349,9 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     taken.add(target)
 
     params = list(machine.params)
-    if not params:
-        params.append(fresh_name("xdummy", ()))
+    dummy = None if params else fresh_name("xdummy", ())
+    if dummy is not None:
+        params.append(dummy)
     chain = []
     for i in range(1, len(params) + 1):
         chain.append(fresh_name(f"t{i}", taken))
@@ -292,14 +386,18 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     return BuchiReduction(machine=built, target=target, source=machine,
                           accept_state=accept_state, y=y, origin=origin,
                           store_index=store_index, chain_entries=chain_entries,
-                          context=context)
+                          context=context, dummy=dummy)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
                            witness: ReachWitness) -> tuple[dict, LassoRun]:
     """Translate a reachability witness for the reduced machine into an
     instantiation of the source parameters and a lasso of the source machine
-    in which the loop starts at the accept state."""
+    in which the loop starts at the accept state.
+
+    In the divergence case the loop comes from `plain_rep_lasso` on the
+    test-free machine, searched with the context's `loop_cap`, at which a
+    loop from every chain entry is proved to exist."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
@@ -325,15 +423,10 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         chain_len = len(reduction.machine.params)  # chain params plus the 0-step
         cut = len(run.steps) - chain_len
         anchor = run.configs[cut]
-        base = None
         context = reduction.context
-        cap = context.cap
-        for _ in range(3):
-            base = plain_rep_lasso(context.machine, anchor.state,
-                                   reduction.accept_state, cap=cap)
-            if base is not None:
-                break
-            cap *= 4
+        base = plain_rep_lasso(context.machine, anchor.state,
+                               reduction.accept_state,
+                               cap=context.loop_cap(reduction.accept_state))
         if base is None:
             raise AssertionError(
                 f"no divergence loop from {anchor.state!r} despite chain entry")
@@ -375,7 +468,9 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     first witness is returned. Counter values are explored up to `ceiling`,
     by default max(bound, constants) + |Q'|^3 for the states Q' of the
     reduced machine; the stored value y ranges up to `store_bound`, by
-    default the ceiling.
+    default the ceiling. The dummy parameter that `buchi_to_reach` adds to
+    a parameterless machine is pinned to 0: any witness under (d, y) has one
+    under (0, y), which the enumeration order puts first.
     """
     accepting = set(accepting)
     for q in sorted(accepting):
@@ -395,8 +490,10 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     context = divergence_context(folded, ceiling)
     for accept_state in sorted(accepting & _states_on_cycles(folded)):
         reduction = buchi_to_reach(folded, accept_state, context=context)
+        pins = (pinned if reduction.dummy is None
+                else {**pinned, reduction.dummy: 0})
         found = parametric_reach(reduction.machine, reduction.target, bound,
-                                 pinned=pinned,
+                                 pinned=pins,
                                  bounds={reduction.y: store_bound},
                                  ceiling=ceiling)
         if found is None:

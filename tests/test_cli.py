@@ -10,6 +10,7 @@ import pytest
 
 from flatmc import reductions
 from flatmc.cli import main
+from flatmc.formulas import FormulaError, parse
 from flatmc.jsonio import (
     machine_from_data,
     machine_to_data,
@@ -212,6 +213,17 @@ class TestBuchi:
         assert witness.gamma["x0"] <= 1
         assert main(["check", out, machine]) == 0
 
+    def test_divergence_loop_above_the_cap(self, write, tmp_path):
+        # The chain is entered at (a, 1), above --cap 0, so the loop is
+        # searched at the value bound the divergence analysis proves.
+        data = {"states": ["a"], "initial": "a",
+                "transitions": [{"from": "a", "op": "+1", "to": "a"}]}
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "a", "--cap", "0",
+                     "--bound", "1", "--witness", out]) == 0
+        assert main(["check", out, machine]) == 0
+
 
 class TestMc:
     def test_always_p(self, write, tmp_path):
@@ -232,6 +244,22 @@ class TestMc:
         assert code == 2
         err = capsys.readouterr().err
         assert "not flat" in err and "U" in err
+
+    @pytest.mark.parametrize("text", [
+        "X " * 3000 + "p",
+        "!" * 3000 + "p",
+        "(" * 3000 + "p" + ")" * 3000,
+        "p | " * 3000 + "p",
+        "p U " * 3000 + "p",
+    ], ids=["next", "negation", "parentheses", "or-chain", "until-chain"])
+    def test_deep_nesting_is_input_error(self, write, capsys, text):
+        with pytest.raises(FormulaError):
+            parse(text)
+        data = {"states": ["q"], "initial": "q",
+                "transitions": [{"from": "q", "op": "0", "to": "q"}]}
+        machine = write("m.json", data)
+        assert main(["mc", machine, "--formula", text, "--bound", "1"]) == 2
+        assert "nests deeper than 100 levels" in capsys.readouterr().err
 
     def test_freeze_forever(self, write, tmp_path):
         data = {"states": ["q"], "initial": "q",

@@ -5,6 +5,9 @@ end-to-end model-checking pipeline."""
 from __future__ import annotations
 
 import random
+import time
+from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -26,10 +29,12 @@ from flatmc.machines import (
     CounterMachine,
     MachineError,
     Update,
+    rep_reach_oracle,
+    successors,
     validate_lasso,
 )
 from flatmc import reductions
-from flatmc.reach import parametric_reach
+from flatmc.reach import parametric_reach, plain_rep_lasso
 from flatmc.reductions import (
     bit_at,
     bits,
@@ -187,6 +192,22 @@ class TestRepeatedReach:
             repeated_reach(plain, ["r", "nowhere"], 3)
         assert repeated_reach(plain, ["r"], 3) is None
 
+    def test_pinned_dummy_gives_the_same_first_witness(self):
+        rng = random.Random(1729)
+        present = 0
+        for _ in range(30):
+            m = random_machine(rng, max_states=4, max_params=0)
+            ceiling = 3 + len(m.states) ** 2
+            for accept in sorted(m.states):
+                red = buchi_to_reach(m, accept, rep_cap=ceiling)
+                options = dict(bounds={red.y: ceiling}, ceiling=ceiling)
+                free = parametric_reach(red.machine, red.target, 2, **options)
+                pinned = parametric_reach(red.machine, red.target, 2,
+                                          pinned={red.dummy: 0}, **options)
+                assert pinned == free, (m, accept)
+                present += free is not None
+        assert present >= 10
+
     def test_divergence_machine_keeps_updates_and_greater_tests(self):
         m = CounterMachine.build(
             [("a", "+1", "b"), ("b", ">x:x", "a"), ("b", "<x:x", "a"),
@@ -196,6 +217,99 @@ class TestRepeatedReach:
         assert context.origin == (0, 1, 5)
         assert [t.op for t in context.machine.transitions] == \
             [Update(1), Update(0), Update(-1)]
+
+
+def closes_from(machine, state, value, cap):
+    """Configuration search: whether some non-empty run of a test-free
+    machine leads from (state, value) back to `state` with a value at least
+    `value`, with every value <= cap."""
+    seen = set()
+    queue = deque([Config(state, value)])
+    while queue:
+        here = queue.popleft()
+        for _step, there in successors(machine, {}, here):
+            if there.state == state and there.value >= value:
+                return True
+            if there.value <= cap and there not in seen:
+                seen.add(there)
+                queue.append(there)
+    return False
+
+
+def scc_size(context, state):
+    return sum(1 for c in context.component.values()
+               if c == context.component[state])
+
+
+class TestDivergenceContext:
+    """The control-graph analysis against configuration search on the
+    test-free machines that `divergence_context` strips from random ones."""
+
+    def test_loop_entries_match_the_lasso_oracle(self):
+        rng = random.Random(1618)
+        entries_seen = 0
+        for _ in range(40):
+            m = random_machine(rng, max_states=4, max_params=1, density=3.0)
+            context = divergence_context(m)
+            free = context.machine
+            cap = 8 * len(free.states) ** 3
+            for f in sorted(free.states):
+                entries = context.loop_entries(f)
+                entries_seen += len(entries)
+                for q in sorted(free.states):
+                    lasso = rep_reach_oracle(replace(free, initial=q), {},
+                                             [f], cap)
+                    assert (q in entries) == (lasso is not None), (m, f, q)
+        assert entries_seen >= 50
+
+    def test_need_is_least_and_within_the_scc_bound(self):
+        # A closed walk through f that dips by 2 before it climbs back.
+        dip = CounterMachine.build([("f", "-1", "a"), ("a", "-1", "b"),
+                                    ("b", "+1", "c"), ("c", "+1", "f")],
+                                   initial="f")
+        assert divergence_context(dip).need("f") == 2
+        rng = random.Random(2024)
+        finite = raised = 0
+        for _ in range(60):
+            m = random_machine(rng, max_states=6, max_params=1, density=3.0)
+            context = divergence_context(m)
+            free = context.machine
+            cap = 8 * len(free.states) ** 3
+            for f in sorted(free.states):
+                need = context.need(f)
+                if need is None:
+                    assert not closes_from(free, f, 4 * len(free.states), cap)
+                    continue
+                finite += 1
+                raised += need > 0
+                assert need <= scc_size(context, f) - 1
+                assert closes_from(free, f, need, cap)
+                assert need == 0 or not closes_from(free, f, need - 1, cap)
+        assert finite >= 50 and raised >= 10
+
+    def test_loop_found_at_loop_cap_from_every_entry(self):
+        # With the witness cap at 0, every loop search runs at the bound
+        # the analysis proves.
+        rng = random.Random(2024)
+        for _ in range(40):
+            m = random_machine(rng, max_states=5, max_params=1)
+            context = divergence_context(m, 0)
+            for f in sorted(context.machine.states):
+                for q in sorted(context.loop_entries(f)):
+                    assert plain_rep_lasso(context.machine, q, f,
+                                           cap=context.loop_cap(f)), (m, f, q)
+
+    def test_huge_cap_changes_nothing_and_costs_nothing(self):
+        rng = random.Random(577)
+        for _ in range(20):
+            m = random_machine(rng, max_states=5, max_params=1)
+            started = time.perf_counter()
+            huge = divergence_context(m, 10**9)
+            entries = {f: huge.loop_entries(f) for f in huge.machine.states}
+            assert time.perf_counter() - started < 1.0
+            small = divergence_context(m, 2)
+            assert entries == {f: small.loop_entries(f)
+                               for f in small.machine.states}
 
 
 class TestFlatMcToBuchi:
