@@ -116,9 +116,9 @@ _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 
 # `parse` rejects formulas nested deeper than this, in the text (each
 # parenthesis and each operand of a unary, U, R or -> operator opens a level)
-# or in the built tree (each operator node is a level, after F, G and true
-# expand). Deeper formulas would overflow the recursive traversals that
-# follow, such as `nnf`, `render` and `evaluate`.
+# or in the built tree, measured by `_depth`. Deeper formulas would overflow
+# the recursive parser, or the recursive traversals that follow, such as
+# `nnf`, `render` and `evaluate`.
 MAX_DEPTH = 100
 
 
@@ -269,27 +269,44 @@ def parse(text: str) -> Formula:
         raise FormulaSyntaxError(f"trailing input {parser.peek()!r}",
                                  parser.here())
     if _depth(result) > MAX_DEPTH:
-        # Left-associative & and | chains nest in the tree only.
+        # Left-associative & and | chains nest in the tree only, and F, G,
+        # -> and true expand into levels that `render` writes out.
         raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
     return result
 
 
 def _depth(phi: Formula) -> int:
-    """The most operator nodes above a leaf of `phi`, found without
-    recursion."""
+    """The nesting depth of `phi`, found without recursion: the most levels
+    above a leaf, where each operator node is a level and so is each pair of
+    parentheses `render` puts around an operand. It is at least the depth
+    of the tree and at least the text nesting the parser counts in
+    `render(phi)`, so every formula `parse` accepts renders to text it
+    accepts again."""
     deepest = 0
     todo = [(phi, 0)]
     while todo:
         f, depth = todo.pop()
         deepest = max(deepest, depth)
-        if isinstance(f, (Neg, Next, Freeze)):
-            todo.append((f.body, depth + 1))
-        elif isinstance(f, (And, Or, Until, Release)):
-            todo += [(f.left, depth + 1), (f.right, depth + 1)]
+        for name, minimum in _OPERANDS.get(type(f), ()):
+            child = getattr(f, name)
+            todo.append((child, depth + 1 + (_prec(child) < minimum)))
     return deepest
 
 
 _PREC = {Until: 1, Release: 1, Or: 3, And: 4}
+
+# The operands of each operator, with the least precedence an operand may
+# have before `render` puts it in parentheses.
+_OPERANDS = {
+    Neg: (("body", 5),),
+    Next: (("body", 5),),
+    Freeze: (("body", 5),),
+    And: (("left", 4), ("right", 5)),
+    Or: (("left", 3), ("right", 4)),
+    Until: (("left", 2), ("right", 1)),
+    Release: (("left", 2), ("right", 1)),
+}
+_INFIX = {And: "&", Or: "|", Until: "U", Release: "R"}
 
 
 def _prec(phi: Formula) -> int:
@@ -302,18 +319,16 @@ def render(phi: Formula) -> str:
         return phi.name
     if isinstance(phi, RegTest):
         return f"[{phi.rel}{phi.reg}]"
+    operands = [_wrap(getattr(phi, name), minimum)
+                for name, minimum in _OPERANDS[type(phi)]]
     if isinstance(phi, Neg):
-        return f"!{_wrap(phi.body, 5)}"
+        return f"!{operands[0]}"
     if isinstance(phi, Next):
-        return f"X {_wrap(phi.body, 5)}"
+        return f"X {operands[0]}"
     if isinstance(phi, Freeze):
-        return f"@{phi.reg}. {_wrap(phi.body, 5)}"
-    if isinstance(phi, And):
-        return f"{_wrap(phi.left, 4)} & {_wrap(phi.right, 5)}"
-    if isinstance(phi, Or):
-        return f"{_wrap(phi.left, 3)} | {_wrap(phi.right, 4)}"
-    op = "U" if isinstance(phi, Until) else "R"
-    return f"{_wrap(phi.left, 2)} {op} {_wrap(phi.right, 1)}"
+        return f"@{phi.reg}. {operands[0]}"
+    left, right = operands
+    return f"{left} {_INFIX[type(phi)]} {right}"
 
 
 def _wrap(phi: Formula, minimum: int) -> str:

@@ -22,16 +22,26 @@ width, and are searched once and shifted into place. Instantiations are
 still tried one at a time in the documented order, so the first witness is
 the same as without sharing.
 
+All of these searches run on one breadth-first search with parent pointers,
+`_bfs`: the level graph, whose edges are chunks of runs; the exits of an
+interval, whose edges are single steps and which also decide the interval
+runs of `interval_run` and `interval_return`; and the loop of a test-free
+machine in `plain_rep_lasso`. They differ only in the neighbours they list
+and in the nodes that count as ends. The brute-force oracles of
+`flatmc.machines` are not used here: they stay the independent reference
+the solver is tested against.
+
 Every positive answer ships a concrete run that is re-validated before it is
 returned.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from flatmc.machines import (
@@ -48,7 +58,6 @@ from flatmc.machines import (
     Update,
     classify,
     fresh_name,
-    rep_reach_oracle,
     successors,
     validate_run,
 )
@@ -57,11 +66,12 @@ from flatmc.machines import (
 DEFAULT_MULTIPLIER = 8
 
 
-def default_bound(machine: CounterMachine, multiplier: int = DEFAULT_MULTIPLIER) -> int:
+def default_bound(machine: CounterMachine) -> int:
     """A heuristic default for parameter bounds and counter caps:
-    |Q|^3 * (|X| + 2) * multiplier. This is a practical default, not the
-    theoretical worst-case bound, whose constants are unspecified."""
-    return (len(machine.states) ** 3) * (len(machine.params) + 2) * multiplier
+    |Q|^3 * (|X| + 2) * DEFAULT_MULTIPLIER. This is a practical default, not
+    the theoretical worst-case bound, whose constants are unspecified."""
+    return ((len(machine.states) ** 3) * (len(machine.params) + 2)
+            * DEFAULT_MULTIPLIER)
 
 
 def _require_unary_zero_tests(machine: CounterMachine, who: str) -> None:
@@ -80,41 +90,94 @@ def _require_plain_oca(machine: CounterMachine, who: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Breadth-first search
+# ---------------------------------------------------------------------------
+
+def _bfs(start, neighbours, is_end, parents: dict):
+    """Breadth-first search from `start` with parent pointers: the one search
+    behind every check in this module.
+
+    `neighbours(node)` lists the (edge, node) pairs leaving a node, in the
+    order they are tried. An end, a node satisfying `is_end`, is reported
+    and never expanded: for each edge into one the search yields (node,
+    edge, end), and `_path(parents, node)` followed by (edge, end) is a path
+    to it, also when the end is `start` itself. Every other node is expanded
+    once, after its first visit, and `parents` receives the search tree:
+    each such node maps to the node and edge it was first reached by, and
+    `start` maps to None."""
+    parents[start] = None
+    queue = deque([start])
+    while queue:
+        here = queue.popleft()
+        for edge, there in neighbours(here):
+            if is_end(there):
+                yield here, edge, there
+            elif there not in parents:
+                parents[there] = (here, edge)
+                queue.append(there)
+
+
+def _path(parents: dict, node) -> list:
+    """The (edge, node) pairs leading from the root of the search tree in
+    `parents` to `node`."""
+    path = []
+    while parents[node] is not None:
+        prev, edge = parents[node]
+        path.append((edge, node))
+        node = prev
+    path.reverse()
+    return path
+
+
+def _first_path(start, neighbours, is_end) -> Optional[list]:
+    """The path by which `_bfs` first reaches an end, or None."""
+    parents: dict = {}
+    for here, edge, end in _bfs(start, neighbours, is_end, parents):
+        return _path(parents, here) + [(edge, end)]
+    return None
+
+
+def _run(start: Config, path: list) -> Run:
+    """The run along a path of (transition index, configuration) pairs."""
+    return Run((start, *(c for _i, c in path)), tuple(i for i, _c in path))
+
+
+# ---------------------------------------------------------------------------
 # Interval-restricted run checks
 # ---------------------------------------------------------------------------
 
-def _interval_search(machine: CounterMachine, start: Config, goal: Config,
-                     lo: int, hi: int, strict: bool) -> Optional[Run]:
-    """A shortest run from `start` to `goal` whose intermediate configurations
-    all have values strictly between lo and hi. With `strict`, at least one
-    intermediate configuration is required."""
-    if not strict and start == goal:
-        return Run((start,), ())
-    parents: dict[Config, tuple[Config, int]] = {}
-    seen = {start}
-    queue = deque([start])
+def _segment_exits(machine: CounterMachine, start: Config, lo: int,
+                   hi: int) -> dict[Config, Run]:
+    """Shortest runs of a unary machine from `start`, on a boundary value,
+    through the open interval (lo, hi) to each reachable configuration back
+    on a boundary value. Exits to the start's own value require at least one
+    interior configuration (value-preserving steps on the level are handled
+    by the caller); exits to the opposite boundary may be direct. Tests of
+    `machine` are evaluated as they stand; a zero test never fires inside
+    the interval."""
+    # Ends are the configurations outside the open interval. Unary steps
+    # from inside it end on a boundary value; only the start's steps can
+    # leave [lo, hi] or stay on its value, and those are not exits.
+    steps = functools.partial(successors, machine, {})
+    parents: dict = {}
+    exits: dict[Config, Run] = {}
+    for here, step, end in _bfs(start, steps, lambda c: not lo < c.value < hi,
+                                parents):
+        if (end not in exits and lo <= end.value <= hi
+                and (here != start or end.value != start.value)):
+            exits[end] = _run(start, _path(parents, here) + [(step, end)])
+    return exits
 
-    def rebuild(end: Config, step: int, prev: Config) -> Run:
-        configs = [prev]
-        steps = []
-        while configs[-1] != start:
-            before, via = parents[configs[-1]]
-            configs.append(before)
-            steps.append(via)
-        configs.reverse()
-        steps.reverse()
-        return Run(tuple(configs) + (end,), tuple(steps) + (step,))
 
-    while queue:
-        here = queue.popleft()
-        for step, there in successors(machine, {}, here):
-            if there == goal and (not strict or here != start):
-                return rebuild(there, step, here)
-            if lo < there.value < hi and there not in seen:
-                seen.add(there)
-                parents[there] = (here, step)
-                queue.append(there)
-    return None
+def _interval_reach(machine: CounterMachine, start: Config, goal: Config,
+                    lo: int, hi: int) -> bool:
+    """Is there a run from `start` to `goal`, both on the boundary of
+    [lo, hi], whose intermediate configurations lie strictly between lo and
+    hi? Either it is empty, or it is one step, or it is an exit of the
+    interval."""
+    return (start == goal
+            or any(c == goal for _i, c in successors(machine, {}, start))
+            or goal in _segment_exits(machine, start, lo, hi))
 
 
 def interval_run(machine: CounterMachine, source: str, target: str,
@@ -124,9 +187,9 @@ def interval_run(machine: CounterMachine, source: str, target: str,
     A single configuration counts when source == target and v_start == v_end.
     """
     _require_plain_oca(machine, "interval_run")
-    lo, hi = min(v_start, v_end), max(v_start, v_end)
-    return _interval_search(machine, Config(source, v_start),
-                            Config(target, v_end), lo, hi, strict=False) is not None
+    return _interval_reach(machine, Config(source, v_start),
+                           Config(target, v_end),
+                           min(v_start, v_end), max(v_start, v_end))
 
 
 def interval_return(machine: CounterMachine, source: str, target: str,
@@ -134,42 +197,14 @@ def interval_return(machine: CounterMachine, source: str, target: str,
     """Like interval_run, but the run ends back at value v_start; v_other only
     bounds the excursion."""
     _require_plain_oca(machine, "interval_return")
-    lo, hi = min(v_start, v_other), max(v_start, v_other)
-    return _interval_search(machine, Config(source, v_start),
-                            Config(target, v_start), lo, hi, strict=False) is not None
+    return _interval_reach(machine, Config(source, v_start),
+                           Config(target, v_start),
+                           min(v_start, v_other), max(v_start, v_other))
 
 
 # ---------------------------------------------------------------------------
-# Levels and test stripping
+# Test stripping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Strictly increasing counter values d_0 < d_1 < ... < d_{n+1} with
-    d_0 = 0; the interior values d_1..d_n carry the parameters and the last
-    value is the search ceiling."""
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 2:
-            raise MachineError("a level set needs at least bottom and top")
-        if self.values[0] != 0:
-            raise MachineError("level sets start at 0")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
-            raise MachineError("level values must be strictly increasing")
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.values[1:-1]
-
-    @property
-    def top(self) -> int:
-        return self.values[-1]
-
-    def segments(self) -> int:
-        """Number of open intervals between consecutive levels."""
-        return len(self.values) - 1
-
 
 @dataclass(frozen=True)
 class StrippedMachine:
@@ -178,39 +213,6 @@ class StrippedMachine:
     the original ones."""
     machine: CounterMachine
     origin: tuple[int, ...]
-
-
-def strip_tests(machine: CounterMachine, segment: int, levels: LevelSet,
-                assignment: Mapping[str, int]) -> StrippedMachine:
-    """Resolve all tests of `machine` for runs inside the open interval
-    between levels `segment` and `segment + 1`.
-
-    Parameters are identified with the interior levels through `assignment`,
-    which must map them bijectively onto levels d_1..d_n. Inside the interval,
-    zero tests and equality tests can never fire and are dropped, as are
-    inequality tests that are false throughout; inequality tests that hold
-    throughout become 0-updates. Counter updates are kept unchanged.
-    """
-    _require_unary_zero_tests(machine, "strip_tests")
-    if not 0 <= segment < levels.segments():
-        raise MachineError(f"segment {segment} out of range")
-    interior = levels.interior
-    level_index: dict[str, int] = {}
-    seen_levels = set()
-    for x in machine.params:
-        if x not in assignment:
-            raise MachineError(f"assignment missing parameter {x!r}")
-        value = assignment[x]
-        if value not in interior or value in seen_levels:
-            raise MachineError(
-                "assignment does not identify parameters bijectively with levels")
-        seen_levels.add(value)
-        level_index[x] = interior.index(value) + 1
-    if len(seen_levels) != len(interior):
-        raise MachineError(
-            "assignment does not identify parameters bijectively with levels")
-    pattern = _test_pattern(_inequality_tests(machine), level_index, segment)
-    return _strip(machine, pattern)
 
 
 def _inequality_tests(machine: CounterMachine) -> tuple[tuple[str, bool], ...]:
@@ -418,104 +420,39 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
             start = Config(here.state, 0 if from_lo else width)
             exits[key] = [
                 (end, run.configs[1:], tuple(strip.origin[s] for s in run.steps))
-                for end, run in _segment_exits(strip, start, 0, width).items()]
+                for end, run in _segment_exits(strip.machine, start, 0,
+                                                width).items()]
         return exits[key]
 
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the real machine) or traverse one open
     # interval (a run of the stripped machine, mapped back and shifted up by
-    # the interval's lower end).
+    # the interval's lower end). An edge is the chunk of run it adds.
     start = Config(machine.initial, 0)
     goal = Config(sink, 0)
     if start == goal:
         return Run((start,), ())
-    parents: dict[Config, tuple[Config, tuple[Config, ...], tuple[int, ...], int]] = {}
-    seen = {start}
-    queue = deque([start])
 
-    def rebuild(end: Config) -> Run:
-        chunks = []
-        node = end
-        while node != start:
-            prev, configs, steps, shift = parents[node]
-            chunks.append((configs, steps, shift))
-            node = prev
-        chunks.reverse()
-        all_configs: list[Config] = [start]
-        all_steps: list[int] = []
-        for configs, steps, shift in chunks:
-            all_configs.extend(Config(q, v + shift) for q, v in configs)
-            all_steps.extend(steps)
-        return Run(tuple(all_configs), tuple(all_steps))
-
-    def offer(node: Config, prev: Config, configs, steps, shift: int) -> Optional[Run]:
-        if node == goal:
-            parents[node] = (prev, configs, steps, shift)
-            return rebuild(node)
-        if node not in seen:
-            seen.add(node)
-            parents[node] = (prev, configs, steps, shift)
-            queue.append(node)
-        return None
-
-    while queue:
-        here = queue.popleft()
-        idx = index_of[here.value]
+    def moves(here: Config):
         for step, conf in successors(machine, gamma, here):
-            if conf.value != here.value:
-                continue
-            found = offer(conf, here, (conf,), (step,), 0)
-            if found is not None:
-                return found
+            if conf.value == here.value:
+                yield ((conf,), (step,), 0), conf
+        idx = index_of[here.value]
         for segment in (idx, idx - 1):
-            if not 0 <= segment < segments:
-                continue
-            lo = level_values[segment]
-            for end, configs, steps in exits_from(here, segment):
-                found = offer(Config(end.state, end.value + lo), here,
-                              configs, steps, lo)
-                if found is not None:
-                    return found
-    return None
+            if 0 <= segment < segments:
+                lo = level_values[segment]
+                for end, configs, steps in exits_from(here, segment):
+                    yield (configs, steps, lo), Config(end.state, end.value + lo)
 
-
-def _segment_exits(strip: StrippedMachine, start: Config, lo: int,
-                   hi: int) -> dict[Config, Run]:
-    """Shortest runs of the stripped machine from `start` through the open
-    interval (lo, hi) to each reachable configuration back on a boundary
-    value. Exits to the start's own value require at least one interior
-    configuration (value-preserving steps on the level are handled by the
-    caller); exits to the opposite boundary may be direct."""
-    machine = strip.machine
-    exits: dict[Config, Run] = {}
-    parents: dict[Config, tuple[Config, int]] = {}
-    seen = {start}
-    queue = deque([start])
-
-    def rebuild(prev: Config, step: int, end: Config) -> Run:
-        configs = [prev]
-        steps = []
-        while configs[-1] != start:
-            before, via = parents[configs[-1]]
-            configs.append(before)
-            steps.append(via)
-        configs.reverse()
-        steps.reverse()
-        return Run(tuple(configs) + (end,), tuple(steps) + (step,))
-
-    while queue:
-        here = queue.popleft()
-        for step, there in successors(machine, {}, here):
-            if there.value in (lo, hi):
-                if here == start and there.value == start.value:
-                    continue
-                if there not in exits:
-                    exits[there] = rebuild(here, step, there)
-            elif lo < there.value < hi and there not in seen:
-                seen.add(there)
-                parents[there] = (here, step)
-                queue.append(there)
-    return exits
+    path = _first_path(start, moves, goal.__eq__)
+    if path is None:
+        return None
+    all_configs: list[Config] = [start]
+    all_steps: list[int] = []
+    for (configs, steps, shift), _node in path:
+        all_configs.extend(Config(q, v + shift) for q, v in configs)
+        all_steps.extend(steps)
+    return Run(tuple(all_configs), tuple(all_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +463,13 @@ def plain_rep_lasso(machine: CounterMachine, start: str, good: str,
                     cap: Optional[int] = None) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
     infinitely often, for machines without any tests. None if there is none
-    within the counter cap (default 8 * |Q|^3)."""
+    within the counter cap (default 8 * |Q|^3).
+
+    The loop starts at the reachable configuration of `good` with the least
+    value from which a loop exists, and is an exact return to it if there is
+    one, else a return to `good` with a larger value, which pumps since
+    every transition is an update. Each part is a first path of the search
+    with transitions tried in declaration order."""
     for t in machine.transitions:
         if not isinstance(t.op, Update):
             raise ClassMismatch(
@@ -535,10 +478,22 @@ def plain_rep_lasso(machine: CounterMachine, start: str, good: str,
         raise MachineError("unknown state")
     if cap is None:
         cap = DEFAULT_MULTIPLIER * len(machine.states) ** 3
-    rebased = replace(machine, initial=start)
-    return rep_reach_oracle(rebased, {}, [good], cap)
 
+    def steps(here: Config) -> list:
+        return [step for step in successors(machine, {}, here)
+                if step[1].value <= cap]
 
-def plain_rep_reach(machine: CounterMachine, start: str, good: str,
-                    cap: Optional[int] = None) -> bool:
-    return plain_rep_lasso(machine, start, good, cap) is not None
+    origin = Config(start, 0)
+    tree: dict = {}
+    for _ in _bfs(origin, steps, lambda c: False, tree):
+        pass  # with no ends, the search only fills the tree
+    for anchor in sorted(c for c in tree if c.state == good):
+        loop = _first_path(anchor, steps, anchor.__eq__)
+        if loop is None:
+            loop = _first_path(anchor, steps, lambda c: c.state == good
+                               and c.value > anchor.value)
+        if loop is not None:
+            prefix = _path(tree, anchor)
+            run = _run(origin, prefix + loop)
+            return LassoRun(run.configs, run.steps, loop_start=len(prefix))
+    return None

@@ -3,6 +3,7 @@ independence of the witness checker."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -378,3 +379,88 @@ class TestCheck:
             assert code == (0 if expected_ok else 1)
             agreements += 1
         assert agreements >= 20
+
+
+# Values of every JSON type, swapped in where another type is expected.
+_WRONG_VALUES = (None, True, False, -1, 0, 7, 2.5, "", "q", "+1", [], [1],
+                 ["q"], {}, {"q": 1}, {"from": "q"})
+
+# A machine with every kind of op and a label, besides CLIMB_AND_TEST.
+_LOOPING = {
+    "states": ["a", "b"],
+    "initial": "a",
+    "params": ["x"],
+    "labels": {"a": ["p"]},
+    "transitions": [
+        {"from": "a", "op": "+1", "to": "b"},
+        {"from": "b", "op": ">x:x", "to": "a"},
+        {"from": "b", "op": "-1", "to": "a"},
+        {"from": "a", "op": "=c:2", "to": "b"},
+        {"from": "a", "op": "=0", "to": "a"},
+    ],
+}
+
+
+def _mutate(rng: random.Random, data):
+    """A copy of the JSON value `data` with one to three mutations: a value
+    swapped for one of the wrong type, a dictionary key deleted, or a list
+    item popped."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 3)):
+        containers = []
+        todo = [data]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (dict, list)) and node:
+                containers.append(node)
+                todo.extend(node.values() if isinstance(node, dict) else node)
+        if not containers or rng.random() < 0.03:
+            return copy.deepcopy(rng.choice(_WRONG_VALUES))
+        node = rng.choice(containers)
+        slot = rng.choice(list(node) if isinstance(node, dict)
+                          else range(len(node)))
+        if rng.random() < 0.5:
+            node[slot] = copy.deepcopy(rng.choice(_WRONG_VALUES))
+        else:
+            del node[slot]
+    return data
+
+
+class TestFuzz:
+    def test_mutated_files_never_raise(self, write, capsys):
+        # Every mutated machine or witness file is answered with exit code
+        # 0, 1 or 2, never with an exception.
+        bases = []
+        for machine, target, accepting in ((CLIMB_AND_TEST, "q2", "q"),
+                                           (_LOOPING, "b", "a,b")):
+            path = write("base.json", machine)
+            witnesses = []
+            for argv in (["reach", path, "--target", target],
+                         ["buchi", path, "--accepting", accepting]):
+                out = write("witness.json", "")
+                assert main([*argv, "--bound", "2", "--cap", "8",
+                             "--witness", out]) == 0
+                with open(out, encoding="utf-8") as handle:
+                    witnesses.append(json.load(handle))
+            bases.append((machine, target, accepting, witnesses))
+        rng = random.Random(20240611)
+        codes = set()
+        for case in range(400):
+            machine, target, accepting, witnesses = rng.choice(bases)
+            witness = rng.choice(witnesses)
+            if rng.random() < 0.5:
+                machine = _mutate(rng, machine)
+            else:
+                witness = _mutate(rng, witness)
+            machine_path = write(f"m{case}.json", json.dumps(machine))
+            witness_path = write(f"w{case}.json", json.dumps(witness))
+            for argv in (["check", witness_path, machine_path],
+                         ["reach", machine_path, "--target", target,
+                          "--bound", "2", "--cap", "8"],
+                         ["buchi", machine_path, "--accepting", accepting,
+                          "--bound", "2", "--cap", "8"]):
+                code = main(argv)
+                assert code in (0, 1, 2), argv
+                codes.add(code)
+            capsys.readouterr()
+        assert codes == {0, 1, 2}

@@ -84,6 +84,33 @@ class TestParser:
             f = random_formula(rng)
             assert parse(render(f)) == f
 
+    @pytest.mark.parametrize("family", [
+        lambda k: "G " * k + "p",
+        lambda k: "F " * k + "p",
+        lambda k: "!(p U " * k + "q" + ")" * k,
+        lambda k: "X !" * k + "p",
+        lambda k: "(p & " * k + "q" + ")" * k,
+        lambda k: "p & " * k + "q",
+        lambda k: "p -> " * k + "q",
+        lambda k: "@r. G " * k + "[=r]",
+    ], ids=["globally", "finally", "negated-until", "next-not", "and-right",
+            "and-chain", "implies", "freeze-globally"])
+    def test_round_trip_up_to_the_depth_limit(self, family):
+        # `render` adds parentheses and operator levels the parser counts,
+        # so the depth limit counts them too: once `G ` * 33 + `p` was
+        # accepted while its rendering was not.
+        outcomes = set()
+        for k in range(1, 121):
+            try:
+                f = parse(family(k))
+            except FormulaError as err:
+                assert "nests deeper than 100 levels" in str(err)
+                outcomes.add("rejected")
+                continue
+            outcomes.add("accepted")
+            assert parse(render(f)) == f
+        assert outcomes == {"accepted", "rejected"}
+
 
 class TestNnf:
     def test_until_duality(self):

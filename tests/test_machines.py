@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
+import re
 
 import pytest
 
+import flatmc
 from flatmc.machines import (
     Config,
     ConstTest,
@@ -305,3 +308,16 @@ class TestRepReachOracle:
             pumped = lasso.unroll(3)
             assert validate_run(m, gamma, pumped) is None
         assert found >= 10
+
+    def test_no_other_module_refers_to_an_oracle(self):
+        # The oracles are the reference the solvers are checked against, in
+        # these tests and in the benchmark's verdict gate; a solver that
+        # called one would be checked against itself.
+        oracle = re.compile(r"\b(rep_reach_oracle|bounded_reach_oracle|_bfs_path)\b")
+        package = pathlib.Path(flatmc.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert package / "machines.py" in modules
+        offenders = [path.name for path in modules
+                     if path.name != "machines.py"
+                     and oracle.search(path.read_text(encoding="utf-8"))]
+        assert offenders == []

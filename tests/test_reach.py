@@ -13,25 +13,26 @@ from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
-    MachineError,
     Update,
     fresh_name,
+    rep_reach_oracle,
     validate_run,
 )
 from flatmc.reach import (
-    LevelSet,
     StrippedMachine,
     _inequality_tests,
+    _interval_reach,
     _level_search,
     _segment_exits,
+    _strip,
+    _test_pattern,
     default_bound,
     enumerate_gammas,
     fold_constants,
     interval_return,
     interval_run,
     parametric_reach,
-    strip_tests,
-    plain_rep_reach,
+    plain_rep_lasso,
 )
 from flatmc.reductions import buchi_to_reach
 from tests.gen import all_gammas, random_machine, random_oca
@@ -82,36 +83,33 @@ class TestIntervalRun:
                     interval_run_oracle(m, q, q2, v, v2, v)
 
 
-class TestLevelSet:
-    def test_must_start_at_zero(self):
-        with pytest.raises(MachineError):
-            LevelSet((1, 2))
-
-    def test_must_increase(self):
-        with pytest.raises(MachineError):
-            LevelSet((0, 2, 2))
-
-    def test_interior(self):
-        assert LevelSet((0, 2, 5, 9)).interior == (2, 5)
+def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
+              gamma: dict) -> StrippedMachine:
+    """Strip `machine` for the open interval between levels `segment` and
+    `segment + 1` of the increasing values `levels`, each parameter sitting
+    on the level of its value under `gamma`."""
+    level_of = {x: levels.index(v) for x, v in gamma.items()}
+    return _strip(machine, _test_pattern(_inequality_tests(machine),
+                                         level_of, segment))
 
 
 class TestStripTests:
     def test_updates_only_unchanged(self):
         m = CounterMachine.build([("a", "+1", "b"), ("b", "-1", "a")], initial="a")
-        stripped = strip_tests(m, 0, LevelSet((0, 4)), {})
+        stripped = _strip_at(m, 0, (0, 4), {})
         assert stripped.machine.transitions == m.transitions
         assert stripped.origin == (0, 1)
 
     def test_below_test_becomes_zero_update(self):
         m = CounterMachine.build([("q", "<x:x1", "q2")], initial="q", params=["x1"])
-        stripped = strip_tests(m, 0, LevelSet((0, 3, 7)), {"x1": 3})
+        stripped = _strip_at(m, 0, (0, 3, 7), {"x1": 3})
         assert stripped.machine.transitions[0].op == Update(0)
         assert stripped.origin == (0,)
 
     def test_equality_test_removed(self):
         m = CounterMachine.build([("q", "=x:x1", "q2")], initial="q", params=["x1"])
         for segment in (0, 1):
-            stripped = strip_tests(m, segment, LevelSet((0, 3, 7)), {"x1": 3})
+            stripped = _strip_at(m, segment, (0, 3, 7), {"x1": 3})
             assert stripped.machine.transitions == ()
 
     def test_case_table(self):
@@ -119,18 +117,11 @@ class TestStripTests:
             [("q", ">x:x1", "a"), ("q", "<x:x1", "b"),
              ("q", ">x:x2", "c"), ("q", "<x:x2", "d"), ("q", "=0", "e")],
             initial="q", params=["x1", "x2"])
-        levels = LevelSet((0, 2, 5, 9))
         gamma = {"x1": 2, "x2": 5}
         # Inside (2, 5): >x1 and <x2 hold throughout, the others never.
-        stripped = strip_tests(m, 1, levels, gamma)
+        stripped = _strip_at(m, 1, (0, 2, 5, 9), gamma)
         assert stripped.origin == (0, 3)
         assert all(t.op == Update(0) for t in stripped.machine.transitions)
-
-    def test_rejects_non_bijective_assignment(self):
-        m = CounterMachine.build([("q", ">x:x1", "a")], initial="q",
-                                 params=["x1", "x2"])
-        with pytest.raises(MachineError):
-            strip_tests(m, 0, LevelSet((0, 3, 7)), {"x1": 3, "x2": 3})
 
     def test_stripped_runs_match_direct_interval_search(self):
         # A run through one open interval exists in the stripped machine iff
@@ -141,7 +132,6 @@ class TestStripTests:
         from collections import deque
 
         from flatmc.machines import successors
-        from flatmc.reach import _interval_search
 
         def direct(machine, gamma, start, goal, lo, hi, strict):
             if not strict and start == goal:
@@ -167,24 +157,23 @@ class TestStripTests:
             values = sorted(rng.sample(range(1, 8), len(m.params)))
             gamma = dict(zip(m.params, values))
             top = values[-1] + rng.randint(1, 4)
-            levels = LevelSet((0, *values, top))
-            segment = rng.randrange(levels.segments())
-            lo, hi = levels.values[segment], levels.values[segment + 1]
-            stripped = strip_tests(m, segment, levels, gamma)
+            levels = (0, *values, top)
+            segment = rng.randrange(len(levels) - 1)
+            lo, hi = levels[segment], levels[segment + 1]
+            stripped = _strip_at(m, segment, levels, gamma)
             states = sorted(m.states)
             for _ in range(8):
                 q, q2 = rng.choice(states), rng.choice(states)
                 for v_start, v_goal in ((lo, hi), (hi, lo)):
-                    got = _interval_search(
+                    got = _interval_reach(
                         stripped.machine, Config(q, v_start),
-                        Config(q2, v_goal), lo, hi, strict=False) is not None
+                        Config(q2, v_goal), lo, hi)
                     want = direct(m, gamma, Config(q, v_start),
                                   Config(q2, v_goal), lo, hi, strict=False)
                     assert got == want
                 for v in (lo, hi):
-                    got = _interval_search(
-                        stripped.machine, Config(q, v), Config(q2, v),
-                        lo, hi, strict=True) is not None
+                    got = Config(q2, v) in _segment_exits(
+                        stripped.machine, Config(q, v), lo, hi)
                     want = direct(m, gamma, Config(q, v), Config(q2, v),
                                   lo, hi, strict=True)
                     assert got == want
@@ -228,7 +217,7 @@ class TestDefaultBound:
 
     def test_with_params(self):
         m = CounterMachine.build([("a", "=x:x", "b")], initial="a", params=["x"])
-        assert default_bound(m, multiplier=1) == 8 * 3
+        assert default_bound(m) == 8 * 3 * 8
 
     def test_monotone_in_states(self):
         small = CounterMachine.build([("a", "+1", "b")], initial="a")
@@ -411,8 +400,10 @@ class TestSharedIntervalWork:
             hi = lo + width
             for q in sorted(strip.machine.states):
                 for side in (0, width):
-                    got = _segment_exits(strip, Config(q, lo + side), lo, hi)
-                    base = _segment_exits(strip, Config(q, side), 0, width)
+                    got = _segment_exits(strip.machine, Config(q, lo + side),
+                                         lo, hi)
+                    base = _segment_exits(strip.machine, Config(q, side), 0,
+                                          width)
                     shifted = [
                         (Config(c.state, c.value + lo),
                          tuple(Config(d.state, d.value + lo)
@@ -472,27 +463,30 @@ class TestSharedIntervalWork:
 class TestPlainRepReach:
     def test_zero_loop(self):
         m = CounterMachine.build([("good", "0", "good")], initial="good")
-        assert plain_rep_reach(m, "good", "good")
+        assert plain_rep_lasso(m, "good", "good") is not None
 
     def test_decrement_only(self):
         m = CounterMachine.build([("t", "-1", "t")], initial="t")
-        assert not plain_rep_reach(m, "t", "t")
+        assert plain_rep_lasso(m, "t", "t") is None
 
     def test_round_trip_loop(self):
         m = CounterMachine.build(
             [("t", "+1", "t"), ("t", "0", "good"), ("good", "0", "t")],
             initial="t")
-        assert plain_rep_reach(m, "t", "good", cap=4)
+        assert plain_rep_lasso(m, "t", "good", cap=4) is not None
 
     def test_rejects_tests(self):
         m = CounterMachine.build([("t", "=0", "t")], initial="t")
         with pytest.raises(ClassMismatch):
-            plain_rep_reach(m, "t", "t")
+            plain_rep_lasso(m, "t", "t")
 
     def test_agrees_with_core_oracle(self):
-        from flatmc.machines import rep_reach_oracle
+        # The same lasso as the brute-force oracle, which searches the
+        # configuration graph on its own: the same anchor, loop shape and
+        # steps, or None on both sides.
         rng = random.Random(606)
-        for _ in range(40):
+        found = 0
+        for _ in range(200):
             states = [f"s{i}" for i in range(rng.randint(1, 4))]
             triples = [(rng.choice(states), rng.choice(["+1", "-1", "0"]),
                         rng.choice(states))
@@ -503,5 +497,8 @@ class TestPlainRepReach:
             good = rng.choice(states)
             rebased = CounterMachine.build(triples, initial=start,
                                            extra_states=states)
-            expected = rep_reach_oracle(rebased, {}, [good], 12) is not None
-            assert plain_rep_reach(m, start, good, cap=12) == expected
+            cap = rng.randint(0, 12)
+            expected = rep_reach_oracle(rebased, {}, [good], cap)
+            assert plain_rep_lasso(m, start, good, cap=cap) == expected
+            found += expected is not None
+        assert found >= 50
