@@ -3,141 +3,55 @@ checking for one-counter machines with parameterized tests.
 
 Every solver ships an independently re-checkable witness: a parameter
 instantiation plus a run or lasso (and, for model checking, the data word it
-spells).
+spells). The package exports the solvers, their witness and machine types,
+the formula parser and renderer, the validators and the errors; everything
+else is reached through its module.
 """
 
-from flatmc.alternating import (
-    A2A,
-    BLANK,
-    FIRST,
-    ParameterWord,
-    ReachA2A,
-    TreeNode,
-    construct_accepting_tree,
-    decode,
-    dump_a2a,
-    encode_gamma,
-    extract_run,
-    machine_to_a2a,
-    membership,
-    pbf_eval,
-    validate_run_tree,
-)
-from flatmc.formulas import (
-    FormulaError,
-    FormulaSyntaxError,
-    LassoWord,
-    evaluate,
-    flat_violation,
-    is_coflat,
-    is_flat,
-    is_sentence,
-    nnf,
-    parse,
-    render,
-    rename_registers,
-)
+from flatmc.formulas import FormulaError, parse, render
 from flatmc.machines import (
     ClassMismatch,
     Config,
     ConstTest,
     CounterMachine,
     LassoRun,
-    MachineClass,
     MachineError,
     ParamTest,
     Run,
     Transition,
     Update,
-    classify,
-    machine_size,
-    successors,
     validate_lasso,
     validate_run,
 )
-from flatmc.reach import (
-    ReachWitness,
-    default_bound,
-    fold_constants,
-    interval_return,
-    interval_run,
-    parametric_reach,
-    plain_rep_lasso,
-)
+from flatmc.reach import ReachWitness, fold_constants, parametric_reach
 from flatmc.reductions import (
-    BuchiInstance,
-    BuchiReduction,
     BuchiWitness,
     McWitness,
-    buchi_to_reach,
-    buchi_witness_to_lasso,
-    flat_mc_to_buchi,
     model_check,
-    relativize,
     repeated_reach,
-    succinct_to_unary,
 )
 
 __all__ = [
-    "A2A",
-    "BLANK",
-    "FIRST",
-    "BuchiInstance",
-    "BuchiReduction",
     "BuchiWitness",
     "ClassMismatch",
     "Config",
     "ConstTest",
     "CounterMachine",
     "FormulaError",
-    "FormulaSyntaxError",
     "LassoRun",
-    "LassoWord",
-    "MachineClass",
     "MachineError",
     "McWitness",
     "ParamTest",
-    "ParameterWord",
-    "ReachA2A",
     "ReachWitness",
     "Run",
     "Transition",
-    "TreeNode",
     "Update",
-    "buchi_to_reach",
-    "buchi_witness_to_lasso",
-    "classify",
-    "construct_accepting_tree",
-    "decode",
-    "default_bound",
-    "dump_a2a",
-    "encode_gamma",
-    "evaluate",
-    "extract_run",
-    "flat_mc_to_buchi",
-    "flat_violation",
     "fold_constants",
-    "interval_return",
-    "interval_run",
-    "is_coflat",
-    "is_flat",
-    "is_sentence",
-    "machine_size",
-    "machine_to_a2a",
-    "membership",
     "model_check",
-    "nnf",
     "parametric_reach",
     "parse",
-    "pbf_eval",
-    "plain_rep_lasso",
-    "relativize",
     "render",
-    "rename_registers",
     "repeated_reach",
-    "succinct_to_unary",
-    "successors",
     "validate_lasso",
     "validate_run",
-    "validate_run_tree",
 ]

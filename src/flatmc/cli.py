@@ -101,16 +101,16 @@ def _report(args, verdict: str, bound: Optional[int] = None,
             print(verdict)
 
 
-def _nonnegative_limits(args) -> None:
-    for flag in ("bound", "cap"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            raise InputError(f"--{flag} must be non-negative, got {value}")
+def _limit(args, flag: str) -> Optional[int]:
+    value = getattr(args, flag)
+    if value is not None and value < 0:
+        raise InputError(f"--{flag} must be non-negative, got {value}")
+    return value
 
 
 def _bound(args, machine: CounterMachine) -> int:
-    _nonnegative_limits(args)
-    return args.bound if args.bound is not None else default_bound(machine)
+    bound = _limit(args, "bound")
+    return bound if bound is not None else default_bound(machine)
 
 
 def cmd_reach(args) -> int:
@@ -118,7 +118,7 @@ def cmd_reach(args) -> int:
     bound = _bound(args, machine)
     folded, pinned = fold_constants(machine)
     witness = parametric_reach(folded, args.target, bound, pinned=pinned,
-                               ceiling=args.cap)
+                               ceiling=_limit(args, "cap"))
     if witness is None:
         _report(args, "absent", bound)
         return 1
@@ -137,7 +137,8 @@ def cmd_buchi(args) -> int:
     bound = _bound(args, machine)
     # Only the machine's parameters are bounded by B: the stored value y
     # ranges up to the counter ceiling.
-    found = repeated_reach(machine, accepting, bound, ceiling=args.cap)
+    found = repeated_reach(machine, accepting, bound,
+                           ceiling=_limit(args, "cap"))
     if found is None:
         _report(args, "absent", bound)
         return 1
@@ -170,7 +171,6 @@ def cmd_mc(args) -> int:
 
 def cmd_translate(args) -> int:
     machine = _load_machine(args.machine)
-    _nonnegative_limits(args)
     if args.mode == "a2a":
         if not args.target:
             raise InputError("--mode a2a needs --target")
@@ -187,10 +187,8 @@ def cmd_translate(args) -> int:
     elif args.mode == "buchi2reach":
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
-        if args.target not in machine.states:
-            raise InputError(f"target {args.target!r} is not a state")
         folded, _pinned = fold_constants(machine)
-        reduction = buchi_to_reach(folded, args.target, rep_cap=args.cap)
+        reduction = buchi_to_reach(folded, args.target)
         print(json.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,
@@ -262,20 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=None,
                        help="parameter value bound (default: derived from "
                             "the machine size)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="counter exploration ceiling override")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
         p.add_argument("--witness", metavar="FILE", default=None,
                        help="write the witness to FILE instead of stdout")
 
+    def cap(p):
+        p.add_argument("--cap", type=int, default=None,
+                       help="counter exploration ceiling override")
+
     p = sub.add_parser("reach", help="is the target state reachable?")
     common(p)
+    cap(p)
     p.add_argument("--target", required=True)
     p.set_defaults(handler=cmd_reach)
 
     p = sub.add_parser("buchi", help="can some accepting state repeat forever?")
     common(p)
+    cap(p)
     p.add_argument("--accepting", required=True,
                    help="comma-separated accepting states")
     p.set_defaults(handler=cmd_buchi)
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_mc)
 
     p = sub.add_parser("translate", help="emit a construction")
-    common(p)
+    p.add_argument("machine", help="machine JSON file")
     p.add_argument("--mode", required=True,
                    choices=("a2a", "unary", "buchi2reach", "foldconst"))
     p.add_argument("--target", default=None)

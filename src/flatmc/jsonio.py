@@ -116,16 +116,14 @@ def _run_from_data(data: Any) -> Run:
 
 
 class WitnessFile:
-    """Parsed witness: an instantiation plus a run, a lasso when loop_start
-    is given, and optional self-description fields."""
+    """Parsed witness: an instantiation plus a run, and a lasso when
+    loop_start is given. The self-description fields `formula_holds` and
+    `certificate` are accepted and ignored: a check trusts neither."""
 
-    def __init__(self, gamma: dict, run: Run, loop_start: Optional[int],
-                 formula_holds: Optional[bool], certificate: Optional[dict]):
+    def __init__(self, gamma: dict, run: Run, loop_start: Optional[int]):
         self.gamma = gamma
         self.run = run
         self.loop_start = loop_start
-        self.formula_holds = formula_holds
-        self.certificate = certificate
 
     @property
     def lasso(self) -> Optional[LassoRun]:
@@ -163,5 +161,4 @@ def witness_from_data(data: Any) -> WitnessFile:
     loop_start = data.get("loop_start")
     if loop_start is not None and not _is_int(loop_start):
         raise MachineError("loop_start must be an integer")
-    return WitnessFile(dict(gamma), run, loop_start,
-                       data.get("formula_holds"), data.get("certificate"))
+    return WitnessFile(dict(gamma), run, loop_start)

@@ -223,18 +223,6 @@ class MachineClass(Enum):
     OCA_SP = "OCA(S,P)"
     OCA_SPC = "OCA(S,P,C)"
 
-    @property
-    def succinct(self) -> bool:
-        return "S" in self.value
-
-    @property
-    def parametric(self) -> bool:
-        return "P" in self.value
-
-    @property
-    def constants(self) -> bool:
-        return "C" in self.value
-
 
 def classify(machine: CounterMachine) -> MachineClass:
     """The tightest machine class: unary iff all updates are in {-1, 0, +1},

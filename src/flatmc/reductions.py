@@ -11,7 +11,9 @@ state f are found on its control graph, with no counter cap: f needs an
 entry value, the least one from which a non-empty closed walk through f
 ends no lower than it started, and it is at most |SCC(f)| - 1; the states
 that loop are those from which counter value 0 reaches f with at least that
-value. Both are least-credit fixpoints over the graph.
+value. Both are least-credit fixpoints over the graph, and the same graph
+yields the counter cap at which a loop witness is searched, so no setting
+bounds the divergence case.
 Model checking a flat sentence reduces to repeated reachability of a tableau
 product whose registers become parameters. Machines with binary-encoded
 updates reduce to unary ones by expanding each large update into a gadget
@@ -97,10 +99,10 @@ class DivergenceContext:
     a value at least `need(f)`, the least entry value of a non-empty closed
     walk through f with effect >= 0. Both are decided on the control graph
     by least-credit fixpoints (`_credits`), with no cap on counter values;
-    `cap` bounds only the search that rebuilds a loop witness."""
+    `loop_cap` reads off the same graph the counter cap of the search that
+    rebuilds a loop witness."""
     machine: CounterMachine
     origin: tuple[int, ...]         # stripped transition -> source transition
-    cap: int
     component: Mapping[str, int]    # control state -> SCC id
     cyclic: frozenset[int]          # ids of the SCCs containing a cycle
     incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
@@ -181,10 +183,10 @@ class DivergenceContext:
 
     def loop_cap(self, accept_state: str) -> int:
         """A counter cap at which `plain_rep_lasso` finds a loop through
-        `accept_state` from every loop entry: the larger of `cap` and
-        need + 2D + 2E + 1, where D (E) is the longest of the shortest path
-        lengths to the accept state from the states that reach it (inside
-        its SCC).
+        `accept_state` from every loop entry: need + 2D + 2E + 1, where D
+        (E) is the longest of the shortest path lengths to the accept state
+        from the states that reach it (inside its SCC). Only defined for an
+        accept state with loop entries.
 
         From an entry, a run reaching the accept state with a value at least
         the need either stays below need + D or, where it first reaches
@@ -195,11 +197,11 @@ class DivergenceContext:
         and end above w; so some loop stays at or below w + 2E + 1."""
         need = self.need(accept_state)
         if need is None:
-            return self.cap
+            raise ValueError(f"no loop through {accept_state!r}")
         far = max(self._distances(accept_state).values())
         near = max(self._distances(accept_state,
                                    self.component[accept_state]).values())
-        return max(self.cap, need + 2 * far + 2 * near + 1)
+        return need + 2 * far + 2 * near + 1
 
 
 @dataclass(frozen=True)
@@ -218,34 +220,30 @@ class BuchiReduction:
     dummy: Optional[str]            # parameter added to a parameterless one
 
 
-def divergence_context(machine: CounterMachine,
-                       rep_cap: Optional[int] = None) -> DivergenceContext:
+def divergence_context(machine: CounterMachine) -> DivergenceContext:
     """Build the divergence analysis of `machine`: strip its tests for the
     interval above every parameter, where exactly the greater-than tests
     hold, and find the SCCs of the stripped control graph. Each accept state
     is then analyzed on that graph alone, in time polynomial in its size and
-    independent of any counter cap (see `DivergenceContext`).
-
-    `rep_cap`, by default 8|Q|^3 for the stripped states Q, bounds only the
-    counter values of the loop search that rebuilds a witness."""
+    free of any counter cap (see `DivergenceContext`)."""
     strip = _strip(machine, tuple(greater for _x, greater
                                   in _inequality_tests(machine)))
     stripped = strip.machine
-    if rep_cap is None:
-        rep_cap = 8 * len(stripped.states) ** 3
     component, cyclic = _control_components(stripped)
     incoming: dict[str, list] = {q: [] for q in stripped.states}
     for t in stripped.transitions:
         incoming[t.target].append((t.source, t.op.delta))
     return DivergenceContext(
-        machine=stripped, origin=strip.origin, cap=rep_cap,
-        component=component, cyclic=frozenset(cyclic),
+        machine=stripped, origin=strip.origin, component=component,
+        cyclic=frozenset(cyclic),
         incoming={q: tuple(edges) for q, edges in incoming.items()})
 
 
-def _cyclic_components(forward: Mapping[str, list]) -> tuple[dict, set]:
-    """Iterative Tarjan: strongly connected components of a graph given by
-    successor lists, and the set of component ids containing a cycle."""
+def _control_components(machine: CounterMachine) -> tuple[dict, set]:
+    """Iterative Tarjan: the strongly connected components of the control
+    graph of `machine`, and the set of component ids containing a cycle."""
+    forward = {q: [t.target for _i, t in machine.outgoing(q)]
+               for q in machine.states}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -300,13 +298,6 @@ def _cyclic_components(forward: Mapping[str, list]) -> tuple[dict, set]:
     return component, cyclic
 
 
-def _control_components(machine: CounterMachine) -> tuple[dict, set]:
-    """The SCCs of the control graph of `machine`, as `_cyclic_components`
-    returns them."""
-    return _cyclic_components({q: [t.target for _i, t in machine.outgoing(q)]
-                               for q in machine.states})
-
-
 def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
     """The control states that lie on a cycle of the transition graph: the
     only ones a run can visit infinitely often."""
@@ -315,7 +306,6 @@ def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
 
 
 def buchi_to_reach(machine: CounterMachine, accept_state: str,
-                   rep_cap: Optional[int] = None,
                    context: Optional[DivergenceContext] = None) -> BuchiReduction:
     """Build a machine with a distinguished target state that is reachable iff
     `accept_state` can be visited infinitely often in `machine`.
@@ -326,7 +316,8 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     over every parameter lets the target be entered from any state that can
     loop forever through the accept state once all tests are dropped. With no
     parameters, a dummy one is added so the chain is nonempty; only the chain
-    tests it, so its value 0 serves whenever any value does.
+    tests it, so its value 0 serves whenever any value does. `context` is
+    the divergence analysis of `machine`, built here if not given.
     """
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
         raise ClassMismatch(
@@ -335,7 +326,7 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
         raise MachineError(f"accepting state {accept_state!r} not in machine")
 
     if context is None:
-        context = divergence_context(machine, rep_cap)
+        context = divergence_context(machine)
     chain_entries = context.loop_entries(accept_state)
 
     taken = set(machine.states)
@@ -487,7 +478,7 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
         ceiling = max([bound, *pinned.values()]) + reduced ** 3
     if store_bound is None:
         store_bound = ceiling
-    context = divergence_context(folded, ceiling)
+    context = divergence_context(folded)
     for accept_state in sorted(accepting & _states_on_cycles(folded)):
         reduction = buchi_to_reach(folded, accept_state, context=context)
         pins = (pinned if reduction.dummy is None

@@ -150,7 +150,7 @@ def test_criterion_4_buchi_reduction():
         machine = random_machine(rng, max_states=4, max_params=2)
         accept = rng.choice(sorted(machine.states))
         cap = 3 + len(machine.states) ** 3
-        reduction = buchi_to_reach(machine, accept, rep_cap=cap)
+        reduction = buchi_to_reach(machine, accept)
         witness = parametric_reach(
             reduction.machine, reduction.target, 3 + len(machine.states),
             bounds={x: 3 for x in machine.params}, ceiling=cap)

@@ -3,14 +3,19 @@ independence of the witness checker."""
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
+import pathlib
 import random
+import re
+import types
 
 import pytest
 
+import flatmc
 from flatmc import reductions
-from flatmc.cli import main
+from flatmc.cli import build_parser, main
 from flatmc.formulas import FormulaError, parse
 from flatmc.jsonio import (
     machine_from_data,
@@ -316,6 +321,61 @@ class TestTranslate:
         again = machine_from_data(emitted["machine"])
         assert emitted["target"] in again.states
         assert "y" in again.params
+
+    def test_buchi2reach_unknown_target_is_input_error(self, write, capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        assert main(["translate", machine, "--mode", "buchi2reach",
+                     "--target", "nowhere"]) == 2
+        assert "'nowhere'" in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each command parses only the flags it reads, and the README lists
+    exactly those."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--formula", "G p", "--cap", "3"],
+        ["translate", "--mode", "foldconst", "--bound", "3"],
+        ["translate", "--mode", "foldconst", "--cap", "3"],
+        ["translate", "--mode", "foldconst", "--json"],
+        ["translate", "--mode", "foldconst", "--witness", "w.json"],
+    ])
+    def test_unread_flag_is_rejected(self, argv, write, capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        with pytest.raises(SystemExit) as exited:
+            main([argv[0], machine, *argv[1:]])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_lists_each_commands_flags(self):
+        listed = {}
+        for line in _readme_section("Command line").splitlines():
+            row = re.match(r"\| `(\w+) ", line)
+            if row:
+                listed[row.group(1)] = set(re.findall(r"--\w+", line))
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert listed == {
+            name: {flag for action in parser._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--")} - {"--help"}
+            for name, parser in commands.choices.items()}
+
+    def test_readme_lists_the_package_exports(self):
+        bullets = _readme_section("Library").split("\n- ", 1)[1]
+        listed = re.findall(r"`(\w+)`", bullets.split("\n\n", 1)[0])
+        assert sorted(listed) == sorted(flatmc.__all__)
+        assert len(set(listed)) == len(listed)
+        public = {name for name, value in vars(flatmc).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)}
+        assert public == set(flatmc.__all__)
+
+
+def _readme_section(title: str) -> str:
+    text = (pathlib.Path(__file__).resolve().parents[1]
+            / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 class TestCheck:

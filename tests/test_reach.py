@@ -427,7 +427,7 @@ class TestSharedIntervalWork:
         for _ in range(40):
             m = random_machine(rng, max_states=4, max_params=1)
             accept = rng.choice(sorted(m.states))
-            reduction = buchi_to_reach(m, accept, rep_cap=ceiling)
+            reduction = buchi_to_reach(m, accept)
             for machine, target in ((m, accept),
                                     (reduction.machine, reduction.target)):
                 sink = fresh_name("sink", machine.states)

@@ -100,7 +100,7 @@ class TestBuchiToReach:
             m = random_machine(rng, max_states=4, max_params=2)
             accept = rng.choice(sorted(m.states))
             cap = 3 + len(m.states) ** 3
-            red = buchi_to_reach(m, accept, rep_cap=cap)
+            red = buchi_to_reach(m, accept)
             bound = 3 + len(m.states)
             witness = parametric_reach(
                 red.machine, red.target, bound,
@@ -117,7 +117,7 @@ def first_per_state_witness(machine, accepting, bound, ceiling):
     """Reference for repeated_reach: reduce and solve every accepting state
     on its own, in sorted order, off-cycle states included."""
     for accept in sorted(accepting):
-        red = buchi_to_reach(machine, accept, rep_cap=ceiling)
+        red = buchi_to_reach(machine, accept)
         witness = parametric_reach(red.machine, red.target, bound,
                                    bounds={red.y: ceiling}, ceiling=ceiling)
         if witness is not None:
@@ -199,7 +199,7 @@ class TestRepeatedReach:
             m = random_machine(rng, max_states=4, max_params=0)
             ceiling = 3 + len(m.states) ** 2
             for accept in sorted(m.states):
-                red = buchi_to_reach(m, accept, rep_cap=ceiling)
+                red = buchi_to_reach(m, accept)
                 options = dict(bounds={red.y: ceiling}, ceiling=ceiling)
                 free = parametric_reach(red.machine, red.target, 2, **options)
                 pinned = parametric_reach(red.machine, red.target, 2,
@@ -213,7 +213,7 @@ class TestRepeatedReach:
             [("a", "+1", "b"), ("b", ">x:x", "a"), ("b", "<x:x", "a"),
              ("b", "=x:x", "a"), ("a", "=0", "b"), ("a", "-1", "a")],
             initial="a", params=["x"])
-        context = divergence_context(m, 4)
+        context = divergence_context(m)
         assert context.origin == (0, 1, 5)
         assert [t.op for t in context.machine.transitions] == \
             [Update(1), Update(0), Update(-1)]
@@ -288,28 +288,24 @@ class TestDivergenceContext:
         assert finite >= 50 and raised >= 10
 
     def test_loop_found_at_loop_cap_from_every_entry(self):
-        # With the witness cap at 0, every loop search runs at the bound
-        # the analysis proves.
         rng = random.Random(2024)
         for _ in range(40):
             m = random_machine(rng, max_states=5, max_params=1)
-            context = divergence_context(m, 0)
+            context = divergence_context(m)
             for f in sorted(context.machine.states):
                 for q in sorted(context.loop_entries(f)):
                     assert plain_rep_lasso(context.machine, q, f,
                                            cap=context.loop_cap(f)), (m, f, q)
 
-    def test_huge_cap_changes_nothing_and_costs_nothing(self):
+    def test_analysis_is_fast(self):
         rng = random.Random(577)
         for _ in range(20):
             m = random_machine(rng, max_states=5, max_params=1)
             started = time.perf_counter()
-            huge = divergence_context(m, 10**9)
-            entries = {f: huge.loop_entries(f) for f in huge.machine.states}
+            context = divergence_context(m)
+            for f in context.machine.states:
+                context.loop_entries(f)
             assert time.perf_counter() - started < 1.0
-            small = divergence_context(m, 2)
-            assert entries == {f: small.loop_entries(f)
-                               for f in small.machine.states}
 
 
 class TestFlatMcToBuchi:
