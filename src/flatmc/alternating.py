@@ -7,6 +7,12 @@ machine with parameterized tests translates into an alternating two-way
 automaton that accepts exactly the parameter words under which the target
 state is reachable: head moves simulate counter updates between delimiters,
 and spawned branches verify tests against parameter positions.
+
+A transition formula is a conjunction of moves, each a state and a head
+move, and the empty conjunction is true. A choice is a choice of
+transition: several transitions on one state and letter are the disjuncts of
+a positive boolean formula in disjunctive normal form, so conjunctions lose
+nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from flatmc.machines import (
     NAME_RE,
@@ -42,107 +48,21 @@ class TreeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Positive boolean formulas
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PbfTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class PbfFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class PbfAtom:
-    state: str
-    move: int
-
-
-@dataclass(frozen=True)
-class PbfAnd:
-    left: "Pbf"
-    right: "Pbf"
-
-
-@dataclass(frozen=True)
-class PbfOr:
-    left: "Pbf"
-    right: "Pbf"
-
-
-Pbf = Union[PbfTrue, PbfFalse, PbfAtom, PbfAnd, PbfOr]
-
-TRUE = PbfTrue()
-FALSE = PbfFalse()
-
-
-def pbf_and(parts) -> Pbf:
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    result = parts[0]
-    for p in parts[1:]:
-        result = PbfAnd(result, p)
-    return result
-
-
-def pbf_eval(beta: Pbf, chosen) -> bool:
-    """Positive boolean satisfaction: atoms in `chosen` are true, all others
-    false. The empty set satisfies true."""
-    chosen = set(chosen)
-
-    def go(f: Pbf) -> bool:
-        if isinstance(f, PbfTrue):
-            return True
-        if isinstance(f, PbfFalse):
-            return False
-        if isinstance(f, PbfAtom):
-            return (f.state, f.move) in chosen
-        if isinstance(f, PbfAnd):
-            return go(f.left) and go(f.right)
-        return go(f.left) or go(f.right)
-
-    return go(beta)
-
-
-def pbf_atoms(beta: Pbf) -> set[tuple[str, int]]:
-    if isinstance(beta, PbfAtom):
-        return {(beta.state, beta.move)}
-    if isinstance(beta, (PbfAnd, PbfOr)):
-        return pbf_atoms(beta.left) | pbf_atoms(beta.right)
-    return set()
-
-
-def pbf_size(beta: Pbf) -> int:
-    if isinstance(beta, (PbfAnd, PbfOr)):
-        return pbf_size(beta.left) + pbf_size(beta.right) + 1
-    return 1
-
-
-def pbf_render(beta: Pbf) -> str:
-    if isinstance(beta, PbfTrue):
-        return "true"
-    if isinstance(beta, PbfFalse):
-        return "false"
-    if isinstance(beta, PbfAtom):
-        move = {1: "+1", 0: "0", -1: "-1"}[beta.move]
-        return f"({beta.state} {move})"
-    op = "&" if isinstance(beta, PbfAnd) else "|"
-    return f"({op} {pbf_render(beta.left)} {pbf_render(beta.right)})"
-
-
-# ---------------------------------------------------------------------------
 # Automata and words
 # ---------------------------------------------------------------------------
 
+Move = tuple[str, int]  # a spawned branch: (state, head move in MOVES)
+
+
 @dataclass(frozen=True)
 class A2ATransition:
+    """From `state` on letter `test`, spawn one branch per move of `formula`,
+    a conjunction; the empty conjunction is true and spawns none. A choice
+    between branches is a choice between transitions on the same state and
+    letter, so the formulas need no disjunction."""
     state: str
     test: str  # a letter of the alphabet, or FIRST
-    formula: Pbf
+    formula: tuple[Move, ...]
 
 
 @dataclass(frozen=True)
@@ -159,7 +79,7 @@ class A2A:
                 raise MachineError(f"transition from unknown state {t.state!r}")
             if t.test != FIRST and t.test not in self.alphabet:
                 raise MachineError(f"transition on unknown letter {t.test!r}")
-            for state, move in pbf_atoms(t.formula):
+            for state, move in t.formula:
                 if state not in self.states:
                     raise MachineError(f"atom references unknown state {state!r}")
                 if move not in MOVES:
@@ -167,20 +87,35 @@ class A2A:
 
 
 def a2a_size(automaton: A2A) -> int:
+    """States plus letters plus formula sizes, a conjunction of k moves
+    counting its k atoms and k - 1 connectives, and true counting 1."""
     return (len(automaton.states) + len(automaton.alphabet)
-            + sum(pbf_size(t.formula) for t in automaton.transitions))
+            + sum(max(1, 2 * len(t.formula) - 1)
+                  for t in automaton.transitions))
+
+
+def _render(formula: tuple[Move, ...]) -> str:
+    if not formula:
+        return "true"
+    atoms = [f"({state} {'+1' if move == 1 else move})"
+             for state, move in formula]
+    text = atoms[0]
+    for atom in atoms[1:]:
+        text = f"(& {text} {atom})"
+    return text
 
 
 def dump_a2a(automaton: A2A) -> str:
     """Debug dump: header lines, then one transition per line as
-    `state test formula` with the formula in prefix notation."""
+    `state test formula` with the formula in prefix notation, conjunctions
+    nested to the left."""
     lines = [
         f"alphabet {' '.join(sorted(automaton.alphabet))}",
         f"initial {automaton.initial}",
         f"accepting {' '.join(sorted(automaton.accepting))}",
     ]
     for t in automaton.transitions:
-        lines.append(f"{t.state} {t.test} {pbf_render(t.formula)}")
+        lines.append(f"{t.state} {t.test} {_render(t.formula)}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,10 +141,6 @@ class ParameterWord:
 
     def letter(self, i: int) -> str:
         return self.prefix[i] if i < len(self.prefix) else BLANK
-
-    @property
-    def parameters(self) -> frozenset[str]:
-        return frozenset(x for x in self.prefix if x != BLANK)
 
     def delimiter_position(self, value: int) -> int:
         """The position encoding counter value `value`: the (value+1)-th
@@ -336,7 +267,8 @@ def machine_to_a2a(machine: CounterMachine, target: str) -> ReachA2A:
     origin: dict[int, int] = {}
     step_index: dict[int, int] = {}
 
-    def add(state: str, test: str, formula: Pbf, source: Optional[int] = None) -> int:
+    def add(state: str, test: str, *formula: Move,
+            source: Optional[int] = None) -> int:
         t = A2ATransition(state, test, formula)
         at = index.get(t)
         if at is None:
@@ -348,48 +280,45 @@ def machine_to_a2a(machine: CounterMachine, target: str) -> ReachA2A:
             step_index.setdefault(source, at)
         return at
 
-    init_index = add(INIT, BLANK, pbf_and(
-        [PbfAtom(machine.initial, 0)] + [PbfAtom(_find(x), +1) for x in params]))
+    init_index = add(INIT, BLANK, (machine.initial, 0),
+                     *((_find(x), +1) for x in params))
     for x in params:
-        add(_find(x), x, PbfAtom(_seen(x), +1))
+        add(_find(x), x, (_seen(x), +1))
         for y in sorted(sigma - {x}):
-            add(_find(x), y, PbfAtom(_find(x), +1))
-            add(_seen(x), y, PbfAtom(_seen(x), +1))
+            add(_find(x), y, (_find(x), +1))
+            add(_seen(x), y, (_seen(x), +1))
 
     for i, t in enumerate(machine.transitions):
         op = t.op
         if isinstance(op, Update):
             if op.delta == 0:
-                add(t.source, BLANK, PbfAtom(t.target, 0), source=i)
+                add(t.source, BLANK, (t.target, 0), source=i)
             else:
                 shuttle = _right(t.target) if op.delta > 0 else _left(t.target)
-                add(t.source, BLANK, PbfAtom(shuttle, op.delta), source=i)
+                add(t.source, BLANK, (shuttle, op.delta), source=i)
                 for x in params:
-                    add(shuttle, x, PbfAtom(shuttle, op.delta))
-                add(shuttle, BLANK, PbfAtom(t.target, 0))
+                    add(shuttle, x, (shuttle, op.delta))
+                add(shuttle, BLANK, (t.target, 0))
         elif isinstance(op, ConstTest):
-            add(t.source, FIRST, PbfAtom(t.target, 0), source=i)
+            add(t.source, FIRST, (t.target, 0), source=i)
         elif op.rel == "=":
-            add(t.source, BLANK,
-                PbfAnd(PbfAtom(t.target, 0), PbfAtom(_present(op.param), +1)),
+            add(t.source, BLANK, (t.target, 0), (_present(op.param), +1),
                 source=i)
-            add(_present(op.param), op.param, TRUE)
+            add(_present(op.param), op.param)
             for y in sorted(set(params) - {op.param}):
-                add(_present(op.param), y, PbfAtom(_present(op.param), +1))
+                add(_present(op.param), y, (_present(op.param), +1))
         elif op.rel == "<":
-            add(t.source, BLANK,
-                PbfAnd(PbfAtom(t.target, 0), PbfAtom(_scan(op.param), +1)),
+            add(t.source, BLANK, (t.target, 0), (_scan(op.param), +1),
                 source=i)
             for y in sorted(set(params) - {op.param}):
-                add(_scan(op.param), y, PbfAtom(_scan(op.param), +1))
-            add(_scan(op.param), BLANK, PbfAtom(_find(op.param), +1))
+                add(_scan(op.param), y, (_scan(op.param), +1))
+            add(_scan(op.param), BLANK, (_find(op.param), +1))
         else:  # > test: the parameter must lie strictly to the left, i.e.
             # it is never seen again to the right.
-            add(t.source, BLANK,
-                PbfAnd(PbfAtom(t.target, 0), PbfAtom(_seen(op.param), +1)),
+            add(t.source, BLANK, (t.target, 0), (_seen(op.param), +1),
                 source=i)
 
-    accept_index = add(target, BLANK, TRUE)
+    accept_index = add(target, BLANK)
     automaton = A2A(states=frozenset(states), alphabet=sigma, initial=INIT,
                     accepting=frozenset(_seen(x) for x in params),
                     transitions=tuple(transitions))
@@ -405,7 +334,7 @@ def machine_to_a2a(machine: CounterMachine, target: str) -> ReachA2A:
 def _drift_letters(automaton: A2A) -> dict[str, set[str]]:
     letters: dict[str, set[str]] = {}
     for t in automaton.transitions:
-        if t.test != FIRST and pbf_eval(t.formula, {(t.state, +1)}):
+        if t.test != FIRST and set(t.formula) <= {(t.state, +1)}:
             letters.setdefault(t.state, set()).add(t.test)
     return letters
 
@@ -453,30 +382,33 @@ def membership(automaton: A2A, prefix: Sequence[str]) -> bool:
             elif t.test == letter(pos):
                 yield i, t
 
-    def chosen_atoms(t: A2ATransition, pos: int):
-        for state, move in pbf_atoms(t.formula):
+    def holds(t: A2ATransition, pos: int) -> bool:
+        """Every move of the formula is discharged: its obligation is true,
+        or it is pushed past the cap in a state that drifts over blanks."""
+        for state, move in t.formula:
             child = pos + move
-            if child > max_pos and blank_drift(state):
-                yield state, move
-            elif 0 <= child <= max_pos and (state, child) in true_nodes:
-                yield state, move
+            if child > max_pos:
+                if not blank_drift(state):
+                    return False
+            elif child < 0 or (state, child) not in true_nodes:
+                return False
+        return True
 
     def mark(node: tuple[str, int]) -> None:
         if node not in true_nodes:
             true_nodes.add(node)
             worklist.append(node)
 
-    transition_at: dict[int, A2ATransition] = dict(enumerate(automaton.transitions))
     for state in automaton.states:
         for pos in range(max_pos + 1):
             if drift_ok(state, pos):
                 mark((state, pos))
                 continue
             for i, t in applicable(state, pos):
-                if pbf_eval(t.formula, chosen_atoms(t, pos)):
+                if holds(t, pos):
                     mark((state, pos))
                     break
-                for atom_state, move in pbf_atoms(t.formula):
+                for atom_state, move in t.formula:
                     child = pos + move
                     if 0 <= child <= max_pos:
                         dependents.setdefault((atom_state, child), []).append(
@@ -487,8 +419,7 @@ def membership(automaton: A2A, prefix: Sequence[str]) -> bool:
         for state, pos, i in dependents.get(node, ()):
             if (state, pos) in true_nodes:
                 continue
-            t = transition_at[i]
-            if pbf_eval(t.formula, chosen_atoms(t, pos)):
+            if holds(automaton.transitions[i], pos):
                 mark((state, pos))
 
     return (automaton.initial, 0) in true_nodes
@@ -522,8 +453,9 @@ def validate_run_tree(automaton: A2A, word: ParameterWord,
     """Check the four run-tree conditions node by node: the root obligation
     is (initial, 0); each node's transition matches its state and the letter
     (or first-position test) at its position; the children's relative moves
-    satisfy the transition formula; and each stem end either discharges a
-    formula satisfiable by no children or is a declared accepting drift."""
+    include every move of the transition's conjunction; and each stem end
+    either discharges true, with no children, or is a declared accepting
+    drift."""
     if root.state != automaton.initial or root.position != 0:
         return TreeDefect((), "root is not (initial, 0)")
     drift = _drift_letters(automaton)
@@ -564,7 +496,7 @@ def validate_run_tree(automaton: A2A, word: ParameterWord,
             if move not in MOVES:
                 return TreeDefect(path + (k,), "child more than one step away")
             moves.add((child.state, move))
-        if not pbf_eval(t.formula, moves):
+        if not set(t.formula) <= moves:
             return TreeDefect(path, "children do not satisfy the formula")
         for k, child in enumerate(node.children):
             defect = check(child, path + (k,))

@@ -460,10 +460,10 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
 # ---------------------------------------------------------------------------
 
 def plain_rep_lasso(machine: CounterMachine, start: str, good: str,
-                    cap: Optional[int] = None) -> Optional[LassoRun]:
+                    cap: int) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
     infinitely often, for machines without any tests. None if there is none
-    within the counter cap (default 8 * |Q|^3).
+    with every counter value at most `cap`.
 
     The loop starts at the reachable configuration of `good` with the least
     value from which a loop exists, and is an exact return to it if there is
@@ -476,8 +476,6 @@ def plain_rep_lasso(machine: CounterMachine, start: str, good: str,
                 f"plain_rep_lasso requires a test-free machine, got {t}")
     if start not in machine.states or good not in machine.states:
         raise MachineError("unknown state")
-    if cap is None:
-        cap = DEFAULT_MULTIPLIER * len(machine.states) ** 3
 
     def steps(here: Config) -> list:
         return [step for step in successors(machine, {}, here)

@@ -215,9 +215,7 @@ class BuchiReduction:
     y: str
     origin: Mapping[int, int]       # new machine transition -> source transition
     store_index: int                # index of the (accept, =y, store) transition
-    chain_entries: frozenset[str]   # states with an infinite high run to accept
     context: DivergenceContext
-    dummy: Optional[str]            # parameter added to a parameterless one
 
 
 def divergence_context(machine: CounterMachine) -> DivergenceContext:
@@ -314,10 +312,10 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     state; a copy of the machine then has to revisit it with the same value.
     For runs whose counter diverges, a chain of strict greater-than tests
     over every parameter lets the target be entered from any state that can
-    loop forever through the accept state once all tests are dropped. With no
-    parameters, a dummy one is added so the chain is nonempty; only the chain
-    tests it, so its value 0 serves whenever any value does. `context` is
-    the divergence analysis of `machine`, built here if not given.
+    loop forever through the accept state once all tests are dropped; with no
+    parameters the chain is empty and such a state steps straight into the
+    target. `context` is the divergence analysis of `machine`, built here if
+    not given.
     """
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
         raise ClassMismatch(
@@ -327,7 +325,6 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
 
     if context is None:
         context = divergence_context(machine)
-    chain_entries = context.loop_entries(accept_state)
 
     taken = set(machine.states)
     hat = {}
@@ -339,14 +336,12 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     target = fresh_name("s_hat", taken)
     taken.add(target)
 
-    params = list(machine.params)
-    dummy = None if params else fresh_name("xdummy", ())
-    if dummy is not None:
-        params.append(dummy)
+    params = machine.params
     chain = []
     for i in range(1, len(params) + 1):
         chain.append(fresh_name(f"t{i}", taken))
         taken.add(chain[-1])
+    chain.append(target)
     y = fresh_name("y", params)
 
     triples: list = []
@@ -364,20 +359,18 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
         origin[len(triples)] = i
         triples.append((hat[t.source], t.op, hat[t.target]))
     triples.append((hat[accept_state], ParamTest("=", y), target))
-    for t in sorted(chain_entries):
+    for t in sorted(context.loop_entries(accept_state)):
         triples.append((t, Update(0), chain[0]))
     for i, x in enumerate(params):
-        triples.append((chain[i], ParamTest(">", x),
-                        chain[i + 1] if i + 1 < len(chain) else target))
+        triples.append((chain[i], ParamTest(">", x), chain[i + 1]))
 
     built = CounterMachine.build(
         triples, initial=machine.initial,
-        params=tuple(params) + (y,), labels=machine.labels,
+        params=params + (y,), labels=machine.labels,
         extra_states=set(machine.states) | set(hat.values()) | {store, target})
     return BuchiReduction(machine=built, target=target, source=machine,
                           accept_state=accept_state, y=y, origin=origin,
-                          store_index=store_index, chain_entries=chain_entries,
-                          context=context, dummy=dummy)
+                          store_index=store_index, context=context)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
@@ -459,9 +452,7 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     first witness is returned. Counter values are explored up to `ceiling`,
     by default max(bound, constants) + |Q'|^3 for the states Q' of the
     reduced machine; the stored value y ranges up to `store_bound`, by
-    default the ceiling. The dummy parameter that `buchi_to_reach` adds to
-    a parameterless machine is pinned to 0: any witness under (d, y) has one
-    under (0, y), which the enumeration order puts first.
+    default the ceiling.
     """
     accepting = set(accepting)
     for q in sorted(accepting):
@@ -473,18 +464,16 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     folded, pinned = fold_constants(machine)
     if ceiling is None:
         # Q' holds the states and their copies, a store and a target state,
-        # and a chain state per parameter (a dummy one if there is none).
-        reduced = 2 * len(folded.states) + 2 + max(1, len(folded.params))
+        # and a chain state per parameter.
+        reduced = 2 * len(folded.states) + 2 + len(folded.params)
         ceiling = max([bound, *pinned.values()]) + reduced ** 3
     if store_bound is None:
         store_bound = ceiling
     context = divergence_context(folded)
     for accept_state in sorted(accepting & _states_on_cycles(folded)):
         reduction = buchi_to_reach(folded, accept_state, context=context)
-        pins = (pinned if reduction.dummy is None
-                else {**pinned, reduction.dummy: 0})
         found = parametric_reach(reduction.machine, reduction.target, bound,
-                                 pinned=pins,
+                                 pinned=pinned,
                                  bounds={reduction.y: store_bound},
                                  ceiling=ceiling)
         if found is None:
@@ -719,7 +708,6 @@ def bit_at(z: int, i: int) -> int:
 class Gadget:
     """The unary expansion of one large-update transition: a counting loop
     between two delimiter positions."""
-    source_transition: int
     sep: str
     entry: str                 # first delimiter state
     ones: tuple[str, ...]      # bit states labeled 1, least significant first
@@ -733,7 +721,6 @@ class SuccinctReduction:
     machine: CounterMachine
     formula: Formula
     source: CounterMachine
-    source_formula: Formula
     lambda_props: frozenset[str]
     bit_zero: str
     bit_one: str
@@ -852,7 +839,7 @@ def succinct_to_unary(machine: CounterMachine,
                     if isinstance(t.op, Update) and abs(t.op.delta) >= 2})
     if not large:
         return SuccinctReduction(
-            machine=machine, formula=phi, source=machine, source_formula=phi,
+            machine=machine, formula=phi, source=machine,
             lambda_props=frozenset(), bit_zero="0", bit_one="1", seps={},
             gadgets={}, copy_origin={i: i for i in range(len(machine.transitions))},
             exit_origin={})
@@ -910,9 +897,8 @@ def succinct_to_unary(machine: CounterMachine,
         triples.append((zeros[-1], step, exit_))
         exit_origin[len(triples)] = i
         triples.append((exit_, Update(0), t.target))
-        gadgets[i] = Gadget(source_transition=i, sep=sep, entry=entry,
-                            ones=ones, zeros=zeros, exit=exit_,
-                            sign=1 if z > 0 else -1)
+        gadgets[i] = Gadget(sep=sep, entry=entry, ones=ones, zeros=zeros,
+                            exit=exit_, sign=1 if z > 0 else -1)
 
     unary = CounterMachine.build(triples, initial=machine.initial,
                                  labels=labels, extra_states=machine.states)
@@ -920,8 +906,8 @@ def succinct_to_unary(machine: CounterMachine,
     counter = _counter_formula(seps, bit_zero, bit_one, lambda_props)
     return SuccinctReduction(
         machine=unary, formula=And(translated, counter), source=machine,
-        source_formula=phi, lambda_props=lambda_props, bit_zero=bit_zero,
-        bit_one=bit_one, seps=seps, gadgets=gadgets, copy_origin=copy_origin,
+        lambda_props=lambda_props, bit_zero=bit_zero, bit_one=bit_one,
+        seps=seps, gadgets=gadgets, copy_origin=copy_origin,
         exit_origin=exit_origin)
 
 

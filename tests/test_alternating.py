@@ -10,10 +10,8 @@ import pytest
 from flatmc.alternating import (
     BLANK,
     FIRST,
-    PbfAnd,
-    PbfAtom,
-    PbfOr,
-    TRUE,
+    A2A,
+    A2ATransition,
     TreeNode,
     WordError,
     a2a_size,
@@ -24,8 +22,6 @@ from flatmc.alternating import (
     extract_run,
     machine_to_a2a,
     membership,
-    pbf_eval,
-    pbf_size,
     validate_run_tree,
 )
 from flatmc.machines import (
@@ -42,35 +38,47 @@ def climb_and_test():
         [("q", "+1", "q"), ("q", "=x:x", "q2")], initial="q", params=["x"])
 
 
-class TestPbf:
-    def test_empty_set_satisfies_true(self):
-        assert pbf_eval(TRUE, ())
+def every_op():
+    return CounterMachine.build(
+        [("a", "+1", "b"), ("b", "-1", "a"), ("a", "0", "b"), ("b", "=0", "c"),
+         ("c", "=x:x", "a"), ("a", "<x:z", "c"), ("c", ">x:x", "b")],
+        initial="a", params=["x", "z"])
 
-    def test_unsatisfied_conjunction(self):
-        beta = PbfAnd(PbfAtom("s", 1), PbfAtom("t", -1))
-        assert not pbf_eval(beta, {("s", 1)})
-        assert pbf_eval(beta, {("s", 1), ("t", -1)})
 
-    def test_disjunction(self):
-        beta = PbfOr(PbfAtom("s", 1), PbfAtom("t", 0))
-        assert pbf_eval(beta, {("t", 0)})
-
-    def test_size_law(self):
-        rng = random.Random(5)
-
-        def build(depth):
-            if depth == 0 or rng.random() < 0.3:
-                return PbfAtom(f"s{rng.randrange(3)}", rng.choice((-1, 0, 1)))
-            ctor = PbfAnd if rng.random() < 0.5 else PbfOr
-            return ctor(build(depth - 1), build(depth - 1))
-
-        for _ in range(100):
-            beta = build(4)
-            if isinstance(beta, (PbfAnd, PbfOr)):
-                assert pbf_size(beta) == \
-                    pbf_size(beta.left) + pbf_size(beta.right) + 1
-            else:
-                assert pbf_size(beta) == 1
+EVERY_OP_DUMP = """\
+alphabet # x z
+initial init:
+accepting seen:x seen:z
+init: # (& (& (a 0) (find:x +1)) (find:z +1))
+find:x x (seen:x +1)
+find:x # (find:x +1)
+seen:x # (seen:x +1)
+find:x z (find:x +1)
+seen:x z (seen:x +1)
+find:z z (seen:z +1)
+find:z # (find:z +1)
+seen:z # (seen:z +1)
+find:z x (find:z +1)
+seen:z x (seen:z +1)
+a # (right:b +1)
+right:b x (right:b +1)
+right:b z (right:b +1)
+right:b # (b 0)
+b # (left:a -1)
+left:a x (left:a -1)
+left:a z (left:a -1)
+left:a # (a 0)
+a # (b 0)
+b first? (c 0)
+c # (& (a 0) (present:x +1))
+present:x x true
+present:x z (present:x +1)
+a # (& (c 0) (scan:z +1))
+scan:z x (scan:z +1)
+scan:z # (find:z +1)
+c # (& (b 0) (seen:x +1))
+c # true
+"""
 
 
 class TestParameterWords:
@@ -128,6 +136,16 @@ class TestTranslation:
         assert len(lines) == 3 + len(ta.automaton.transitions)
         assert any(line.startswith("q2 # true") for line in lines)
 
+    def test_dump_of_every_op_kind(self):
+        assert dump_a2a(machine_to_a2a(every_op(), "c").automaton) == \
+            EVERY_OP_DUMP
+
+    def test_size_counts_conjunctions(self):
+        # 18 states and 3 letters; 29 formulas of size 1, one three-move
+        # conjunction adding 4 and three two-move conjunctions adding 2 each.
+        automaton = machine_to_a2a(every_op(), "c").automaton
+        assert a2a_size(automaton) == 18 + 3 + 29 + 4 + 3 * 2
+
     def test_zero_test_uses_first_position(self):
         m = CounterMachine.build([("q", "=0", "q2")], initial="q")
         ta = machine_to_a2a(m, "q2")
@@ -135,6 +153,19 @@ class TestTranslation:
 
 
 class TestMembership:
+    def test_choice_is_a_choice_of_transition(self):
+        # Two transitions on (q, blank): one spawns a branch that blocks,
+        # the other accepts, and one accepting choice is enough.
+        def automaton(*formulas):
+            return A2A(states=frozenset({"q", "dead"}),
+                       alphabet=frozenset({BLANK}), initial="q",
+                       accepting=frozenset(),
+                       transitions=tuple(A2ATransition("q", BLANK, f)
+                                         for f in formulas))
+
+        assert not membership(automaton((("dead", 0),)), [BLANK])
+        assert membership(automaton((("dead", 0),), ()), [BLANK])
+
     def test_equality_at_zero(self):
         ta = machine_to_a2a(climb_and_test(), "q2")
         assert membership(ta.automaton, [BLANK, "x"])
@@ -196,6 +227,38 @@ class TestRunTrees:
         bad = TreeNode("q", 0, tree.transition, tree.children)
         defect = validate_run_tree(ta.automaton, word, bad)
         assert defect is not None and "root" in defect.reason
+
+    def test_true_is_discharged_with_no_children(self):
+        # Rooted at the target, the accepting transition alone is a run
+        # tree; a childless node on a transition that spawns moves is not.
+        ta, witness = self.witness()
+        word = encode_gamma(witness.gamma, order=ta.machine.params)
+        automaton = ta.automaton
+        assert automaton.transitions[ta.accept_index].formula == ()
+        at_target = A2A(automaton.states, automaton.alphabet, "q2",
+                        automaton.accepting, automaton.transitions)
+        assert validate_run_tree(
+            at_target, word, TreeNode("q2", 0, ta.accept_index)) is None
+        at_start = A2A(automaton.states, automaton.alphabet, "q",
+                       automaton.accepting, automaton.transitions)
+        defect = validate_run_tree(
+            at_start, word, TreeNode("q", 0, ta.step_index[1]))
+        assert defect is not None and "formula" in defect.reason
+
+    def test_missing_conjunct_is_diagnosed(self):
+        ta, witness = self.witness()
+        tree = construct_accepting_tree(ta, witness)
+        word = encode_gamma(witness.gamma, order=ta.machine.params)
+        main = tree.children[0]
+        # q on blank under =x is (& (q2 0) (present:x +1)); keep one move.
+        assert len(ta.automaton.transitions[main.transition].formula) == 2
+        for kept in main.children:
+            cut = TreeNode(main.state, main.position, main.transition, (kept,))
+            bad = TreeNode(tree.state, tree.position, tree.transition,
+                           (cut, *tree.children[1:]))
+            defect = validate_run_tree(ta.automaton, word, bad)
+            assert defect is not None and defect.path == (0,)
+            assert "formula" in defect.reason
 
     def test_first_test_away_from_zero_is_diagnosed(self):
         m = CounterMachine.build([("q", "+1", "q"), ("q", "=0", "q2")],

@@ -424,7 +424,7 @@ class TestSharedIntervalWork:
         rng = random.Random(3131)
         bound, ceiling = 5, 12
         compared = hits = 0
-        for _ in range(40):
+        for _ in range(60):
             m = random_machine(rng, max_states=4, max_params=1)
             accept = rng.choice(sorted(m.states))
             reduction = buchi_to_reach(m, accept)
@@ -463,11 +463,11 @@ class TestSharedIntervalWork:
 class TestPlainRepReach:
     def test_zero_loop(self):
         m = CounterMachine.build([("good", "0", "good")], initial="good")
-        assert plain_rep_lasso(m, "good", "good") is not None
+        assert plain_rep_lasso(m, "good", "good", cap=8) is not None
 
     def test_decrement_only(self):
         m = CounterMachine.build([("t", "-1", "t")], initial="t")
-        assert plain_rep_lasso(m, "t", "t") is None
+        assert plain_rep_lasso(m, "t", "t", cap=8) is None
 
     def test_round_trip_loop(self):
         m = CounterMachine.build(
@@ -478,7 +478,7 @@ class TestPlainRepReach:
     def test_rejects_tests(self):
         m = CounterMachine.build([("t", "=0", "t")], initial="t")
         with pytest.raises(ClassMismatch):
-            plain_rep_lasso(m, "t", "t")
+            plain_rep_lasso(m, "t", "t", cap=8)
 
     def test_agrees_with_core_oracle(self):
         # The same lasso as the brute-force oracle, which searches the

@@ -79,14 +79,20 @@ class TestBuchiToReach:
         assert parametric_reach(red.machine, red.target, 4) is None
 
     def test_dummy_parameter_chain(self):
-        # No parameters: the proof's chain still needs one test, so a dummy
-        # parameter is introduced; the climbing loop goes through it.
+        # No parameters: no parameter is added, and a state that loops
+        # through the accept state steps straight into the target; the
+        # climbing loop still translates back.
         m = CounterMachine.build([("q", "+1", "q")], initial="q")
         red = buchi_to_reach(m, "q")
-        assert any(x.startswith("xdummy") for x in red.machine.params)
+        assert red.machine.params == (red.y,)
+        assert (Update(0), red.target) in {
+            (t.op, t.target) for t in red.machine.transitions
+            if t.source == "q"}
         w = parametric_reach(red.machine, red.target, 3 + len(m.states))
         assert w is not None
         gamma, lasso = buchi_witness_to_lasso(red, w)
+        assert gamma == {}
+        assert validate_lasso(m, gamma, lasso) is None
         assert lasso.loop_delta > 0
 
     def test_rejects_constants(self):
@@ -191,22 +197,6 @@ class TestRepeatedReach:
         with pytest.raises(MachineError):
             repeated_reach(plain, ["r", "nowhere"], 3)
         assert repeated_reach(plain, ["r"], 3) is None
-
-    def test_pinned_dummy_gives_the_same_first_witness(self):
-        rng = random.Random(1729)
-        present = 0
-        for _ in range(30):
-            m = random_machine(rng, max_states=4, max_params=0)
-            ceiling = 3 + len(m.states) ** 2
-            for accept in sorted(m.states):
-                red = buchi_to_reach(m, accept)
-                options = dict(bounds={red.y: ceiling}, ceiling=ceiling)
-                free = parametric_reach(red.machine, red.target, 2, **options)
-                pinned = parametric_reach(red.machine, red.target, 2,
-                                          pinned={red.dummy: 0}, **options)
-                assert pinned == free, (m, accept)
-                present += free is not None
-        assert present >= 10
 
     def test_divergence_machine_keeps_updates_and_greater_tests(self):
         m = CounterMachine.build(
