@@ -22,6 +22,15 @@ width, and are searched once and shifted into place. Instantiations are
 still tried one at a time in the documented order, so the first witness is
 the same as without sharing.
 
+Before any instantiation is tried, one search decides the whole box of
+parameter ranges at once, on a relaxed machine in which a parameter test
+fires wherever some value in the parameter's range lets it fire. The relaxed
+machine over-approximates every instantiation in the box, so when it cannot
+reach the target, no instantiation can, and the answer is absent after one
+search instead of (B+1)^|X|. Its tests are again constant inside the
+intervals between levels placed at both ends of every range, so the same
+level search decides it exactly (see `parametric_reach`).
+
 All of these searches run on one breadth-first search with parent pointers,
 `_bfs`: the level graph, whose edges are chunks of runs; the exits of an
 interval, whose edges are single steps and which also decide the interval
@@ -49,7 +58,6 @@ from flatmc.machines import (
     Config,
     ConstTest,
     CounterMachine,
-    Gamma,
     LassoRun,
     MachineClass,
     MachineError,
@@ -58,6 +66,8 @@ from flatmc.machines import (
     Update,
     classify,
     fresh_name,
+    op_enabled,
+    op_value,
     successors,
     validate_run,
 )
@@ -215,29 +225,35 @@ class StrippedMachine:
     origin: tuple[int, ...]
 
 
-def _inequality_tests(machine: CounterMachine) -> tuple[tuple[str, bool], ...]:
-    """The parameter and whether it is a greater-than test, for each
-    inequality parameter test of `machine` in transition order."""
-    return tuple((t.op.param, t.op.rel == ">") for t in machine.transitions
-                 if isinstance(t.op, ParamTest) and t.op.rel != "=")
+def _param_tests(machine: CounterMachine) -> tuple[tuple[str, str], ...]:
+    """The parameter and relation of each parameter test of `machine`, in
+    transition order."""
+    return tuple((t.op.param, t.op.rel) for t in machine.transitions
+                 if isinstance(t.op, ParamTest))
 
 
-def _test_pattern(tests: tuple[tuple[str, bool], ...],
-                  level_of: Mapping[str, int], segment: int) -> tuple[bool, ...]:
-    """For each of the inequality tests listed by `_inequality_tests`,
-    whether it holds throughout the open interval between levels `segment`
-    and `segment + 1`; `level_of` gives the index of each parameter's level.
-    A comparison with the level at index j is decided by j alone, and this
-    pattern alone decides which transitions survive stripping."""
-    return tuple(level_of[x] <= segment if greater else level_of[x] > segment
-                 for x, greater in tests)
+def _test_pattern(tests: tuple[tuple[str, str], ...],
+                  span_of: Mapping[str, tuple[int, int]],
+                  segment: int) -> tuple[bool, ...]:
+    """For each of the parameter tests listed by `_param_tests`, whether it
+    holds throughout the open interval between levels `segment` and
+    `segment + 1` for some value of its parameter; `span_of` gives the level
+    indices of the two ends of each parameter's range. A greater-than test
+    holds there if the lower end lies at or below the interval, a less-than
+    test if the upper end lies above it, and an equality test if the interval
+    lies between the two ends, which a range of one value never allows. These
+    comparisons of level indices alone decide which transitions survive
+    stripping."""
+    return tuple(span_of[x][0] <= segment if rel == ">"
+                 else span_of[x][1] > segment if rel == "<"
+                 else span_of[x][0] <= segment < span_of[x][1]
+                 for x, rel in tests)
 
 
 def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
     """The test-free machine selected by a test pattern: updates are kept,
-    inequality tests that hold become 0-updates, and every other test is
-    dropped, since zero and equality tests compare with a level value and
-    never fire strictly inside an interval."""
+    parameter tests that hold become 0-updates, and every other test is
+    dropped, since a zero test never fires strictly inside an interval."""
     kept: list[tuple[str, Update, str]] = []
     origin: list[int] = []
     holds = iter(pattern)
@@ -246,7 +262,7 @@ def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachin
         if isinstance(op, Update):
             kept.append((t.source, op, t.target))
             origin.append(i)
-        elif isinstance(op, ParamTest) and op.rel != "=" and next(holds):
+        elif isinstance(op, ParamTest) and next(holds):
             kept.append((t.source, Update(0), t.target))
             origin.append(i)
     stripped = CounterMachine.build(
@@ -342,6 +358,25 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     The machine must have unary updates and only =0 constant tests; run
     fold_constants first otherwise. Counter values are explored up to
     `ceiling`, defaulting to max(bound, pinned values) + |Q|^3.
+
+    When the ranges hold more than one instantiation, one level search on
+    the whole box of ranges runs first, and if it finds no run, the answer
+    is absent. Otherwise the instantiations are tried in the order of
+    `enumerate_gammas`, and the first run found is the witness, so the box
+    changes no answer and no witness. The box search is sound for absence:
+    - It searches the relaxed machine, whose test against x, ranging over
+      [lo, hi], fires at value v when some value in the range lets it fire:
+      `<x` when v < hi, `>x` when v > lo, and `=x` when lo <= v <= hi.
+    - Every run under an instantiation in the box, with values <= the
+      ceiling, is a run of the relaxed machine with the same values, since
+      each test it takes fires for the parameter's own value.
+    - The relaxed tests change only at lo or hi, which are levels of the
+      box search, so each is constant inside the open interval between two
+      adjacent levels. The level search decides reachability below the
+      ceiling exactly for such a machine: it is the same search that is
+      exact for one instantiation, whose tests change only at its levels.
+    So if the box search finds no run, no instantiation in the box has a
+    run below the ceiling, and neither does any level search among them.
     """
     _require_unary_zero_tests(machine, "parametric_reach")
     if target not in machine.states:
@@ -372,10 +407,14 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         initial=machine.initial, params=machine.params,
         extra_states=machine.states)
 
-    tests = _inequality_tests(extended)
+    tests = _param_tests(extended)
     memo: dict = {}
+    if (any(lo < hi for lo, hi in ranges.values())
+            and _level_search(extended, tests, ranges, sink, top, memo) is None):
+        return None
     for gamma in enumerate_gammas(machine.params, ranges):
-        run = _level_search(extended, tests, gamma, sink, top, memo)
+        point = {x: (v, v) for x, v in gamma.items()}
+        run = _level_search(extended, tests, point, sink, top, memo)
         if run is None:
             continue
         cut = next(i for i, c in enumerate(run.configs) if c.state == sink)
@@ -388,26 +427,33 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     return None
 
 
-def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
-                  gamma: Gamma, sink: str, top: int, memo: dict) -> Optional[Run]:
+def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
+                  box: Mapping[str, tuple[int, int]], sink: str, top: int,
+                  memo: dict) -> Optional[Run]:
     """Search for a run from (initial, 0) to (sink, 0) whose configurations
     touch the level values at the joints, with excursions strictly between
     adjacent levels in between.
 
-    `memo` carries the interval work from one instantiation to the next: it
-    maps a test pattern to its stripped machine and to the exits already
-    found, keyed by start state, start side and interval width. An exit is
-    stored relative to the lower end of its interval, with its steps already
-    mapped back to transitions of `machine`."""
-    level_values = sorted({0, top, *gamma.values()})
+    `box` maps each parameter to an inclusive range (lo, hi), and a test
+    against it fires wherever some value in the range lets it fire (see
+    `parametric_reach`); an instantiation is the box whose ranges are single
+    values (v, v), under which each test fires exactly as it reads. The
+    levels are 0, `top` and both ends of every range.
+
+    `memo` carries the interval work from one search to the next: it maps a
+    test pattern to its stripped machine and to the exits already found,
+    keyed by start state, start side and interval width. An exit is stored
+    relative to the lower end of its interval, with its steps already mapped
+    back to transitions of `machine`."""
+    level_values = sorted({0, top, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
-    level_of = {x: index_of[v] for x, v in gamma.items()}
+    span_of = {x: (index_of[lo], index_of[hi]) for x, (lo, hi) in box.items()}
     entries: dict[int, tuple[StrippedMachine, dict]] = {}
 
     def exits_from(here: Config, segment: int) -> list:
         if segment not in entries:
-            pattern = _test_pattern(tests, level_of, segment)
+            pattern = _test_pattern(tests, span_of, segment)
             entry = memo.get(pattern)
             if entry is None:
                 entry = memo[pattern] = (_strip(machine, pattern), {})
@@ -424,8 +470,16 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
                                                 width).items()]
         return exits[key]
 
+    def stays(op, value: int) -> bool:
+        """Whether `op` fires at `value` and keeps it."""
+        if isinstance(op, ParamTest):
+            lo, hi = box[op.param]
+            return (value < hi if op.rel == "<" else value > lo
+                    if op.rel == ">" else lo <= value <= hi)
+        return op_value(op, value) == value and op_enabled(op, value, {})
+
     # Macro nodes are (state, level value). Edges either stay on the level
-    # (one value-preserving step of the real machine) or traverse one open
+    # (one value-preserving step of the relaxed machine) or traverse one open
     # interval (a run of the stripped machine, mapped back and shifted up by
     # the interval's lower end). An edge is the chunk of run it adds.
     start = Config(machine.initial, 0)
@@ -434,8 +488,9 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, bool], ...],
         return Run((start,), ())
 
     def moves(here: Config):
-        for step, conf in successors(machine, gamma, here):
-            if conf.value == here.value:
+        for step, t in machine.outgoing(here.state):
+            if stays(t.op, here.value):
+                conf = Config(t.target, here.value)
                 yield ((conf,), (step,), 0), conf
         idx = index_of[here.value]
         for segment in (idx, idx - 1):

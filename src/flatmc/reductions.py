@@ -70,7 +70,7 @@ from flatmc.machines import (
 )
 from flatmc.reach import (
     ReachWitness,
-    _inequality_tests,
+    _param_tests,
     _strip,
     fold_constants,
     parametric_reach,
@@ -224,8 +224,8 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
     hold, and find the SCCs of the stripped control graph. Each accept state
     is then analyzed on that graph alone, in time polynomial in its size and
     free of any counter cap (see `DivergenceContext`)."""
-    strip = _strip(machine, tuple(greater for _x, greater
-                                  in _inequality_tests(machine)))
+    strip = _strip(machine, tuple(rel == ">" for _x, rel
+                                  in _param_tests(machine)))
     stripped = strip.machine
     component, cyclic = _control_components(stripped)
     incoming: dict[str, list] = {q: [] for q in stripped.states}
@@ -708,7 +708,6 @@ def bit_at(z: int, i: int) -> int:
 class Gadget:
     """The unary expansion of one large-update transition: a counting loop
     between two delimiter positions."""
-    sep: str
     entry: str                 # first delimiter state
     ones: tuple[str, ...]      # bit states labeled 1, least significant first
     zeros: tuple[str, ...]     # bit states labeled 0
@@ -721,7 +720,6 @@ class SuccinctReduction:
     machine: CounterMachine
     formula: Formula
     source: CounterMachine
-    lambda_props: frozenset[str]
     bit_zero: str
     bit_one: str
     seps: Mapping[int, str]          # update value -> delimiter proposition
@@ -840,7 +838,7 @@ def succinct_to_unary(machine: CounterMachine,
     if not large:
         return SuccinctReduction(
             machine=machine, formula=phi, source=machine,
-            lambda_props=frozenset(), bit_zero="0", bit_one="1", seps={},
+            bit_zero="0", bit_one="1", seps={},
             gadgets={}, copy_origin={i: i for i in range(len(machine.transitions))},
             exit_origin={})
 
@@ -897,8 +895,8 @@ def succinct_to_unary(machine: CounterMachine,
         triples.append((zeros[-1], step, exit_))
         exit_origin[len(triples)] = i
         triples.append((exit_, Update(0), t.target))
-        gadgets[i] = Gadget(sep=sep, entry=entry, ones=ones, zeros=zeros,
-                            exit=exit_, sign=1 if z > 0 else -1)
+        gadgets[i] = Gadget(entry=entry, ones=ones, zeros=zeros, exit=exit_,
+                            sign=1 if z > 0 else -1)
 
     unary = CounterMachine.build(triples, initial=machine.initial,
                                  labels=labels, extra_states=machine.states)
@@ -906,9 +904,8 @@ def succinct_to_unary(machine: CounterMachine,
     counter = _counter_formula(seps, bit_zero, bit_one, lambda_props)
     return SuccinctReduction(
         machine=unary, formula=And(translated, counter), source=machine,
-        lambda_props=lambda_props, bit_zero=bit_zero, bit_one=bit_one,
-        seps=seps, gadgets=gadgets, copy_origin=copy_origin,
-        exit_origin=exit_origin)
+        bit_zero=bit_zero, bit_one=bit_one, seps=seps, gadgets=gadgets,
+        copy_origin=copy_origin, exit_origin=exit_origin)
 
 
 # ---------------------------------------------------------------------------

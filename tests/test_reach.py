@@ -9,20 +9,22 @@ import time
 
 import pytest
 
+import flatmc.reach as reach_module
 from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
     Update,
+    bounded_reach_oracle,
     fresh_name,
     rep_reach_oracle,
     validate_run,
 )
 from flatmc.reach import (
     StrippedMachine,
-    _inequality_tests,
     _interval_reach,
     _level_search,
+    _param_tests,
     _segment_exits,
     _strip,
     _test_pattern,
@@ -88,9 +90,9 @@ def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
     """Strip `machine` for the open interval between levels `segment` and
     `segment + 1` of the increasing values `levels`, each parameter sitting
     on the level of its value under `gamma`."""
-    level_of = {x: levels.index(v) for x, v in gamma.items()}
-    return _strip(machine, _test_pattern(_inequality_tests(machine),
-                                         level_of, segment))
+    span_of = {x: (levels.index(v),) * 2 for x, v in gamma.items()}
+    return _strip(machine, _test_pattern(_param_tests(machine), span_of,
+                                         segment))
 
 
 class TestStripTests:
@@ -380,6 +382,18 @@ def _random_test_free(rng: random.Random) -> StrippedMachine:
     return StrippedMachine(machine, tuple(range(len(triples))))
 
 
+def _with_sink(machine: CounterMachine, target: str):
+    """The machine `parametric_reach` searches: `machine` plus a fresh sink,
+    entered from `target`, that counts down to 0; and the sink's name."""
+    sink = fresh_name("sink", machine.states)
+    extended = CounterMachine.build(
+        [(t.source, t.op, t.target) for t in machine.transitions]
+        + [(target, Update(0), sink), (sink, Update(-1), sink)],
+        initial=machine.initial, params=machine.params,
+        extra_states=machine.states)
+    return extended, sink
+
+
 class _Forgetful(dict):
     """A memo that stores nothing, so every lookup is computed afresh."""
 
@@ -420,29 +434,34 @@ class TestSharedIntervalWork:
         # nothing is shared, and parametric_reach reports the first of these
         # runs. The Buchi reductions of the same machines are searched too:
         # their many equality tests make one interval width recur with
-        # different patterns, start states and sides.
+        # different patterns, start states and sides. The search of the
+        # whole box of ranges, which parametric_reach runs first with the
+        # same memo, is compared the same way.
         rng = random.Random(3131)
         bound, ceiling = 5, 12
-        compared = hits = 0
+        compared = hits = boxes = 0
         for _ in range(60):
             m = random_machine(rng, max_states=4, max_params=1)
             accept = rng.choice(sorted(m.states))
             reduction = buchi_to_reach(m, accept)
             for machine, target in ((m, accept),
                                     (reduction.machine, reduction.target)):
-                sink = fresh_name("sink", machine.states)
-                extended = CounterMachine.build(
-                    [(t.source, t.op, t.target) for t in machine.transitions]
-                    + [(target, Update(0), sink), (sink, Update(-1), sink)],
-                    initial=machine.initial, params=machine.params,
-                    extra_states=machine.states)
-                tests = _inequality_tests(extended)
+                extended, sink = _with_sink(machine, target)
+                tests = _param_tests(extended)
                 memo: dict = {}
+                if machine.params:
+                    box = {x: (0, bound) for x in machine.params}
+                    assert (_level_search(extended, tests, box, sink,
+                                          ceiling, memo)
+                            == _level_search(extended, tests, box, sink,
+                                             ceiling, _Forgetful()))
+                    boxes += 1
                 first = None
                 for gamma in all_gammas(machine.params, bound):
-                    shared = _level_search(extended, tests, gamma, sink,
+                    point = {x: (v, v) for x, v in gamma.items()}
+                    shared = _level_search(extended, tests, point, sink,
                                            ceiling, memo)
-                    fresh = _level_search(extended, tests, gamma, sink,
+                    fresh = _level_search(extended, tests, point, sink,
                                           ceiling, _Forgetful())
                     assert shared == fresh
                     compared += 1
@@ -458,6 +477,114 @@ class TestSharedIntervalWork:
                 hits += 1
                 assert (got.gamma, got.run.configs, got.run.steps) == first
         assert compared >= 1000 and hits >= 20
+        assert boxes >= 60
+
+
+def _box_search(machine: CounterMachine, target: str, box: dict,
+                ceiling: int):
+    """The level search of `parametric_reach` on one box of ranges."""
+    extended, sink = _with_sink(machine, target)
+    return _level_search(extended, _param_tests(extended), box, sink,
+                         ceiling, {})
+
+
+def _chain(*ops: str, params=("x",)) -> CounterMachine:
+    """The machine q0 -ops[0]-> q1 -ops[1]-> ... with target t last."""
+    states = [f"q{i}" for i in range(len(ops))] + ["t"]
+    return CounterMachine.build(
+        [(states[i], op, states[i + 1]) for i, op in enumerate(ops)],
+        initial="q0", params=params)
+
+
+class TestBoxSearch:
+    def test_absent_box_has_no_run_under_any_instantiation(self):
+        # The box search over-approximates: whenever it finds no run, the
+        # brute-force search finds none under any instantiation in the box,
+        # at the same ceiling. The Buchi reductions test the stored value y
+        # for equality many times over.
+        rng = random.Random(4242)
+        absent = present = 0
+        for _ in range(120):
+            m = random_machine(rng, max_states=4, max_params=2)
+            accept = rng.choice(sorted(m.states))
+            reduction = buchi_to_reach(m, accept)
+            for machine, target in ((m, accept),
+                                    (reduction.machine, reduction.target)):
+                if not machine.params:
+                    continue
+                box = {}
+                for x in machine.params:
+                    lo = rng.randint(0, 4)
+                    box[x] = (lo, lo + rng.randint(0, 3))
+                ceiling = max(hi for _lo, hi in box.values()) + rng.randint(1, 6)
+                if _box_search(machine, target, box, ceiling) is not None:
+                    present += 1
+                    continue
+                absent += 1
+                for values in itertools.product(
+                        *(range(lo, hi + 1) for lo, hi in box.values())):
+                    gamma = dict(zip(box, values))
+                    assert bounded_reach_oracle(machine, gamma, target,
+                                                ceiling) is None
+        assert absent >= 100 and present >= 50
+
+    def test_equality_fires_strictly_inside_the_range(self):
+        # The =x test is met at value 2 only, inside (1, 3) but at neither end.
+        m = _chain("+1", "+1", "=x:x")
+        assert _box_search(m, "t", {"x": (1, 3)}, 6) is not None
+        for v in (1, 3):
+            assert _box_search(m, "t", {"x": (v, v)}, 6) is None
+        assert _box_search(m, "t", {"x": (2, 2)}, 6) is not None
+        assert parametric_reach(m, "t", 3).gamma == {"x": 2}
+
+    def test_less_than_needed_one_below_the_upper_end(self):
+        # <x is met at value 3, so only x = 4 lets it fire; in the box
+        # (3, 4) the value 3 is a level, where the test fires on a level step.
+        m = _chain("+1", "+1", "+1", "<x:x")
+        assert _box_search(m, "t", {"x": (0, 4)}, 8) is not None
+        assert _box_search(m, "t", {"x": (3, 4)}, 8) is not None
+        assert _box_search(m, "t", {"x": (0, 3)}, 8) is None
+        assert parametric_reach(m, "t", 4).gamma == {"x": 4}
+        assert parametric_reach(m, "t", 3) is None
+
+    def test_greater_than_needed_one_above_the_lower_end(self):
+        # >x is met at value 2, so only x <= 1 lets it fire; in the box
+        # (1, 2) the value 2 is a level, where the test fires on a level step.
+        m = _chain("+1", "+1", ">x:x")
+        assert _box_search(m, "t", {"x": (1, 5)}, 8) is not None
+        assert _box_search(m, "t", {"x": (1, 2)}, 8) is not None
+        assert _box_search(m, "t", {"x": (2, 5)}, 8) is None
+        assert parametric_reach(_chain("+1", ">x:x"), "t", 5).gamma == {"x": 0}
+
+    def test_one_parameter_at_two_values(self, monkeypatch):
+        # x must equal both 1 and 2: the relaxed machine lets each test fire
+        # on its own, so the box is reachable, yet every instantiation is
+        # absent, and the answer is found absent by enumerating all of them.
+        m = _chain("+1", "=x:x", "+1", "=x:x")
+        assert _box_search(m, "t", {"x": (0, 4)}, 8) is not None
+        boxes = _count_level_searches(monkeypatch)
+        assert parametric_reach(m, "t", 4, ceiling=8) is None
+        assert boxes == [{"x": (0, 4)}] + [{"x": (v, v)} for v in range(5)]
+
+    def test_absent_box_makes_one_search(self, monkeypatch):
+        # t is reachable in the control graph, but >x0 never fires at 0.
+        m = _chain("=0", ">x:x0", "<x:x1", params=("x0", "x1"))
+        boxes = _count_level_searches(monkeypatch)
+        assert parametric_reach(m, "t", 12) is None
+        assert boxes == [{"x0": (0, 12), "x1": (0, 12)}]
+
+
+def _count_level_searches(monkeypatch) -> list:
+    """Record the box of every level search from now on."""
+    boxes = []
+    search = reach_module._level_search
+
+    def counted(machine, tests, box, *rest):
+        boxes.append(dict(box))
+        return search(machine, tests, box, *rest)
+
+    monkeypatch.setattr(reach_module, "_level_search", counted)
+    return boxes
 
 
 class TestPlainRepReach:
