@@ -35,6 +35,7 @@ from flatmc.reductions import (
     model_check,
     repeated_reach,
     succinct_to_unary,
+    word_checkable,
 )
 
 
@@ -230,10 +231,7 @@ def cmd_check(args) -> int:
     if phi is not None:
         if lasso is None:
             return reject("a formula check needs a lasso witness")
-        climbing = lasso.loop_delta > 0
-        register_tests = any(isinstance(f, formulas.RegTest)
-                             for f in formulas.subformulas(phi))
-        if climbing and register_tests:
+        if not word_checkable(lasso, phi):
             _report(args, "valid (formula not evaluated: the loop gains "
                           "counter value and the formula tests registers)")
             return 0

@@ -63,6 +63,7 @@ from flatmc.machines import (
     MachineError,
     ParamTest,
     Run,
+    Transition,
     Update,
     classify,
     fresh_name,
@@ -72,12 +73,12 @@ from flatmc.machines import (
     validate_run,
 )
 
-# Multiplier for derived counter caps; validated against the oracles in tests.
+# Scales `default_bound`, the parameter bound used when none is given.
 DEFAULT_MULTIPLIER = 8
 
 
 def default_bound(machine: CounterMachine) -> int:
-    """A heuristic default for parameter bounds and counter caps:
+    """A heuristic default for parameter bounds:
     |Q|^3 * (|X| + 2) * DEFAULT_MULTIPLIER. This is a practical default, not
     the theoretical worst-case bound, whose constants are unspecified."""
     return ((len(machine.states) ** 3) * (len(machine.params) + 2)
@@ -156,8 +157,8 @@ def _run(start: Config, path: list) -> Run:
 # Interval-restricted run checks
 # ---------------------------------------------------------------------------
 
-def _segment_exits(machine: CounterMachine, start: Config, lo: int,
-                   hi: int) -> dict[Config, Run]:
+def _segment_exits(machine: CounterMachine | StrippedMachine, start: Config,
+                   lo: int, hi: int) -> dict[Config, Run]:
     """Shortest runs of a unary machine from `start`, on a boundary value,
     through the open interval (lo, hi) to each reachable configuration back
     on a boundary value. Exits to the start's own value require at least one
@@ -179,8 +180,8 @@ def _segment_exits(machine: CounterMachine, start: Config, lo: int,
     return exits
 
 
-def _interval_reach(machine: CounterMachine, start: Config, goal: Config,
-                    lo: int, hi: int) -> bool:
+def _interval_reach(machine: CounterMachine | StrippedMachine, start: Config,
+                    goal: Config, lo: int, hi: int) -> bool:
     """Is there a run from `start` to `goal`, both on the boundary of
     [lo, hi], whose intermediate configurations lie strictly between lo and
     hi? Either it is empty, or it is one step, or it is an exit of the
@@ -218,11 +219,16 @@ def interval_return(machine: CounterMachine, source: str, target: str,
 
 @dataclass(frozen=True)
 class StrippedMachine:
-    """A test-free unary machine equivalent to the original inside one open
-    interval between levels, with a map from its transition indices back to
-    the original ones."""
-    machine: CounterMachine
-    origin: tuple[int, ...]
+    """A test-free unary machine equivalent to its source inside one open
+    interval between levels. `outgoing(q)` lists the (source transition
+    index, transition) pairs kept, in declaration order, a holding test as
+    an `Update(0)`: all that `successors` reads, so its runs are the
+    source's."""
+    states: frozenset[str]
+    _outgoing: Mapping[str, tuple[tuple[int, Transition], ...]]
+
+    def outgoing(self, state: str) -> tuple[tuple[int, Transition], ...]:
+        return self._outgoing[state]
 
 
 def _param_tests(machine: CounterMachine) -> tuple[tuple[str, str], ...]:
@@ -253,22 +259,20 @@ def _test_pattern(tests: tuple[tuple[str, str], ...],
 def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
     """The test-free machine selected by a test pattern: updates are kept,
     parameter tests that hold become 0-updates, and every other test is
-    dropped, since a zero test never fires strictly inside an interval."""
-    kept: list[tuple[str, Update, str]] = []
-    origin: list[int] = []
+    dropped, since a zero test never fires strictly inside an interval. Each
+    kept transition keeps its index in `machine`."""
+    outgoing: dict[str, list] = {q: [] for q in machine.states}
     holds = iter(pattern)
     for i, t in enumerate(machine.transitions):
-        op = t.op
-        if isinstance(op, Update):
-            kept.append((t.source, op, t.target))
-            origin.append(i)
-        elif isinstance(op, ParamTest) and next(holds):
-            kept.append((t.source, Update(0), t.target))
-            origin.append(i)
-    stripped = CounterMachine.build(
-        kept, initial=machine.initial, labels=machine.labels,
-        extra_states=machine.states)
-    return StrippedMachine(stripped, tuple(origin))
+        if isinstance(t.op, ParamTest):
+            if not next(holds):
+                continue
+            t = Transition(t.source, Update(0), t.target)
+        elif not isinstance(t.op, Update):
+            continue
+        outgoing[t.source].append((i, t))
+    return StrippedMachine(machine.states,
+                           {q: tuple(ts) for q, ts in outgoing.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
 
     The machine must have unary updates and only =0 constant tests; run
     fold_constants first otherwise. Counter values are explored up to
-    `ceiling`, defaulting to max(bound, pinned values) + |Q|^3.
+    `ceiling`, defaulting to max(bound, pinned values) + |Q|^3. Negative
+    limits are rejected.
 
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
@@ -390,6 +395,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
             raise MachineError(f"unknown parameter {x!r}")
     if any(v < 0 for v in pinned.values()):
         raise MachineError("pinned parameter values must be non-negative")
+    if min([*bounds.values(), ceiling or 0]) < 0:
+        raise MachineError("parameter bounds and ceiling must be non-negative")
     ranges: dict[str, tuple[int, int]] = {}
     for x in machine.params:
         if x in pinned:
@@ -443,8 +450,8 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     `memo` carries the interval work from one search to the next: it maps a
     test pattern to its stripped machine and to the exits already found,
     keyed by start state, start side and interval width. An exit is stored
-    relative to the lower end of its interval, with its steps already mapped
-    back to transitions of `machine`."""
+    relative to the lower end of its interval; its steps are transitions of
+    `machine`, since a stripped machine keeps their indices."""
     level_values = sorted({0, top, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
@@ -464,10 +471,8 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
         key = (here.state, from_lo, width)
         if key not in exits:
             start = Config(here.state, 0 if from_lo else width)
-            exits[key] = [
-                (end, run.configs[1:], tuple(strip.origin[s] for s in run.steps))
-                for end, run in _segment_exits(strip.machine, start, 0,
-                                                width).items()]
+            exits[key] = [(end, run.configs[1:], run.steps) for end, run
+                          in _segment_exits(strip, start, 0, width).items()]
         return exits[key]
 
     def stays(op, value: int) -> bool:
@@ -480,8 +485,8 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
 
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the relaxed machine) or traverse one open
-    # interval (a run of the stripped machine, mapped back and shifted up by
-    # the interval's lower end). An edge is the chunk of run it adds.
+    # interval (a run of the stripped machine, shifted up by the interval's
+    # lower end). An edge is the chunk of run it adds.
     start = Config(machine.initial, 0)
     goal = Config(sink, 0)
     if start == goal:
@@ -514,21 +519,21 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
 # Repeated reachability for test-free machines
 # ---------------------------------------------------------------------------
 
-def plain_rep_lasso(machine: CounterMachine, start: str, good: str,
-                    cap: int) -> Optional[LassoRun]:
+def plain_rep_lasso(machine: CounterMachine | StrippedMachine, start: str,
+                    good: str, cap: int) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
-    infinitely often, for machines without any tests. None if there is none
-    with every counter value at most `cap`.
+    infinitely often, for machines without any tests, a stripped machine
+    among them; its steps are the indices `outgoing` lists. None if there is
+    none with every counter value at most `cap`.
 
     The loop starts at the reachable configuration of `good` with the least
     value from which a loop exists, and is an exact return to it if there is
     one, else a return to `good` with a larger value, which pumps since
     every transition is an update. Each part is a first path of the search
     with transitions tried in declaration order."""
-    for t in machine.transitions:
-        if not isinstance(t.op, Update):
-            raise ClassMismatch(
-                f"plain_rep_lasso requires a test-free machine, got {t}")
+    if any(not isinstance(t.op, Update) for q in machine.states
+           for _i, t in machine.outgoing(q)):
+        raise ClassMismatch("plain_rep_lasso requires a test-free machine")
     if start not in machine.states or good not in machine.states:
         raise MachineError("unknown state")
 

@@ -62,7 +62,6 @@ from flatmc.machines import (
     MachineClass,
     MachineError,
     ParamTest,
-    Run,
     Update,
     classify,
     fresh_name,
@@ -70,6 +69,7 @@ from flatmc.machines import (
 )
 from flatmc.reach import (
     ReachWitness,
+    StrippedMachine,
     _param_tests,
     _strip,
     fold_constants,
@@ -93,7 +93,8 @@ class DivergenceContext:
     """The test-free divergence machine of a machine and its control graph:
     the strongly connected component (SCC) of each state, the SCCs with a
     cycle, and each state's incoming edges with their counter effects. Built
-    once per machine and reused across accept states.
+    once per machine and reused across accept states. The machine is
+    stripped, so its loops are already in the source's transitions.
 
     A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
     a value at least `need(f)`, the least entry value of a non-empty closed
@@ -101,8 +102,7 @@ class DivergenceContext:
     by least-credit fixpoints (`_credits`), with no cap on counter values;
     `loop_cap` reads off the same graph the counter cap of the search that
     rebuilds a loop witness."""
-    machine: CounterMachine
-    origin: tuple[int, ...]         # stripped transition -> source transition
+    machine: StrippedMachine
     component: Mapping[str, int]    # control state -> SCC id
     cyclic: frozenset[int]          # ids of the SCCs containing a cycle
     incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
@@ -224,22 +224,22 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
     hold, and find the SCCs of the stripped control graph. Each accept state
     is then analyzed on that graph alone, in time polynomial in its size and
     free of any counter cap (see `DivergenceContext`)."""
-    strip = _strip(machine, tuple(rel == ">" for _x, rel
-                                  in _param_tests(machine)))
-    stripped = strip.machine
+    stripped = _strip(machine, tuple(rel == ">" for _x, rel
+                                     in _param_tests(machine)))
     component, cyclic = _control_components(stripped)
     incoming: dict[str, list] = {q: [] for q in stripped.states}
-    for t in stripped.transitions:
-        incoming[t.target].append((t.source, t.op.delta))
+    for q in sorted(stripped.states):
+        for _i, t in stripped.outgoing(q):
+            incoming[t.target].append((q, t.op.delta))
     return DivergenceContext(
-        machine=stripped, origin=strip.origin, component=component,
-        cyclic=frozenset(cyclic),
+        machine=stripped, component=component, cyclic=frozenset(cyclic),
         incoming={q: tuple(edges) for q, edges in incoming.items()})
 
 
-def _control_components(machine: CounterMachine) -> tuple[dict, set]:
+def _control_components(machine) -> tuple[dict, set]:
     """Iterative Tarjan: the strongly connected components of the control
-    graph of `machine`, and the set of component ids containing a cycle."""
+    graph of `machine`, a counter machine or a stripped one, and the set of
+    component ids containing a cycle."""
     forward = {q: [t.target for _i, t in machine.outgoing(q)]
                for q in machine.states}
     index: dict[str, int] = {}
@@ -390,16 +390,11 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
     last = reduction.machine.transitions[run.steps[-1]]
     if last.op == ParamTest("=", reduction.y):
         # Same-value case: the run stored a counter value at the accept state
-        # and revisited it in the copy; replay the copy part in the source.
-        k = run.steps.index(reduction.store_index)
-        configs = list(run.configs[:k + 1])
-        steps = list(run.steps[:k])
-        for i in range(k + 1, len(run.steps) - 1):
-            step = run.steps[i]
-            t = source.transitions[reduction.origin[step]]
-            steps.append(reduction.origin[step])
-            configs.append(Config(t.target, run.configs[i + 1].value))
-        lasso = LassoRun(tuple(configs), tuple(steps), loop_start=k)
+        # and revisited it in the copy. The store and the final test vanish
+        # in the source; the loop starts where the value was stored.
+        stored = run.steps.index(reduction.store_index)
+        lasso = _project(LassoRun(run.configs, run.steps, stored),
+                         reduction.origin, source)
     else:
         # Divergence case: the run ends with the free step into the test
         # chain and one strict test per parameter; splice in a loop of the
@@ -417,8 +412,7 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         shift = anchor.value
         configs = run.configs[:cut + 1] + tuple(
             Config(c.state, c.value + shift) for c in base.configs[1:])
-        steps = run.steps[:cut] + tuple(
-            context.origin[s] for s in base.steps)
+        steps = run.steps[:cut] + base.steps
         lasso = LassoRun(configs, steps, loop_start=cut + base.loop_start)
     defect = validate_lasso(source, gamma, lasso)
     if defect is not None:
@@ -452,8 +446,10 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     first witness is returned. Counter values are explored up to `ceiling`,
     by default max(bound, constants) + |Q'|^3 for the states Q' of the
     reduced machine; the stored value y ranges up to `store_bound`, by
-    default the ceiling.
+    default the ceiling. Negative limits are rejected.
     """
+    if min(ceiling or 0, store_bound or 0) < 0:
+        raise MachineError("ceiling and store bound must be non-negative")
     accepting = set(accepting)
     for q in sorted(accepting):
         if q not in machine.states:
@@ -717,6 +713,9 @@ class Gadget:
 
 @dataclass(frozen=True)
 class SuccinctReduction:
+    """The unary machine and sentence of `succinct_to_unary`. `origin` maps
+    a kept transition to itself and a gadget's exit to its large update;
+    other gadget steps have no image, and `_project` drops them."""
     machine: CounterMachine
     formula: Formula
     source: CounterMachine
@@ -724,8 +723,7 @@ class SuccinctReduction:
     bit_one: str
     seps: Mapping[int, str]          # update value -> delimiter proposition
     gadgets: Mapping[int, Gadget]    # source transition index -> gadget
-    copy_origin: Mapping[int, int]   # kept transition -> source transition
-    exit_origin: Mapping[int, int]   # gadget exit transition -> source transition
+    origin: Mapping[int, int]        # unary transition -> source transition
 
 
 def _is_nnf(phi: Formula) -> bool:
@@ -839,8 +837,7 @@ def succinct_to_unary(machine: CounterMachine,
         return SuccinctReduction(
             machine=machine, formula=phi, source=machine,
             bit_zero="0", bit_one="1", seps={},
-            gadgets={}, copy_origin={i: i for i in range(len(machine.transitions))},
-            exit_origin={})
+            gadgets={}, origin={i: i for i in range(len(machine.transitions))})
 
     used_props = set().union(*machine.labels.values()) if machine.labels else set()
     used_props |= {f.name for f in subformulas(phi) if isinstance(f, Prop)}
@@ -858,8 +855,7 @@ def succinct_to_unary(machine: CounterMachine,
     taken = set(machine.states)
     triples: list = []
     labels = {q: set(ps) for q, ps in machine.labels.items()}
-    copy_origin: dict[int, int] = {}
-    exit_origin: dict[int, int] = {}
+    origin: dict[int, int] = {}
     gadgets: dict[int, Gadget] = {}
 
     def fresh_state(base: str, props) -> str:
@@ -870,7 +866,7 @@ def succinct_to_unary(machine: CounterMachine,
 
     for i, t in enumerate(machine.transitions):
         if not (isinstance(t.op, Update) and abs(t.op.delta) >= 2):
-            copy_origin[len(triples)] = i
+            origin[len(triples)] = i
             triples.append((t.source, t.op, t.target))
             continue
         z = t.op.delta
@@ -893,7 +889,7 @@ def succinct_to_unary(machine: CounterMachine,
         step = Update(1 if z > 0 else -1)
         triples.append((ones[-1], step, exit_))
         triples.append((zeros[-1], step, exit_))
-        exit_origin[len(triples)] = i
+        origin[len(triples)] = i
         triples.append((exit_, Update(0), t.target))
         gadgets[i] = Gadget(entry=entry, ones=ones, zeros=zeros, exit=exit_,
                             sign=1 if z > 0 else -1)
@@ -905,7 +901,7 @@ def succinct_to_unary(machine: CounterMachine,
     return SuccinctReduction(
         machine=unary, formula=And(translated, counter), source=machine,
         bit_zero=bit_zero, bit_one=bit_one, seps=seps, gadgets=gadgets,
-        copy_origin=copy_origin, exit_origin=exit_origin)
+        origin=origin)
 
 
 # ---------------------------------------------------------------------------
@@ -925,27 +921,32 @@ class McWitness:
     formula_checked: bool
 
 
-def _project(run: Run, marks, origin: Mapping[int, int],
-             source: CounterMachine) -> tuple[Run, list[int]]:
-    """Map a run of a derived machine onto its `source`: a step in `origin`
-    becomes the source transition it maps to, any other step vanishes, and
-    counter values carry over. Also maps each mark (a configuration index)
-    to the index of its image."""
-    configs = [Config(source.initial, run.configs[0].value)]
+def _project(lasso: LassoRun, origin: Mapping[int, int],
+             source: CounterMachine) -> LassoRun:
+    """Map a lasso of a derived machine onto its `source`: a step in
+    `origin` becomes the source transition it maps to, any other step
+    vanishes, and counter values carry over. The loop starts at the last
+    configuration emitted at or before the derived loop start. Every
+    reduction that adds steps sends its witness back through here: the
+    tableau product, the unary expansion, and the Buchi copy, whose run to
+    the target comes with its store step as the loop start."""
+    configs = [Config(source.initial, lasso.configs[0].value)]
     steps: list[int] = []
-    image = [0]
-    for pos, step in enumerate(run.steps):
+    for pos, step in enumerate(lasso.steps):
         emitted = origin.get(step)
         if emitted is not None:
             steps.append(emitted)
             configs.append(Config(source.transitions[emitted].target,
-                                  run.configs[pos + 1].value))
-        image.append(len(configs) - 1)
-    return Run(tuple(configs), tuple(steps)), [image[m] for m in marks]
+                                  lasso.configs[pos + 1].value))
+    loop_start = sum(step in origin for step in lasso.steps[:lasso.loop_start])
+    return LassoRun(tuple(configs), tuple(steps), loop_start)
 
 
-def _register_free(phi: Formula) -> bool:
-    return not any(isinstance(f, RegTest) for f in subformulas(phi))
+def word_checkable(lasso: LassoRun, phi: Formula) -> bool:
+    """Whether the word a lasso spells is checked against `phi`: unless the
+    loop gains counter value and `phi` tests a register."""
+    return lasso.loop_delta == 0 or not any(
+        isinstance(f, RegTest) for f in subformulas(phi))
 
 
 def lasso_word(machine: CounterMachine, lasso: LassoRun) -> LassoWord:
@@ -992,37 +993,23 @@ def model_check(machine: CounterMachine, phi: Formula,
     if defect is not None:
         raise AssertionError(
             f"model_check produced an invalid lasso: {defect.reason}")
-    word: Optional[LassoWord] = None
-    checked = False
-    if lasso.loop_delta == 0 or _register_free(phi):
-        word = lasso_word(machine, lasso)
-        checked = True
-        if not evaluate(word, 0, {}, phi):
-            raise AssertionError(
-                "model_check witness fails the formula re-check")
+    checked = word_checkable(lasso, phi)
+    word = lasso_word(machine, lasso) if checked else None
+    if checked and not evaluate(word, 0, {}, phi):
+        raise AssertionError("model_check witness fails the formula re-check")
     return McWitness(gamma=dict(found.certificate.gamma), lasso=lasso,
                      word=word, formula_checked=checked)
 
 
 def _translate_lasso(product_lasso: LassoRun, mc: McReduction,
                      succinct: Optional[SuccinctReduction]) -> LassoRun:
-    """Turn a product lasso into a lasso of the original machine by unrolling
-    two loop iterations, projecting away tableau (and gadget) steps, and
-    cutting the projected run at the images of the loop boundaries."""
-    unrolled = product_lasso.unroll(2)
-    loop_steps = len(product_lasso.steps) - product_lasso.loop_start
-    marks = [product_lasso.loop_start,
-             product_lasso.loop_start + loop_steps,
-             product_lasso.loop_start + 2 * loop_steps]
+    """Turn a product lasso into a lasso of the original machine by
+    projecting away tableau (and gadget) steps."""
     # Tableau chain and initialization steps vanish; so do gadget steps
     # other than the exit, which stands for the whole large update.
-    projected, marks = _project(unrolled, marks, mc.step_origin, mc.source)
+    lasso = _project(product_lasso, mc.step_origin, mc.source)
     if succinct is not None:
-        projected, marks = _project(
-            projected, marks,
-            {**succinct.copy_origin, **succinct.exit_origin}, succinct.source)
-    first, second = marks[0], marks[1]
-    if second == first:
+        lasso = _project(lasso, succinct.origin, succinct.source)
+    if lasso.loop_start == len(lasso.steps):
         raise AssertionError("product loop projects to an empty loop")
-    return LassoRun(projected.configs[:second + 1],
-                    projected.steps[:second], loop_start=first)
+    return lasso

@@ -14,6 +14,9 @@ from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
+    MachineError,
+    ParamTest,
+    Transition,
     Update,
     bounded_reach_oracle,
     fresh_name,
@@ -95,24 +98,29 @@ def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
                                          segment))
 
 
+def _kept(stripped: StrippedMachine) -> list[tuple[int, Transition]]:
+    """The (source transition index, transition) pairs a stripped machine
+    lists over all its states, in index order."""
+    return sorted((entry for q in stripped.states
+                   for entry in stripped.outgoing(q)), key=lambda e: e[0])
+
+
 class TestStripTests:
     def test_updates_only_unchanged(self):
         m = CounterMachine.build([("a", "+1", "b"), ("b", "-1", "a")], initial="a")
         stripped = _strip_at(m, 0, (0, 4), {})
-        assert stripped.machine.transitions == m.transitions
-        assert stripped.origin == (0, 1)
+        assert _kept(stripped) == list(enumerate(m.transitions))
 
     def test_below_test_becomes_zero_update(self):
         m = CounterMachine.build([("q", "<x:x1", "q2")], initial="q", params=["x1"])
         stripped = _strip_at(m, 0, (0, 3, 7), {"x1": 3})
-        assert stripped.machine.transitions[0].op == Update(0)
-        assert stripped.origin == (0,)
+        assert _kept(stripped) == [(0, Transition("q", Update(0), "q2"))]
 
     def test_equality_test_removed(self):
         m = CounterMachine.build([("q", "=x:x1", "q2")], initial="q", params=["x1"])
         for segment in (0, 1):
             stripped = _strip_at(m, segment, (0, 3, 7), {"x1": 3})
-            assert stripped.machine.transitions == ()
+            assert _kept(stripped) == []
 
     def test_case_table(self):
         m = CounterMachine.build(
@@ -122,8 +130,44 @@ class TestStripTests:
         gamma = {"x1": 2, "x2": 5}
         # Inside (2, 5): >x1 and <x2 hold throughout, the others never.
         stripped = _strip_at(m, 1, (0, 2, 5, 9), gamma)
-        assert stripped.origin == (0, 3)
-        assert all(t.op == Update(0) for t in stripped.machine.transitions)
+        assert [i for i, _t in _kept(stripped)] == [0, 3]
+        assert all(t.op == Update(0) for _i, t in _kept(stripped))
+
+    def test_outgoing_names_source_transitions(self):
+        # Under every pattern, each listed entry is the source transition
+        # of its index, with the same endpoints and the source update as
+        # its effect, or 0 for a parameter test that holds. Every update and
+        # every holding test is listed, and nothing else: no zero test and
+        # no test that does not hold.
+        rng = random.Random(4242)
+        patterns = 0
+        for _ in range(120):
+            m = random_machine(rng, max_states=4, max_params=2)
+            tested = [i for i, t in enumerate(m.transitions)
+                      if isinstance(t.op, ParamTest)]
+            for pattern in itertools.product((False, True),
+                                             repeat=len(tested)):
+                holds = dict(zip(tested, pattern))
+                stripped = _strip(m, pattern)
+                assert stripped.states == m.states
+                listed = []
+                for q in sorted(m.states):
+                    indices = [i for i, _t in stripped.outgoing(q)]
+                    assert indices == sorted(indices)
+                    for i, t in stripped.outgoing(q):
+                        source = m.transitions[i]
+                        assert source.source == t.source == q
+                        assert t.target == source.target
+                        if isinstance(source.op, Update):
+                            assert t.op == source.op
+                        else:
+                            assert holds[i] and t.op == Update(0)
+                    listed.extend(indices)
+                assert sorted(listed) == [
+                    i for i, t in enumerate(m.transitions)
+                    if isinstance(t.op, Update) or holds.get(i, False)]
+                patterns += 1
+        assert patterns >= 200
 
     def test_stripped_runs_match_direct_interval_search(self):
         # A run through one open interval exists in the stripped machine iff
@@ -168,14 +212,14 @@ class TestStripTests:
                 q, q2 = rng.choice(states), rng.choice(states)
                 for v_start, v_goal in ((lo, hi), (hi, lo)):
                     got = _interval_reach(
-                        stripped.machine, Config(q, v_start),
+                        stripped, Config(q, v_start),
                         Config(q2, v_goal), lo, hi)
                     want = direct(m, gamma, Config(q, v_start),
                                   Config(q2, v_goal), lo, hi, strict=False)
                     assert got == want
                 for v in (lo, hi):
                     got = Config(q2, v) in _segment_exits(
-                        stripped.machine, Config(q, v), lo, hi)
+                        stripped, Config(q, v), lo, hi)
                     want = direct(m, gamma, Config(q, v), Config(q2, v),
                                   lo, hi, strict=True)
                     assert got == want
@@ -303,6 +347,15 @@ class TestParametricReach:
         with pytest.raises(ClassMismatch):
             parametric_reach(m, "q2", 4)
 
+    @pytest.mark.parametrize("limits", [{"bounds": {"x": -1}},
+                                        {"ceiling": -1}])
+    def test_negative_limit_rejected(self, limits):
+        m = CounterMachine.build([("a", "+1", "a"), ("a", ">x:x", "b")],
+                                 initial="a", params=["x"])
+        assert parametric_reach(m, "b", 3) is not None
+        with pytest.raises(MachineError):
+            parametric_reach(m, "b", 3, **limits)
+
     def test_needs_distinct_levels(self):
         # q2 requires the counter strictly between the two parameters.
         m = CounterMachine.build(
@@ -379,7 +432,7 @@ def _random_test_free(rng: random.Random) -> StrippedMachine:
                for _ in range(rng.randint(1, 3 * len(states)))]
     machine = CounterMachine.build(triples, initial=states[0],
                                    extra_states=states)
-    return StrippedMachine(machine, tuple(range(len(triples))))
+    return _strip(machine, ())
 
 
 def _with_sink(machine: CounterMachine, target: str):
@@ -412,12 +465,10 @@ class TestSharedIntervalWork:
             lo = rng.randint(1, 9)
             width = rng.randint(1, 6)
             hi = lo + width
-            for q in sorted(strip.machine.states):
+            for q in sorted(strip.states):
                 for side in (0, width):
-                    got = _segment_exits(strip.machine, Config(q, lo + side),
-                                         lo, hi)
-                    base = _segment_exits(strip.machine, Config(q, side), 0,
-                                          width)
+                    got = _segment_exits(strip, Config(q, lo + side), lo, hi)
+                    base = _segment_exits(strip, Config(q, side), 0, width)
                     shifted = [
                         (Config(c.state, c.value + lo),
                          tuple(Config(d.state, d.value + lo)

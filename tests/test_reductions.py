@@ -28,6 +28,7 @@ from flatmc.machines import (
     Config,
     CounterMachine,
     MachineError,
+    ParamTest,
     Update,
     rep_reach_oracle,
     successors,
@@ -188,6 +189,16 @@ class TestRepeatedReach:
         assert repeated_reach(m, ["s1", "s2"], 1, ceiling=256,
                               store_bound=1) is None
 
+    @pytest.mark.parametrize("limits", [{"store_bound": -1},
+                                        {"ceiling": -1}])
+    def test_negative_limit_rejected(self, limits):
+        m = CounterMachine.build([("a", "-1", "a"), ("a", "=x:x", "b"),
+                                  ("b", "+1", "b")],
+                                 initial="a", params=["x"])
+        assert repeated_reach(m, ["b"], 2) is not None
+        with pytest.raises(MachineError):
+            repeated_reach(m, ["b"], 2, **limits)
+
     def test_bad_input_rejected_before_the_cycle_filter(self):
         # Neither accepting state lies on a cycle, so no search would run.
         succinct = CounterMachine.build([("q", "+2", "r")], initial="q")
@@ -204,9 +215,11 @@ class TestRepeatedReach:
              ("b", "=x:x", "a"), ("a", "=0", "b"), ("a", "-1", "a")],
             initial="a", params=["x"])
         context = divergence_context(m)
-        assert context.origin == (0, 1, 5)
-        assert [t.op for t in context.machine.transitions] == \
-            [Update(1), Update(0), Update(-1)]
+        kept = sorted((entry for q in context.machine.states
+                       for entry in context.machine.outgoing(q)),
+                      key=lambda e: e[0])
+        assert [(i, t.op) for i, t in kept] == \
+            [(0, Update(1)), (1, Update(0)), (5, Update(-1))]
 
 
 def closes_from(machine, state, value, cap):
@@ -226,6 +239,18 @@ def closes_from(machine, state, value, cap):
     return False
 
 
+def divergence_machine(machine):
+    """The test-free machine `divergence_context` analyses, built without
+    stripping: updates are kept, greater-than tests become 0-updates, and
+    every other test is dropped."""
+    return CounterMachine.build(
+        [(t.source, t.op if isinstance(t.op, Update) else Update(0), t.target)
+         for t in machine.transitions
+         if isinstance(t.op, Update)
+         or isinstance(t.op, ParamTest) and t.op.rel == ">"],
+        initial=machine.initial, extra_states=machine.states)
+
+
 def scc_size(context, state):
     return sum(1 for c in context.component.values()
                if c == context.component[state])
@@ -241,7 +266,7 @@ class TestDivergenceContext:
         for _ in range(40):
             m = random_machine(rng, max_states=4, max_params=1, density=3.0)
             context = divergence_context(m)
-            free = context.machine
+            free = divergence_machine(m)
             cap = 8 * len(free.states) ** 3
             for f in sorted(free.states):
                 entries = context.loop_entries(f)
