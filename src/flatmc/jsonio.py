@@ -62,6 +62,12 @@ def machine_from_data(data: Any) -> CounterMachine:
             raise MachineError(f"machine file misses {key!r}")
     if not isinstance(data["initial"], str):
         raise MachineError("initial must be a string")
+    states = _strings(data["states"], "states")
+    listed = set(states)
+    if len(listed) != len(states):
+        raise MachineError("states lists a name twice")
+    if data["initial"] not in listed:
+        raise MachineError(f"initial state {data['initial']!r} not in states")
     labels = data.get("labels") or {}
     if not isinstance(labels, dict):
         raise MachineError("labels must map states to lists of propositions")
@@ -76,13 +82,15 @@ def machine_from_data(data: Any) -> CounterMachine:
         for key in _TRANSITION_KEYS:
             if not isinstance(entry.get(key), str):
                 raise MachineError(f"transition {i} needs a string {key!r}")
+        if not {entry["from"], entry["to"]} <= listed:
+            raise MachineError(f"transition {i} has an endpoint not in states")
         transitions.append((entry["from"], parse_op(entry["op"]), entry["to"]))
     return CounterMachine.build(
         transitions,
         initial=data["initial"],
         params=_strings(data.get("params", []), "params"),
         labels=labels or None,
-        extra_states=_strings(data["states"], "states"))
+        extra_states=states)
 
 
 def run_to_data(run: Run) -> list[dict]:
@@ -97,8 +105,6 @@ def run_to_data(run: Run) -> list[dict]:
 def _run_from_data(data: Any) -> Run:
     if not isinstance(data, list) or not data:
         raise MachineError("witness run must be a nonempty list")
-    configs = []
-    steps = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or set(entry) - _ENTRY_KEYS:
             raise MachineError(f"malformed run entry at index {i}")
@@ -106,13 +112,12 @@ def _run_from_data(data: Any) -> Run:
             raise MachineError(f"run entry {i} needs a string state")
         if not _is_int(entry.get("value")):
             raise MachineError(f"run entry {i} needs an integer value")
-        configs.append(Config(entry["state"], entry["value"]))
-        if i > 0:
-            via = entry.get("via")
-            if not _is_int(via):
-                raise MachineError(f"run entry {i} misses its transition index")
-            steps.append(via)
-    return Run(tuple(configs), tuple(steps))
+        if i == 0 and entry.get("via") is not None:
+            raise MachineError("the first run entry has no transition index")
+        if i > 0 and not _is_int(entry.get("via")):
+            raise MachineError(f"run entry {i} misses its transition index")
+    return Run(tuple(Config(e["state"], e["value"]) for e in data),
+               tuple(e["via"] for e in data[1:]))
 
 
 class WitnessFile:

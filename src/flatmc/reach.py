@@ -158,22 +158,25 @@ def _run(start: Config, path: list) -> Run:
 # ---------------------------------------------------------------------------
 
 def _segment_exits(machine: CounterMachine | StrippedMachine, start: Config,
-                   lo: int, hi: int) -> dict[Config, Run]:
+                   lo: int, hi: int,
+                   target: Optional[str] = None) -> dict[Config, Run]:
     """Shortest runs of a unary machine from `start`, on a boundary value,
     through the open interval (lo, hi) to each reachable configuration back
-    on a boundary value. Exits to the start's own value require at least one
-    interior configuration (value-preserving steps on the level are handled
-    by the caller); exits to the opposite boundary may be direct. Tests of
+    on a boundary value or, inside the interval, of `target`, where runs
+    stop. Exits to the start's own value require at least one interior
+    configuration (value-preserving steps on the level are handled by the
+    caller); exits to the opposite boundary may be direct. Tests of
     `machine` are evaluated as they stand; a zero test never fires inside
     the interval."""
-    # Ends are the configurations outside the open interval. Unary steps
-    # from inside it end on a boundary value; only the start's steps can
-    # leave [lo, hi] or stay on its value, and those are not exits.
+    # Ends are the configurations outside the open interval, and the target's.
+    # Unary steps from inside it end on a boundary value; only the start's
+    # steps can leave [lo, hi] or stay on its value, and those are not exits.
     steps = functools.partial(successors, machine, {})
     parents: dict = {}
     exits: dict[Config, Run] = {}
-    for here, step, end in _bfs(start, steps, lambda c: not lo < c.value < hi,
-                                parents):
+    for here, step, end in _bfs(
+            start, steps, lambda c: not lo < c.value < hi or c.state == target,
+            parents):
         if (end not in exits and lo <= end.value <= hi
                 and (here != start or end.value != start.value)):
             exits[end] = _run(start, _path(parents, here) + [(step, end)])
@@ -407,38 +410,30 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     top = ceiling if ceiling is not None else highest + len(machine.states) ** 3
     top = max(top, highest + 1)
 
-    sink = fresh_name("sink", machine.states)
-    extended = CounterMachine.build(
-        [(t.source, t.op, t.target) for t in machine.transitions]
-        + [(target, Update(0), sink), (sink, Update(-1), sink)],
-        initial=machine.initial, params=machine.params,
-        extra_states=machine.states)
-
-    tests = _param_tests(extended)
+    tests = _param_tests(machine)
     memo: dict = {}
     if (any(lo < hi for lo, hi in ranges.values())
-            and _level_search(extended, tests, ranges, sink, top, memo) is None):
+            and _level_search(machine, tests, ranges, target, top, memo) is None):
         return None
     for gamma in enumerate_gammas(machine.params, ranges):
         point = {x: (v, v) for x, v in gamma.items()}
-        run = _level_search(extended, tests, point, sink, top, memo)
+        run = _level_search(machine, tests, point, target, top, memo)
         if run is None:
             continue
-        cut = next(i for i, c in enumerate(run.configs) if c.state == sink)
-        trimmed = Run(run.configs[:cut], run.steps[:cut - 1])
-        defect = validate_run(machine, gamma, trimmed)
-        if defect is not None or trimmed.configs[-1].state != target:
+        defect = validate_run(machine, gamma, run)
+        if defect is not None or run.configs[-1].state != target:
             raise AssertionError(
                 f"solver produced an invalid witness: {defect}")
-        return ReachWitness(dict(gamma), trimmed)
+        return ReachWitness(dict(gamma), run)
     return None
 
 
 def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
-                  box: Mapping[str, tuple[int, int]], sink: str, top: int,
+                  box: Mapping[str, tuple[int, int]], target: str, top: int,
                   memo: dict) -> Optional[Run]:
-    """Search for a run from (initial, 0) to (sink, 0) whose configurations
-    touch the level values at the joints, with excursions strictly between
+    """Search for a run from (initial, 0) to its first configuration of
+    `target`, on a level or inside an interval, whose configurations touch
+    the level values at the joints, with excursions strictly between
     adjacent levels in between.
 
     `box` maps each parameter to an inclusive range (lo, hi), and a test
@@ -451,7 +446,8 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     test pattern to its stripped machine and to the exits already found,
     keyed by start state, start side and interval width. An exit is stored
     relative to the lower end of its interval; its steps are transitions of
-    `machine`, since a stripped machine keeps their indices."""
+    `machine`, since a stripped machine keeps their indices. Exits stop at
+    `target`, so one memo serves one target."""
     level_values = sorted({0, top, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
@@ -472,7 +468,8 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
         if key not in exits:
             start = Config(here.state, 0 if from_lo else width)
             exits[key] = [(end, run.configs[1:], run.steps) for end, run
-                          in _segment_exits(strip, start, 0, width).items()]
+                          in _segment_exits(strip, start, 0, width,
+                                            target).items()]
         return exits[key]
 
     def stays(op, value: int) -> bool:
@@ -486,10 +483,9 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the relaxed machine) or traverse one open
     # interval (a run of the stripped machine, shifted up by the interval's
-    # lower end). An edge is the chunk of run it adds.
+    # lower end) to a level or the target. An edge is the chunk of run it adds.
     start = Config(machine.initial, 0)
-    goal = Config(sink, 0)
-    if start == goal:
+    if start.state == target:
         return Run((start,), ())
 
     def moves(here: Config):
@@ -504,7 +500,7 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
                 for end, configs, steps in exits_from(here, segment):
                     yield (configs, steps, lo), Config(end.state, end.value + lo)
 
-    path = _first_path(start, moves, goal.__eq__)
+    path = _first_path(start, moves, lambda c: c.state == target)
     if path is None:
         return None
     all_configs: list[Config] = [start]

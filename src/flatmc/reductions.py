@@ -967,18 +967,11 @@ def model_check(machine: CounterMachine, phi: Formula,
     values).
     """
     _require_flat_sentence(phi)
-    cls = classify(machine)
-    if cls not in (MachineClass.OCA, MachineClass.OCA_S):
+    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_S):
         raise ClassMismatch(
             "model_check expects a parameterless machine with zero tests only")
-    normal = nnf(phi)
-    if cls is MachineClass.OCA_S:
-        succinct = succinct_to_unary(machine, normal)
-    else:
-        succinct = None
-    work = succinct.machine if succinct else machine
-    work_phi = succinct.formula if succinct else normal
-    mc = flat_mc_to_buchi(work, work_phi)
+    succinct = succinct_to_unary(machine, nnf(phi))
+    mc = flat_mc_to_buchi(succinct.machine, succinct.formula)
     scale = max((abs(t.op.delta) for t in machine.transitions
                  if isinstance(t.op, Update)), default=1)
     ceiling = (bound + scale * len(machine.states) ** 3
@@ -1002,14 +995,13 @@ def model_check(machine: CounterMachine, phi: Formula,
 
 
 def _translate_lasso(product_lasso: LassoRun, mc: McReduction,
-                     succinct: Optional[SuccinctReduction]) -> LassoRun:
+                     succinct: SuccinctReduction) -> LassoRun:
     """Turn a product lasso into a lasso of the original machine by
-    projecting away tableau (and gadget) steps."""
+    projecting away tableau and gadget steps."""
     # Tableau chain and initialization steps vanish; so do gadget steps
     # other than the exit, which stands for the whole large update.
-    lasso = _project(product_lasso, mc.step_origin, mc.source)
-    if succinct is not None:
-        lasso = _project(lasso, succinct.origin, succinct.source)
+    lasso = _project(_project(product_lasso, mc.step_origin, mc.source),
+                     succinct.origin, succinct.source)
     if lasso.loop_start == len(lasso.steps):
         raise AssertionError("product loop projects to an empty loop")
     return lasso

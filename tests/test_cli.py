@@ -48,6 +48,16 @@ def write(tmp_path):
     return _write
 
 
+# Machine files that name a state outside their `states` list, or list one
+# twice: each field to replace, the target to query, and the message.
+UNLISTED = {
+    "duplicate": ({"states": ["q", "q2", "q"]}, "q2", "a name twice"),
+    "initial": ({"initial": "b"}, "q2", "'b' not in states"),
+    "endpoint": ({"transitions": [{"from": "q", "op": "+1", "to": "typo"}]},
+                 "typo", "transition 0 has an endpoint not in states"),
+}
+
+
 class TestMachineFormat:
     def test_round_trip(self):
         rng = random.Random(1)
@@ -69,6 +79,15 @@ class TestMachineFormat:
         data["transitions"] = [{"from": "q", "op": "+1"}]
         with pytest.raises(MachineError):
             machine_from_data(data)
+
+    @pytest.mark.parametrize("case", UNLISTED)
+    def test_unlisted_or_repeated_state_is_input_error(self, case, write,
+                                                       capsys):
+        fields, target, message = UNLISTED[case]
+        machine = write("m.json", dict(CLIMB_AND_TEST, **fields))
+        assert main(["reach", machine, "--target", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestReach:
@@ -403,6 +422,17 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"gamma": {}, "run": [], "note": "?"}))
         assert main(["check", str(bad), machine_path]) == 2
+
+    def test_via_on_the_first_entry_is_input_error(self, write, tmp_path,
+                                                   capsys):
+        machine_path = write("m.json", CLIMB_AND_TEST)
+        witness = parametric_reach(machine_from_data(CLIMB_AND_TEST), "q2", 3)
+        data = witness_to_data(witness.gamma, witness.run)
+        data["run"][0]["via"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad), machine_path]) == 2
+        assert "first run entry" in capsys.readouterr().err
 
     def test_agrees_with_library_validators(self, write, tmp_path):
         rng = random.Random(31337)

@@ -19,7 +19,6 @@ from flatmc.machines import (
     Transition,
     Update,
     bounded_reach_oracle,
-    fresh_name,
     rep_reach_oracle,
     validate_run,
 )
@@ -337,6 +336,14 @@ class TestParametricReach:
         w = parametric_reach(m, "q", 4)
         assert w is not None and len(w.run) == 0
 
+    def test_run_stops_at_the_first_target_configuration(self):
+        # The target is one level step away; no detour through value 1.
+        m = CounterMachine.build([("a", "+1", "a"), ("a", "0", "t")],
+                                 initial="a")
+        w = parametric_reach(m, "t", 0)
+        assert w.run.configs == (Config("a", 0), Config("t", 0))
+        assert w.run.steps == (1,)
+
     def test_rejects_unfolded_constants(self):
         m = CounterMachine.build([("q", "=c:2", "q2")], initial="q")
         with pytest.raises(ClassMismatch):
@@ -435,18 +442,6 @@ def _random_test_free(rng: random.Random) -> StrippedMachine:
     return _strip(machine, ())
 
 
-def _with_sink(machine: CounterMachine, target: str):
-    """The machine `parametric_reach` searches: `machine` plus a fresh sink,
-    entered from `target`, that counts down to 0; and the sink's name."""
-    sink = fresh_name("sink", machine.states)
-    extended = CounterMachine.build(
-        [(t.source, t.op, t.target) for t in machine.transitions]
-        + [(target, Update(0), sink), (sink, Update(-1), sink)],
-        initial=machine.initial, params=machine.params,
-        extra_states=machine.states)
-    return extended, sink
-
-
 class _Forgetful(dict):
     """A memo that stores nothing, so every lookup is computed afresh."""
 
@@ -497,30 +492,26 @@ class TestSharedIntervalWork:
             reduction = buchi_to_reach(m, accept)
             for machine, target in ((m, accept),
                                     (reduction.machine, reduction.target)):
-                extended, sink = _with_sink(machine, target)
-                tests = _param_tests(extended)
+                tests = _param_tests(machine)
                 memo: dict = {}
                 if machine.params:
                     box = {x: (0, bound) for x in machine.params}
-                    assert (_level_search(extended, tests, box, sink,
+                    assert (_level_search(machine, tests, box, target,
                                           ceiling, memo)
-                            == _level_search(extended, tests, box, sink,
+                            == _level_search(machine, tests, box, target,
                                              ceiling, _Forgetful()))
                     boxes += 1
                 first = None
                 for gamma in all_gammas(machine.params, bound):
                     point = {x: (v, v) for x, v in gamma.items()}
-                    shared = _level_search(extended, tests, point, sink,
+                    shared = _level_search(machine, tests, point, target,
                                            ceiling, memo)
-                    fresh = _level_search(extended, tests, point, sink,
+                    fresh = _level_search(machine, tests, point, target,
                                           ceiling, _Forgetful())
                     assert shared == fresh
                     compared += 1
                     if fresh is not None and first is None:
-                        cut = next(i for i, c in enumerate(fresh.configs)
-                                   if c.state == sink)
-                        first = (gamma, fresh.configs[:cut],
-                                 fresh.steps[:cut - 1])
+                        first = (gamma, fresh.configs, fresh.steps)
                 got = parametric_reach(machine, target, bound, ceiling=ceiling)
                 if first is None:
                     assert got is None
@@ -534,8 +525,7 @@ class TestSharedIntervalWork:
 def _box_search(machine: CounterMachine, target: str, box: dict,
                 ceiling: int):
     """The level search of `parametric_reach` on one box of ranges."""
-    extended, sink = _with_sink(machine, target)
-    return _level_search(extended, _param_tests(extended), box, sink,
+    return _level_search(machine, _param_tests(machine), box, target,
                          ceiling, {})
 
 
