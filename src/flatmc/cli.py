@@ -213,6 +213,13 @@ def cmd_check(args) -> int:
         if x not in witness.gamma:
             raise InputError(f"gamma misses parameter {x!r}")
     phi = _load_formula(args.formula) if args.formula else None
+    # The gamma of an `mc` witness, checked with its formula on a
+    # parameterless machine, instantiates the parameters model checking
+    # derives from the formula; the machine never reads them.
+    unknown = sorted(set(witness.gamma) - set(machine.params))
+    if unknown and (phi is None or machine.params):
+        raise InputError(f"gamma names {unknown[0]!r}, which is no parameter "
+                         f"of the machine")
 
     def reject(reason: str) -> int:
         _report(args, f"invalid witness: {reason}")

@@ -18,9 +18,12 @@ a test-free unary machine through an interval are invariant under shifting
 the interval: interior values stay positive, and a decrement at the lower
 end leaves the interval whether or not it is enabled there. So the exits of
 an interval depend only on the pattern, the start state and side, and the
-width, and are searched once and shifted into place. Instantiations are
-still tried one at a time in the documented order, so the first witness is
-the same as without sharing.
+width, and are searched once and shifted into place. Every search of one
+call also places a level at the largest end of any parameter range, so the
+widest interval, from there up to the ceiling, has the same width in all of
+them and its exits are searched once. Instantiations are still tried one at
+a time in the documented order, so the first witness is the same as without
+sharing.
 
 Before any instantiation is tried, one search decides the whole box of
 parameter ranges at once, on a relaxed machine in which a parameter test
@@ -385,6 +388,19 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
       exact for one instantiation, whose tests change only at its levels.
     So if the box search finds no run, no instantiation in the box has a
     run below the ceiling, and neither does any level search among them.
+
+    Every search of the call, the box search and each instantiation's, also
+    has a level at `peak`, the largest end of any range, so the interval
+    from `peak` to the ceiling has one width and its exits are searched
+    once per pattern, start state and side. An extra level changes no
+    verdict: the level search is exact for any set of levels that includes
+    0, the ceiling and every value at which a test changes.
+    - A unary run that crosses a level value touches it, so every run below
+      the ceiling splits into chunks at the finer set of levels: steps on a
+      level, and excursions strictly between two adjacent ones.
+    - Conversely, every path of the level graph over the finer set is still
+      a run, since each of its chunks is.
+    Only which run the breadth-first search meets first may differ.
     """
     _require_unary_zero_tests(machine, "parametric_reach")
     if target not in machine.states:
@@ -412,12 +428,15 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
 
     tests = _param_tests(machine)
     memo: dict = {}
+    # Every search shares a level at the largest end of any range.
+    peak = (max(hi for _lo, hi in ranges.values()),) if ranges else ()
     if (any(lo < hi for lo, hi in ranges.values())
-            and _level_search(machine, tests, ranges, target, top, memo) is None):
+            and _level_search(machine, tests, ranges, target, top, memo,
+                              peak) is None):
         return None
     for gamma in enumerate_gammas(machine.params, ranges):
         point = {x: (v, v) for x, v in gamma.items()}
-        run = _level_search(machine, tests, point, target, top, memo)
+        run = _level_search(machine, tests, point, target, top, memo, peak)
         if run is None:
             continue
         defect = validate_run(machine, gamma, run)
@@ -430,7 +449,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
 
 def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
                   box: Mapping[str, tuple[int, int]], target: str, top: int,
-                  memo: dict) -> Optional[Run]:
+                  memo: dict, levels: tuple[int, ...]) -> Optional[Run]:
     """Search for a run from (initial, 0) to its first configuration of
     `target`, on a level or inside an interval, whose configurations touch
     the level values at the joints, with excursions strictly between
@@ -440,7 +459,9 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     against it fires wherever some value in the range lets it fire (see
     `parametric_reach`); an instantiation is the box whose ranges are single
     values (v, v), under which each test fires exactly as it reads. The
-    levels are 0, `top` and both ends of every range.
+    levels are 0, `top`, both ends of every range and the values in
+    `levels`, each below `top`; any such set decides the same reachability
+    (see `parametric_reach`).
 
     `memo` carries the interval work from one search to the next: it maps a
     test pattern to its stripped machine and to the exits already found,
@@ -448,7 +469,7 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     relative to the lower end of its interval; its steps are transitions of
     `machine`, since a stripped machine keeps their indices. Exits stop at
     `target`, so one memo serves one target."""
-    level_values = sorted({0, top, *itertools.chain(*box.values())})
+    level_values = sorted({0, top, *levels, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
     span_of = {x: (index_of[lo], index_of[hi]) for x, (lo, hi) in box.items()}

@@ -417,6 +417,30 @@ class TestCheck:
         bad.write_text(json.dumps(data))
         assert main(["check", str(bad), machine_path]) == 2
 
+    def test_gamma_naming_no_parameter_is_input_error(self, write, capsys):
+        machine_path = write("m.json", CLIMB_AND_TEST)
+        bad = write("bad.json", {"gamma": {"x": 0, "zz": 3}, "run": [
+            {"state": "q", "value": 0, "via": None},
+            {"state": "q", "value": 1, "via": 0}]})
+        for formula in ([], ["G true"]):
+            assert main(["check", bad, machine_path, *formula]) == 2
+            assert "'zz'" in capsys.readouterr().err
+
+    def test_mc_witness_names_derived_parameters(self, write, tmp_path):
+        # Its gamma instantiates the register and the stored value of the
+        # model-checking product, which the parameterless machine never
+        # reads; it is checked with its formula.
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q", "labels": {"q": ["p"]},
+            "transitions": [{"from": "q", "op": "+1", "to": "r"},
+                            {"from": "r", "op": "-1", "to": "q"}]})
+        out = str(tmp_path / "w.json")
+        text = "F @r. G ([<r] | [=r])"
+        assert main(["mc", machine, "--formula", text, "--bound", "3",
+                     "--witness", out]) == 0
+        assert witness_from_data(json.loads(open(out).read())).gamma
+        assert main(["check", out, machine, text]) == 0
+
     def test_unknown_witness_key_is_input_error(self, write, tmp_path):
         machine_path = write("m.json", CLIMB_AND_TEST)
         bad = tmp_path / "bad.json"

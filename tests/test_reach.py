@@ -482,9 +482,11 @@ class TestSharedIntervalWork:
         # their many equality tests make one interval width recur with
         # different patterns, start states and sides. The search of the
         # whole box of ranges, which parametric_reach runs first with the
-        # same memo, is compared the same way.
+        # same memo, is compared the same way. Each search also has a level
+        # at the bound, the largest end of any range, as in parametric_reach.
         rng = random.Random(3131)
         bound, ceiling = 5, 12
+        peak = (bound,)
         compared = hits = boxes = 0
         for _ in range(60):
             m = random_machine(rng, max_states=4, max_params=1)
@@ -497,17 +499,17 @@ class TestSharedIntervalWork:
                 if machine.params:
                     box = {x: (0, bound) for x in machine.params}
                     assert (_level_search(machine, tests, box, target,
-                                          ceiling, memo)
+                                          ceiling, memo, peak)
                             == _level_search(machine, tests, box, target,
-                                             ceiling, _Forgetful()))
+                                             ceiling, _Forgetful(), peak))
                     boxes += 1
                 first = None
                 for gamma in all_gammas(machine.params, bound):
                     point = {x: (v, v) for x, v in gamma.items()}
                     shared = _level_search(machine, tests, point, target,
-                                           ceiling, memo)
+                                           ceiling, memo, peak)
                     fresh = _level_search(machine, tests, point, target,
-                                          ceiling, _Forgetful())
+                                          ceiling, _Forgetful(), peak)
                     assert shared == fresh
                     compared += 1
                     if fresh is not None and first is None:
@@ -524,9 +526,10 @@ class TestSharedIntervalWork:
 
 def _box_search(machine: CounterMachine, target: str, box: dict,
                 ceiling: int):
-    """The level search of `parametric_reach` on one box of ranges."""
+    """The level search of `parametric_reach` on one box of ranges, with no
+    further level."""
     return _level_search(machine, _param_tests(machine), box, target,
-                         ceiling, {})
+                         ceiling, {}, ())
 
 
 def _chain(*ops: str, params=("x",)) -> CounterMachine:
@@ -613,6 +616,115 @@ class TestBoxSearch:
         boxes = _count_level_searches(monkeypatch)
         assert parametric_reach(m, "t", 12) is None
         assert boxes == [{"x0": (0, 12), "x1": (0, 12)}]
+
+
+def _parity() -> CounterMachine:
+    """q0 +1 q1, q1 +1 q0, q0 =x t: t is reachable exactly for even x."""
+    return CounterMachine.build(
+        [("q0", "+1", "q1"), ("q1", "+1", "q0"), ("q0", "=x:x", "t")],
+        initial="q0", params=("x",))
+
+
+class TestExtraLevels:
+    def test_an_extra_level_changes_no_verdict(self):
+        # The level search is exact for any levels that include 0, the
+        # ceiling and the ends of every range, so one more level anywhere
+        # in between finds a run exactly when the search without it does.
+        # One memo serves all the searches of a machine and target, as it
+        # serves all those of one parametric_reach call.
+        rng = random.Random(5151)
+        cases = []
+        for _ in range(80):
+            m = random_machine(rng, max_states=4, max_params=2)
+            accept = rng.choice(sorted(m.states))
+            reduction = buchi_to_reach(m, accept)
+            cases += [(m, accept), (reduction.machine, reduction.target)]
+        compared = present = points = 0
+        for machine, target in cases:
+            tests = _param_tests(machine)
+            memo: dict = {}
+            box = {}
+            for x in machine.params:
+                lo = rng.randint(0, 4)
+                box[x] = (lo, lo + rng.choice([0, 0, 1, 2, 3]))
+            ceiling = max([hi for _lo, hi in box.values()], default=0)
+            ceiling += rng.randint(1, 6)
+            base = _level_search(machine, tests, box, target, ceiling, {},
+                                 ())
+            gamma = ({x: lo for x, (lo, hi) in box.items()}
+                     if all(lo == hi for lo, hi in box.values()) else None)
+            for level in range(1, ceiling):
+                got = _level_search(machine, tests, box, target, ceiling,
+                                    memo, (level,))
+                assert (got is None) == (base is None)
+                compared += 1
+                if got is None:
+                    continue
+                present += 1
+                assert got.configs[-1].state == target
+                if gamma is not None:
+                    assert validate_run(machine, gamma, got) is None
+                    points += 1
+        assert compared >= 500 and present >= 150 and points >= 50
+
+    def test_parity_survives_every_extra_level(self):
+        m = _parity()
+        tests = _param_tests(m)
+        ceiling = 10
+        memo: dict = {}
+        for x in range(7):
+            for levels in [(), *((v,) for v in range(1, ceiling))]:
+                run = _level_search(m, tests, {"x": (x, x)}, "t", ceiling,
+                                    memo, levels)
+                assert (run is not None) == (x % 2 == 0)
+                if run is not None:
+                    assert validate_run(m, {"x": x}, run) is None
+        for levels in [(), *((v,) for v in range(1, ceiling))]:
+            assert _level_search(m, tests, {"x": (1, 1)}, "t", ceiling,
+                                 memo, levels) is None
+            assert _level_search(m, tests, {"x": (1, 2)}, "t", ceiling,
+                                 memo, levels) is not None
+
+    def test_top_interval_is_searched_at_one_width(self, monkeypatch):
+        # >x0 and <x0 never fire on one value, but the box lets each fire
+        # somewhere, so the box and all four instantiations are searched.
+        # Every search has a level at the bound 3, so the interval from
+        # there to the ceiling is searched at the one width 37; without it,
+        # an instantiation x0 = v searches (v, 40) at width 40 - v. Only
+        # that interval is wider than the bound.
+        m = CounterMachine.build(
+            [("a", "+1", "a"), ("a", "-1", "a"), ("a", ">x:x0", "b"),
+             ("b", "<x:x0", "d")], initial="a", params=("x0",))
+        bound, ceiling = 3, 40
+        widths: dict = {}
+        exits = reach_module._segment_exits
+
+        def spied(machine, start, lo, hi, target=None):
+            if hi - lo > bound:
+                key = (id(machine), start.state, start.value == lo)
+                widths.setdefault(key, set()).add(hi - lo)
+            return exits(machine, start, lo, hi, target)
+
+        monkeypatch.setattr(reach_module, "_segment_exits", spied)
+        boxes = _count_level_searches(monkeypatch)
+        assert parametric_reach(m, "d", bound, ceiling=ceiling) is None
+        assert len(boxes) == 1 + (bound + 1)
+        assert widths
+        assert all(w == {ceiling - bound} for w in widths.values())
+
+    def test_no_extra_level_without_parameters(self, monkeypatch):
+        m = CounterMachine.build([("a", "+1", "a"), ("a", "=0", "b")],
+                                 initial="a")
+        calls = []
+        search = reach_module._level_search
+
+        def counted(machine, tests, box, target, top, memo, levels):
+            calls.append(levels)
+            return search(machine, tests, box, target, top, memo, levels)
+
+        monkeypatch.setattr(reach_module, "_level_search", counted)
+        assert parametric_reach(m, "b", 3) is not None
+        assert calls == [()]
 
 
 def _count_level_searches(monkeypatch) -> list:
