@@ -317,6 +317,64 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
 
 
 # ---------------------------------------------------------------------------
+# Update expansion and witness projection
+# ---------------------------------------------------------------------------
+
+def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, int]]:
+    """Replace each update +k or -k with k >= 2 by k unary steps through
+    fresh, unlabeled states. `origin` maps each kept transition, and the last
+    step of each chain, to the source transition; the other chain steps have
+    no image, and `_project` drops them. A machine with unary updates is
+    returned itself, with the identity origin.
+
+    Every verdict on the expansion is exact for the source: chain states
+    carry no label and no test, so they add no obligation and no choice, and
+    a chain for -k passes through v-1, ..., v-k, so it stays non-negative
+    exactly when the source step does. The expansion is pseudo-polynomial:
+    an update of k adds k - 1 states."""
+    sizes = [abs(t.op.delta) if isinstance(t.op, Update) else 0
+             for t in machine.transitions]
+    if max(sizes, default=0) <= 1:
+        return machine, {i: i for i in range(len(sizes))}
+    prefix = "u"  # no state name starts with it, so chain states are fresh
+    while any(q.startswith(prefix) for q in machine.states):
+        prefix += "u"
+    triples: list = []
+    origin: dict[int, int] = {}
+    for i, (t, k) in enumerate(zip(machine.transitions, sizes)):
+        op = Update(t.op.delta // k) if k >= 2 else t.op
+        chain = [t.source, *(f"{prefix}{i}_{j}" for j in range(1, k)), t.target]
+        origin[len(triples) + len(chain) - 2] = i
+        triples.extend((a, op, b) for a, b in zip(chain, chain[1:]))
+    return CounterMachine.build(
+        triples, initial=machine.initial, params=machine.params,
+        labels=machine.labels, extra_states=machine.states), origin
+
+
+def _project(run: Run | LassoRun, origin: Mapping[int, int],
+             source: CounterMachine) -> Run | LassoRun:
+    """Map a run or lasso of a derived machine onto its `source`: a step in
+    `origin` becomes the source transition it maps to, any other step
+    vanishes, and counter values carry over. The loop of a lasso starts at
+    the last configuration emitted at or before the derived loop start.
+    Every reduction that adds steps sends its witness back through here: the
+    update expansion, the tableau product, and the Buchi copy, whose run to
+    the target comes with its store step as the loop start."""
+    configs = [Config(source.initial, run.configs[0].value)]
+    steps: list[int] = []
+    for pos, step in enumerate(run.steps):
+        emitted = origin.get(step)
+        if emitted is not None:
+            steps.append(emitted)
+            configs.append(Config(source.transitions[emitted].target,
+                                  run.configs[pos + 1].value))
+    if isinstance(run, Run):
+        return Run(tuple(configs), tuple(steps))
+    loop_start = sum(step in origin for step in run.steps[:run.loop_start])
+    return LassoRun(tuple(configs), tuple(steps), loop_start)
+
+
+# ---------------------------------------------------------------------------
 # The level-decomposition reachability solver
 # ---------------------------------------------------------------------------
 
@@ -365,10 +423,12 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     free parameter values <= bound (per-parameter overrides via `bounds`,
     fixed values via `pinned`). Absence is relative to the bound.
 
-    The machine must have unary updates and only =0 constant tests; run
-    fold_constants first otherwise. Counter values are explored up to
-    `ceiling`, defaulting to max(bound, pinned values) + |Q|^3. Negative
-    limits are rejected.
+    The machine must have only =0 constant tests; run fold_constants first
+    otherwise. Its large updates are expanded (`expand_updates`), and the
+    run found is projected back and validated against `machine`. Counter
+    values are explored up to `ceiling`, defaulting to max(bound, pinned
+    values) + |Q|^3 for the states Q of the expansion. Negative limits are
+    rejected.
 
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
@@ -402,7 +462,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
       a run, since each of its chunks is.
     Only which run the breadth-first search meets first may differ.
     """
-    _require_unary_zero_tests(machine, "parametric_reach")
+    expanded, origin = expand_updates(machine)
+    _require_unary_zero_tests(expanded, "parametric_reach")
     if target not in machine.states:
         raise MachineError(f"target {target!r} not in machine")
     if bound < 0:
@@ -423,22 +484,23 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         else:
             ranges[x] = (0, bounds.get(x, bound))
     highest = max([bound, *pinned.values(), *bounds.values()], default=bound)
-    top = ceiling if ceiling is not None else highest + len(machine.states) ** 3
+    top = ceiling if ceiling is not None else highest + len(expanded.states) ** 3
     top = max(top, highest + 1)
 
-    tests = _param_tests(machine)
+    tests = _param_tests(expanded)
     memo: dict = {}
     # Every search shares a level at the largest end of any range.
     peak = (max(hi for _lo, hi in ranges.values()),) if ranges else ()
     if (any(lo < hi for lo, hi in ranges.values())
-            and _level_search(machine, tests, ranges, target, top, memo,
+            and _level_search(expanded, tests, ranges, target, top, memo,
                               peak) is None):
         return None
     for gamma in enumerate_gammas(machine.params, ranges):
         point = {x: (v, v) for x, v in gamma.items()}
-        run = _level_search(machine, tests, point, target, top, memo, peak)
+        run = _level_search(expanded, tests, point, target, top, memo, peak)
         if run is None:
             continue
+        run = _project(run, origin, machine)
         defect = validate_run(machine, gamma, run)
         if defect is not None or run.configs[-1].state != target:
             raise AssertionError(

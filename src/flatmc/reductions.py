@@ -15,10 +15,13 @@ value. Both are least-credit fixpoints over the graph, and the same graph
 yields the counter cap at which a loop witness is searched, so no setting
 bounds the divergence case.
 Model checking a flat sentence reduces to repeated reachability of a tableau
-product whose registers become parameters. Machines with binary-encoded
-updates reduce to unary ones by expanding each large update into a gadget
-that emits a binary counting sequence, with the specification rewritten to
-ignore the inserted positions and to enforce the counting.
+product whose registers become parameters, built on the machine as given;
+`repeated_reach` then expands binary-encoded updates into unary steps
+(`reach.expand_updates`). The paper's polynomial reduction of binary updates,
+`succinct_to_unary`, is off the solving path (`flatmc translate --mode
+unary` emits it): each large update becomes a gadget that emits a binary
+counting sequence, with the specification rewritten to ignore the inserted
+positions and to enforce the counting.
 
 Each construction keeps enough provenance to translate a witness of the
 reduced problem back into a self-certifying witness of the original one.
@@ -29,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from flatmc.formulas import (
@@ -71,7 +75,9 @@ from flatmc.reach import (
     ReachWitness,
     StrippedMachine,
     _param_tests,
+    _project,
     _strip,
+    expand_updates,
     fold_constants,
     parametric_reach,
     plain_rep_lasso,
@@ -239,60 +245,43 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
 def _control_components(machine) -> tuple[dict, set]:
     """Iterative Tarjan: the strongly connected components of the control
     graph of `machine`, a counter machine or a stripped one, and the set of
-    component ids containing a cycle."""
+    component ids containing a cycle. A visited state is on the stack until
+    its component is assigned."""
     forward = {q: [t.target for _i, t in machine.outgoing(q)]
                for q in machine.states}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     component: dict[str, int] = {}
-    sizes: dict[int, int] = {}
-    counter = 0
-    next_component = 0
+    cyclic: set[int] = set()
     for root in forward:
         if root in index:
             continue
-        work = [(root, iter(forward[root]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(forward[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(forward[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                size = 0
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = next_component
-                    size += 1
-                    if member == node:
-                        break
-                sizes[next_component] = size
-                next_component += 1
-    cyclic = {cid for cid, size in sizes.items() if size > 1}
-    for node, outs in forward.items():
-        if node in outs:
-            cyclic.add(component[node])
+            succ = next(it, None)
+            if succ is None:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    # The root's index names the component.
+                    component[node] = index[node]
+                    while (member := stack.pop()) != node:
+                        component[member] = index[node]
+                        cyclic.add(index[node])
+                    if node in forward[node]:
+                        cyclic.add(index[node])
+            elif succ not in index:
+                index[succ] = low[succ] = len(index)
+                stack.append(succ)
+                work.append((succ, iter(forward[succ])))
+            elif succ not in component:
+                low[node] = min(low[node], index[succ])
     return component, cyclic
 
 
@@ -440,34 +429,33 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constants are folded and the divergence analysis is built once for all
-    accepting states. States on no control cycle are skipped; the others go
-    through `buchi_to_reach` and `parametric_reach` in sorted order, and the
-    first witness is returned. Counter values are explored up to `ceiling`,
-    by default max(bound, constants) + |Q'|^3 for the states Q' of the
-    reduced machine; the stored value y ranges up to `store_bound`, by
-    default the ceiling. Negative limits are rejected.
+    Constants are folded, large updates expanded (`expand_updates`), and
+    the divergence analysis is built once for all accepting states. States
+    on no control cycle are skipped; the others go through `buchi_to_reach`
+    and `parametric_reach` in sorted order, and the first witness is
+    returned, projected back onto `machine`. Counter values are explored up
+    to `ceiling`, by default max(bound, constants) + |Q'|^3 for the states
+    Q' of the reduced machine; the stored value y ranges up to
+    `store_bound`, by default the ceiling. Negative limits are rejected.
     """
-    if min(ceiling or 0, store_bound or 0) < 0:
-        raise MachineError("ceiling and store bound must be non-negative")
+    if min(bound, ceiling or 0, store_bound or 0) < 0:
+        raise MachineError("bound, ceiling and store bound must be >= 0")
     accepting = set(accepting)
     for q in sorted(accepting):
         if q not in machine.states:
             raise MachineError(f"accepting state {q!r} is not a state")
-    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P,
-                                 MachineClass.OCA_PC):
-        raise ClassMismatch("repeated_reach requires unary updates")
     folded, pinned = fold_constants(machine)
+    expanded, origin = expand_updates(folded)
     if ceiling is None:
         # Q' holds the states and their copies, a store and a target state,
         # and a chain state per parameter.
-        reduced = 2 * len(folded.states) + 2 + len(folded.params)
+        reduced = 2 * len(expanded.states) + 2 + len(expanded.params)
         ceiling = max([bound, *pinned.values()]) + reduced ** 3
     if store_bound is None:
         store_bound = ceiling
-    context = divergence_context(folded)
-    for accept_state in sorted(accepting & _states_on_cycles(folded)):
-        reduction = buchi_to_reach(folded, accept_state, context=context)
+    context = divergence_context(expanded)
+    for accept_state in sorted(accepting & _states_on_cycles(expanded)):
+        reduction = buchi_to_reach(expanded, accept_state, context=context)
         found = parametric_reach(reduction.machine, reduction.target, bound,
                                  pinned=pinned,
                                  bounds={reduction.y: store_bound},
@@ -476,6 +464,10 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
             continue
         gamma, lasso = buchi_witness_to_lasso(reduction, found)
         own = {x: v for x, v in gamma.items() if x in machine.params}
+        lasso = _project(lasso, origin, machine)
+        defect = validate_lasso(machine, own, lasso)
+        if defect is not None:
+            raise AssertionError(f"expansion projection broke: {defect.reason}")
         return BuchiWitness(accept_state, own, lasso, found)
     return None
 
@@ -488,7 +480,9 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
 class McReduction:
     """The product of a machine and the tableau of a flat sentence: some
     accepting state repeats under some instantiation of the register
-    parameters iff some run of the source satisfies the sentence."""
+    parameters iff some run of the source satisfies the sentence. The
+    product copies the source's updates as they stand, large ones included;
+    `repeated_reach` expands them."""
     instance: BuchiInstance
     source: CounterMachine
     formula: Formula                 # renamed normal form actually encoded
@@ -601,8 +595,9 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
     most once along a run, so a register is faithfully represented by one
     parameter.
     """
-    if classify(machine) is not MachineClass.OCA:
-        raise ClassMismatch("flat_mc_to_buchi requires a plain OCA")
+    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_S):
+        raise ClassMismatch("flat_mc_to_buchi requires a parameterless "
+                            "machine with zero tests only")
     _require_flat_sentence(phi)
     renamed = rename_registers(nnf(phi))
     untils = []
@@ -713,9 +708,7 @@ class Gadget:
 
 @dataclass(frozen=True)
 class SuccinctReduction:
-    """The unary machine and sentence of `succinct_to_unary`. `origin` maps
-    a kept transition to itself and a gadget's exit to its large update;
-    other gadget steps have no image, and `_project` drops them."""
+    """The unary machine and sentence of `succinct_to_unary`."""
     machine: CounterMachine
     formula: Formula
     source: CounterMachine
@@ -723,28 +716,11 @@ class SuccinctReduction:
     bit_one: str
     seps: Mapping[int, str]          # update value -> delimiter proposition
     gadgets: Mapping[int, Gadget]    # source transition index -> gadget
-    origin: Mapping[int, int]        # unary transition -> source transition
 
 
 def _is_nnf(phi: Formula) -> bool:
     return all(isinstance(f.body, Prop) for f in subformulas(phi)
                if isinstance(f, Neg))
-
-
-def _disj(parts):
-    parts = list(parts)
-    result = parts[0]
-    for p in parts[1:]:
-        result = Or(result, p)
-    return result
-
-
-def _conj(parts):
-    parts = list(parts)
-    result = parts[0]
-    for p in parts[1:]:
-        result = And(result, p)
-    return result
 
 
 def _xk(k: int, phi: Formula) -> Formula:
@@ -763,8 +739,8 @@ def relativize(phi: Formula, lambda_props) -> Formula:
         return phi
     if not _is_nnf(phi):
         raise FormulaError("relativize requires negation normal form")
-    lam = _disj(Prop(p) for p in lambda_props)
-    notlam = _conj(Neg(Prop(p)) for p in lambda_props)
+    lam = reduce(Or, (Prop(p) for p in lambda_props))
+    notlam = reduce(And, (Neg(Prop(p)) for p in lambda_props))
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, (Prop, RegTest, Neg)):
@@ -790,8 +766,8 @@ def _counter_formula(reduction_seps: Mapping[int, str], bit_zero: str,
                      bit_one: str, lambda_props) -> Formula:
     """The conjunction forcing every gadget traversal to count from 1 to |z|
     in least-significant-bit-first binary between its delimiters."""
-    lam = _disj(Prop(p) for p in sorted(lambda_props))
-    notlam = _conj(Neg(Prop(p)) for p in sorted(lambda_props))
+    lam = reduce(Or, (Prop(p) for p in sorted(lambda_props)))
+    notlam = reduce(And, (Neg(Prop(p)) for p in sorted(lambda_props)))
     zero, one = Prop(bit_zero), Prop(bit_one)
     parts = []
     for z in sorted(reduction_seps):
@@ -805,16 +781,16 @@ def _counter_formula(reduction_seps: Mapping[int, str], bit_zero: str,
             return _xk(n + 1, phi)
 
         init = globally(Or(Neg(first), _xk(2, And(one, Next(Until(zero, sep))))))
-        fin = globally(Or(Neg(last_but_one), _conj(
-            _xk(i, one if bit_at(z, i) else zero) for i in range(1, n + 1))))
+        fin = globally(Or(Neg(last_but_one), reduce(And, (
+            _xk(i, one if bit_at(z, i) else zero) for i in range(1, n + 1)))))
         eqsuff = Until(Or(And(zero, jump(zero)), And(one, jump(one))), sep)
         inc = globally(Or(
             Neg(And(sep, And(Neg(last_but_one), Neg(last)))),
             Next(Until(And(one, jump(zero)),
                        And(zero, And(jump(one), Next(eqsuff)))))))
         exit_ = globally(Or(Neg(first), Until(true_formula(), last)))
-        parts.append(_conj((init, fin, inc, exit_)))
-    return _conj(parts)
+        parts.append(reduce(And, (init, fin, inc, exit_)))
+    return reduce(And, parts)
 
 
 def succinct_to_unary(machine: CounterMachine,
@@ -836,8 +812,7 @@ def succinct_to_unary(machine: CounterMachine,
     if not large:
         return SuccinctReduction(
             machine=machine, formula=phi, source=machine,
-            bit_zero="0", bit_one="1", seps={},
-            gadgets={}, origin={i: i for i in range(len(machine.transitions))})
+            bit_zero="0", bit_one="1", seps={}, gadgets={})
 
     used_props = set().union(*machine.labels.values()) if machine.labels else set()
     used_props |= {f.name for f in subformulas(phi) if isinstance(f, Prop)}
@@ -855,7 +830,6 @@ def succinct_to_unary(machine: CounterMachine,
     taken = set(machine.states)
     triples: list = []
     labels = {q: set(ps) for q, ps in machine.labels.items()}
-    origin: dict[int, int] = {}
     gadgets: dict[int, Gadget] = {}
 
     def fresh_state(base: str, props) -> str:
@@ -866,7 +840,6 @@ def succinct_to_unary(machine: CounterMachine,
 
     for i, t in enumerate(machine.transitions):
         if not (isinstance(t.op, Update) and abs(t.op.delta) >= 2):
-            origin[len(triples)] = i
             triples.append((t.source, t.op, t.target))
             continue
         z = t.op.delta
@@ -889,7 +862,6 @@ def succinct_to_unary(machine: CounterMachine,
         step = Update(1 if z > 0 else -1)
         triples.append((ones[-1], step, exit_))
         triples.append((zeros[-1], step, exit_))
-        origin[len(triples)] = i
         triples.append((exit_, Update(0), t.target))
         gadgets[i] = Gadget(entry=entry, ones=ones, zeros=zeros, exit=exit_,
                             sign=1 if z > 0 else -1)
@@ -900,8 +872,7 @@ def succinct_to_unary(machine: CounterMachine,
     counter = _counter_formula(seps, bit_zero, bit_one, lambda_props)
     return SuccinctReduction(
         machine=unary, formula=And(translated, counter), source=machine,
-        bit_zero=bit_zero, bit_one=bit_one, seps=seps, gadgets=gadgets,
-        origin=origin)
+        bit_zero=bit_zero, bit_one=bit_one, seps=seps, gadgets=gadgets)
 
 
 # ---------------------------------------------------------------------------
@@ -910,36 +881,17 @@ def succinct_to_unary(machine: CounterMachine,
 
 @dataclass(frozen=True)
 class McWitness:
-    """A self-certifying model-checking witness: an instantiation of the
-    derived machine's parameters, a lasso of the original machine, and the
-    data word it spells (None when the loop gains counter value and the
-    formula tests registers, in which case only the structural checks apply).
+    """A self-certifying model-checking witness: the instantiation of the
+    product's parameters it was found under (the registers, the stored
+    value and any pinned constant, none of them read by the parameterless
+    machine), a lasso of the original machine, and the data word it spells
+    (None when the loop gains counter value and the formula tests
+    registers, in which case only the structural checks apply).
     """
     gamma: dict[str, int]
     lasso: LassoRun
     word: Optional[LassoWord]
     formula_checked: bool
-
-
-def _project(lasso: LassoRun, origin: Mapping[int, int],
-             source: CounterMachine) -> LassoRun:
-    """Map a lasso of a derived machine onto its `source`: a step in
-    `origin` becomes the source transition it maps to, any other step
-    vanishes, and counter values carry over. The loop starts at the last
-    configuration emitted at or before the derived loop start. Every
-    reduction that adds steps sends its witness back through here: the
-    tableau product, the unary expansion, and the Buchi copy, whose run to
-    the target comes with its store step as the loop start."""
-    configs = [Config(source.initial, lasso.configs[0].value)]
-    steps: list[int] = []
-    for pos, step in enumerate(lasso.steps):
-        emitted = origin.get(step)
-        if emitted is not None:
-            steps.append(emitted)
-            configs.append(Config(source.transitions[emitted].target,
-                                  lasso.configs[pos + 1].value))
-    loop_start = sum(step in origin for step in lasso.steps[:lasso.loop_start])
-    return LassoRun(tuple(configs), tuple(steps), loop_start)
 
 
 def word_checkable(lasso: LassoRun, phi: Formula) -> bool:
@@ -961,17 +913,14 @@ def model_check(machine: CounterMachine, phi: Formula,
                 bound: int) -> Optional[McWitness]:
     """Decide whether some infinite initialized run of `machine` satisfies
     the flat sentence `phi`, searching instantiations of all derived
-    parameters up to `bound`. A returned witness has been re-validated: the
-    lasso against the machine, and the spelled word against the formula
-    whenever the word is exactly periodic (or the formula ignores counter
-    values).
+    parameters up to `bound`. The tableau product is built on `machine`
+    itself, and `repeated_reach` expands its large updates, so one
+    projection maps the product's lasso back. A returned witness has been
+    re-validated: the lasso against the machine, and the spelled word
+    against the formula whenever the word is exactly periodic (or the
+    formula ignores counter values).
     """
-    _require_flat_sentence(phi)
-    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_S):
-        raise ClassMismatch(
-            "model_check expects a parameterless machine with zero tests only")
-    succinct = succinct_to_unary(machine, nnf(phi))
-    mc = flat_mc_to_buchi(succinct.machine, succinct.formula)
+    mc = flat_mc_to_buchi(machine, phi)
     scale = max((abs(t.op.delta) for t in machine.transitions
                  if isinstance(t.op, Update)), default=1)
     ceiling = (bound + scale * len(machine.states) ** 3
@@ -981,7 +930,7 @@ def model_check(machine: CounterMachine, phi: Formula,
                            ceiling=ceiling, store_bound=bound)
     if found is None:
         return None
-    lasso = _translate_lasso(found.lasso, mc, succinct)
+    lasso = _project(found.lasso, mc.step_origin, machine)
     defect = validate_lasso(machine, {}, lasso)
     if defect is not None:
         raise AssertionError(
@@ -993,15 +942,3 @@ def model_check(machine: CounterMachine, phi: Formula,
     return McWitness(gamma=dict(found.certificate.gamma), lasso=lasso,
                      word=word, formula_checked=checked)
 
-
-def _translate_lasso(product_lasso: LassoRun, mc: McReduction,
-                     succinct: SuccinctReduction) -> LassoRun:
-    """Turn a product lasso into a lasso of the original machine by
-    projecting away tableau and gadget steps."""
-    # Tableau chain and initialization steps vanish; so do gadget steps
-    # other than the exit, which stands for the whole large update.
-    lasso = _project(_project(product_lasso, mc.step_origin, mc.source),
-                     succinct.origin, succinct.source)
-    if lasso.loop_start == len(lasso.steps):
-        raise AssertionError("product loop projects to an empty loop")
-    return lasso

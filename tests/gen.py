@@ -19,8 +19,11 @@ def _pick_states(rng: random.Random, max_states: int) -> list[str]:
     return [f"s{i}" for i in range(n)]
 
 
-def _op_pool(params: list[str], max_const: int, with_consts: bool) -> list[str]:
+def _op_pool(params: list[str], max_const: int, with_consts: bool,
+             max_update: int = 1) -> list[str]:
     ops = ["+1", "+1", "-1", "-1", "0", "=0"]
+    for k in range(2, max_update + 1):
+        ops.extend([f"+{k}", f"-{k}"])
     for x in params:
         ops.extend([f"=x:{x}", f"<x:{x}", f">x:{x}"])
     if with_consts:
@@ -32,12 +35,14 @@ def _op_pool(params: list[str], max_const: int, with_consts: bool) -> list[str]:
 def random_machine(rng: random.Random, max_states: int = 5, max_params: int = 2,
                    with_consts: bool = False, max_const: int = 3,
                    with_labels: bool = False,
-                   density: float = 2.0) -> CounterMachine:
-    """A random unary machine: an OCA when max_params is 0, an OCA(P) by
-    default, and an OCA(P,C)-class machine when constants are enabled."""
+                   density: float = 2.0, max_update: int = 1) -> CounterMachine:
+    """A random machine: an OCA when max_params is 0, an OCA(P) by default,
+    and an OCA(P,C)-class machine when constants are enabled. Updates are
+    unary unless `max_update` allows binary-encoded ones up to that size;
+    the default leaves the random stream as it was."""
     states = _pick_states(rng, max_states)
     params = [f"x{i}" for i in range(rng.randint(0, max_params))]
-    pool = _op_pool(params, max_const, with_consts)
+    pool = _op_pool(params, max_const, with_consts, max_update)
     n_transitions = rng.randint(1, max(1, int(len(states) * density)))
     transitions = [
         (rng.choice(states), rng.choice(pool), rng.choice(states))

@@ -6,6 +6,8 @@ successor relation: they enumerate step-bounded run sets directly.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from flatmc.machines import Config, CounterMachine, bounded_reach_oracle, successors
 
 
@@ -42,10 +44,12 @@ def gamma_reach_oracle(machine: CounterMachine, target: str, cap: int,
         for gamma in gammas)
 
 
-def mc_oracle(machine: CounterMachine, phi, max_positions: int = 12) -> bool:
+def mc_oracle(machine: CounterMachine, phi, max_positions: int = 12,
+              max_value: Optional[int] = None) -> bool:
     """Existential model checking by enumerating every lasso run of the
-    (parameterless) machine with at most max_positions configurations and
-    evaluating the sentence on its data word.
+    (parameterless) machine with at most max_positions configurations, and
+    with counter values at most max_value if given, and evaluating the
+    sentence on its data word.
 
     Exact-repeat loops are decided exactly. Value-gaining loops must consist
     of updates only (otherwise they do not denote an infinite run); their
@@ -80,6 +84,8 @@ def mc_oracle(machine: CounterMachine, phi, max_positions: int = 12) -> bool:
         if len(configs) >= max_positions:
             return False
         for s, conf in successors(machine, {}, last):
+            if max_value is not None and conf.value > max_value:
+                continue
             if dfs(configs + [conf], steps + [s]):
                 return True
         return False

@@ -23,9 +23,11 @@ from flatmc.jsonio import (
     witness_from_data,
     witness_to_data,
 )
-from flatmc.machines import MachineError, Run, validate_run
+from flatmc.machines import MachineError, Run, rep_reach_oracle, validate_run
 from flatmc.reach import parametric_reach
-from tests.gen import random_machine
+from flatmc.reductions import word_checkable
+from tests.gen import all_gammas, random_machine
+from tests.oracles import gamma_reach_oracle, mc_oracle
 
 CLIMB_AND_TEST = {
     "states": ["q", "q2"],
@@ -190,10 +192,12 @@ class TestBuchi:
         assert len(calls) == 1
 
     def test_off_cycle_bad_input_still_exits_2(self, write):
-        succinct = write("s.json", {
+        off_cycle = write("s.json", {
             "states": ["q", "r"], "initial": "q",
             "transitions": [{"from": "q", "op": "+2", "to": "r"}]})
-        assert main(["buchi", succinct, "--accepting", "r"]) == 2
+        assert main(["buchi", off_cycle, "--accepting", "r"]) == 1
+        assert main(["buchi", off_cycle, "--accepting", "r",
+                     "--bound", "-1"]) == 2
         assert main(["buchi", write("m.json", CLIMB_AND_TEST),
                      "--accepting", "q2,nowhere"]) == 2
 
@@ -303,6 +307,79 @@ class TestMc:
         formula.write_text("G p\n")
         assert main(["mc", machine, "--formula", str(formula),
                      "--bound", "3"]) == 0
+
+
+# The flat sentences of the `mc_registers` benchmark workload.
+MC_PATTERNS = ("G F p", "F G q", "p U q", "G(p -> F q)", "X X p",
+               "F @r. G(p -> [>r] | [=r])", "!G @r.(p -> F(q & [=r]))",
+               "F @r. X [>r]", "@r. G F [=r]", "F @r. G([<r] | [=r])")
+
+
+class TestBinaryUpdates:
+    """Seeded machines with updates of up to 8 in either direction: every
+    command's verdict equals the brute-force oracle's, which steps the large
+    updates as they stand, and every witness passes `flatmc check`."""
+
+    def _run(self, write, tmp_path, machine, args, formula=()):
+        path = write("m.json", machine_to_data(machine))
+        out = str(tmp_path / "w.json")
+        pathlib.Path(out).unlink(missing_ok=True)
+        code = main([args[0], path, *args[1:], "--json", "--witness", out])
+        if code == 0:
+            assert main(["check", out, path, *formula]) == 0
+            return witness_from_data(json.loads(pathlib.Path(out).read_text()))
+        assert code == 1
+        return None
+
+    def test_reach_and_buchi_equal_the_oracles(self, write, tmp_path, capsys):
+        rng = random.Random(31)
+        present = 0
+        for _ in range(150):
+            m = random_machine(rng, max_states=4, max_params=1, max_update=8)
+            gammas = list(all_gammas(m.params, 2))
+            target = rng.choice(sorted(m.states))
+            got = self._run(write, tmp_path, m, [
+                "reach", "--target", target, "--bound", "2", "--cap", "24"])
+            assert (got is not None) == gamma_reach_oracle(m, target, 24,
+                                                           gammas)
+            accepting = rng.sample(sorted(m.states), min(2, len(m.states)))
+            got = self._run(write, tmp_path, m, [
+                "buchi", "--accepting", ",".join(accepting), "--bound", "2",
+                "--cap", "24"])
+            assert (got is not None) == any(
+                rep_reach_oracle(m, g, accepting, 24) is not None
+                for g in gammas)
+            present += got is not None
+        assert present >= 20
+        capsys.readouterr()
+
+    def test_mc_equals_the_oracle_within_its_horizon(self, write, tmp_path,
+                                                     capsys):
+        # The oracle enumerates lassos of at most 12 configurations with
+        # values <= B, and evaluates a value-gaining loop only against a
+        # register-free sentence. A witness inside that horizon must be
+        # one it finds, and every lasso it finds is within the reach of
+        # `mc --bound B`.
+        rng = random.Random(32)
+        outside = 0
+        for i in range(120):
+            m = random_machine(rng, max_states=3, max_params=0,
+                               with_labels=True, max_update=8)
+            text = MC_PATTERNS[i % len(MC_PATTERNS)]
+            got = self._run(write, tmp_path, m, [
+                "mc", "--formula", text, "--bound", "3"], [text])
+            expected = mc_oracle(m, parse(text), max_positions=12,
+                                 max_value=3)
+            if got is not None and not expected:
+                lasso = got.lasso
+                assert (len(lasso.configs) > 12
+                        or max(c.value for c in lasso.configs) > 3
+                        or not word_checkable(lasso, parse(text)))
+                outside += 1
+            else:
+                assert (got is not None) == expected
+        assert outside < 60
+        capsys.readouterr()
 
 
 class TestTranslate:

@@ -349,10 +349,15 @@ class TestParametricReach:
         with pytest.raises(ClassMismatch):
             parametric_reach(m, "q2", 4)
 
-    def test_rejects_succinct_updates(self):
-        m = CounterMachine.build([("q", "+3", "q2")], initial="q")
-        with pytest.raises(ClassMismatch):
-            parametric_reach(m, "q2", 4)
+    def test_expands_succinct_updates(self):
+        # The run is found on the expansion and reported in the machine's
+        # own transitions; -3 needs the counter at 3 first.
+        m = CounterMachine.build([("q", "+1", "q"), ("q", "-3", "q2")],
+                                 initial="q")
+        w = parametric_reach(m, "q2", 4)
+        assert w.run.steps == (0, 0, 0, 1)
+        assert w.run.configs[-1] == Config("q2", 0)
+        assert validate_run(m, {}, w.run) is None
 
     @pytest.mark.parametrize("limits", [{"bounds": {"x": -1}},
                                         {"ceiling": -1}])

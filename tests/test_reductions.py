@@ -201,10 +201,9 @@ class TestRepeatedReach:
 
     def test_bad_input_rejected_before_the_cycle_filter(self):
         # Neither accepting state lies on a cycle, so no search would run.
-        succinct = CounterMachine.build([("q", "+2", "r")], initial="q")
-        with pytest.raises(ClassMismatch):
-            repeated_reach(succinct, ["r"], 3)
         plain = CounterMachine.build([("q", "0", "r")], initial="q")
+        with pytest.raises(MachineError):
+            repeated_reach(plain, ["r"], -1)
         with pytest.raises(MachineError):
             repeated_reach(plain, ["r", "nowhere"], 3)
         assert repeated_reach(plain, ["r"], 3) is None
@@ -332,9 +331,16 @@ class TestFlatMcToBuchi:
             flat_mc_to_buchi(m, parse("F [=r]"))
 
     def test_requires_plain_oca(self):
+        # Parameters and constant tests are rejected; large updates are
+        # copied into the product as they stand.
+        for m in (CounterMachine.build([("q", "=x:x", "q")], initial="q",
+                                       params=["x"]),
+                  CounterMachine.build([("q", "=c:2", "q")], initial="q")):
+            with pytest.raises(ClassMismatch):
+                flat_mc_to_buchi(m, parse("true"))
         m = CounterMachine.build([("q", "+3", "q")], initial="q")
-        with pytest.raises(ClassMismatch):
-            flat_mc_to_buchi(m, parse("true"))
+        product = flat_mc_to_buchi(m, parse("true")).instance.machine
+        assert Update(3) in {t.op for t in product.transitions}
 
     def test_true_product_accepts_any_infinite_run(self):
         m = CounterMachine.build([("q", "+1", "q")], initial="q")
