@@ -161,8 +161,9 @@ def cmd_mc(args) -> int:
     if witness is None:
         _report(args, "absent", bound)
         return 1
+    gamma = {x: v for x, v in witness.gamma.items() if x in machine.params}
     data = jsonio.witness_to_data(
-        witness.gamma, Run(witness.lasso.configs, witness.lasso.steps),
+        gamma, Run(witness.lasso.configs, witness.lasso.steps),
         loop_start=witness.lasso.loop_start,
         formula_holds=True if witness.formula_checked else None)
     _emit_witness(args, data)
@@ -212,14 +213,11 @@ def cmd_check(args) -> int:
     for x in machine.params:
         if x not in witness.gamma:
             raise InputError(f"gamma misses parameter {x!r}")
-    phi = _load_formula(args.formula) if args.formula else None
-    # The gamma of an `mc` witness, checked with its formula on a
-    # parameterless machine, instantiates the parameters model checking
-    # derives from the formula; the machine never reads them.
     unknown = sorted(set(witness.gamma) - set(machine.params))
-    if unknown and (phi is None or machine.params):
+    if unknown:
         raise InputError(f"gamma names {unknown[0]!r}, which is no parameter "
                          f"of the machine")
+    phi = _load_formula(args.formula) if args.formula else None
 
     def reject(reason: str) -> int:
         _report(args, f"invalid witness: {reason}")

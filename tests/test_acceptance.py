@@ -262,8 +262,9 @@ def test_criterion_6_model_checking(tmp_path):
         if witness is None:
             continue
         machine_path.write_text(json.dumps(machine_to_data(machine)))
+        # As `flatmc mc` writes it: the machine has no parameters.
         witness_path.write_text(json.dumps(witness_to_data(
-            witness.gamma, Run(witness.lasso.configs, witness.lasso.steps),
+            {}, Run(witness.lasso.configs, witness.lasso.steps),
             loop_start=witness.lasso.loop_start)))
         code = cli_main(["check", str(witness_path), str(machine_path), text])
         if code != 0:

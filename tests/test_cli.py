@@ -503,10 +503,11 @@ class TestCheck:
             assert main(["check", bad, machine_path, *formula]) == 2
             assert "'zz'" in capsys.readouterr().err
 
-    def test_mc_witness_names_derived_parameters(self, write, tmp_path):
-        # Its gamma instantiates the register and the stored value of the
-        # model-checking product, which the parameterless machine never
-        # reads; it is checked with its formula.
+    def test_mc_witness_names_no_derived_parameters(self, write, tmp_path,
+                                                    capsys):
+        # The register and the stored value of the model-checking product
+        # stay out of gamma, so the witness checks with or without its
+        # formula, and a gamma naming them is rejected either way.
         machine = write("m.json", {
             "states": ["q", "r"], "initial": "q", "labels": {"q": ["p"]},
             "transitions": [{"from": "q", "op": "+1", "to": "r"},
@@ -515,8 +516,15 @@ class TestCheck:
         text = "F @r. G ([<r] | [=r])"
         assert main(["mc", machine, "--formula", text, "--bound", "3",
                      "--witness", out]) == 0
-        assert witness_from_data(json.loads(open(out).read())).gamma
+        data = json.loads(open(out).read())
+        assert data["gamma"] == {}
         assert main(["check", out, machine, text]) == 0
+        assert main(["check", out, machine]) == 0
+        data["gamma"] = {"r_1": 1, "y": 1}
+        bad = write("bad.json", data)
+        for formula in ([], [text]):
+            assert main(["check", bad, machine, *formula]) == 2
+            assert "'r_1'" in capsys.readouterr().err
 
     def test_unknown_witness_key_is_input_error(self, write, tmp_path):
         machine_path = write("m.json", CLIMB_AND_TEST)
