@@ -351,6 +351,14 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
         labels=machine.labels, extra_states=machine.states), origin
 
 
+def largest_update(machine: CounterMachine) -> int:
+    """The largest update size of `machine`, and at least 1. Default counter
+    ceilings are scaled by it rather than by the size of the expansion,
+    whose chains only spell out the source's updates."""
+    return max([1, *(abs(t.op.delta) for t in machine.transitions
+                     if isinstance(t.op, Update))])
+
+
 def _project(run: Run | LassoRun, origin: Mapping[int, int],
              source: CounterMachine) -> Run | LassoRun:
     """Map a run or lasso of a derived machine onto its `source`: a step in
@@ -427,7 +435,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     otherwise. Its large updates are expanded (`expand_updates`), and the
     run found is projected back and validated against `machine`. Counter
     values are explored up to `ceiling`, defaulting to max(bound, pinned
-    values) + |Q|^3 for the states Q of the expansion. Negative limits are
+    values) + k |Q|^3 for the largest update size k. Negative limits are
     rejected.
 
     When the ranges hold more than one instantiation, one level search on
@@ -484,7 +492,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         else:
             ranges[x] = (0, bounds.get(x, bound))
     highest = max([bound, *pinned.values(), *bounds.values()], default=bound)
-    top = ceiling if ceiling is not None else highest + len(expanded.states) ** 3
+    top = (ceiling if ceiling is not None
+           else highest + largest_update(machine) * len(machine.states) ** 3)
     top = max(top, highest + 1)
 
     tests = _param_tests(expanded)

@@ -79,6 +79,7 @@ from flatmc.reach import (
     _strip,
     expand_updates,
     fold_constants,
+    largest_update,
     parametric_reach,
     plain_rep_lasso,
 )
@@ -435,7 +436,8 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     and `parametric_reach` in sorted order, and the first witness is
     returned, projected back onto `machine`. Counter values are explored up
     to `ceiling`, by default max(bound, constants) + |Q'|^3 for the states
-    Q' of the reduced machine; the stored value y ranges up to
+    Q' of the reduced machine, times the largest update size; the stored
+    value y ranges up to
     `store_bound`, by default the ceiling. Negative limits are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
@@ -449,8 +451,9 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     if ceiling is None:
         # Q' holds the states and their copies, a store and a target state,
         # and a chain state per parameter.
-        reduced = 2 * len(expanded.states) + 2 + len(expanded.params)
-        ceiling = max([bound, *pinned.values()]) + reduced ** 3
+        reduced = 2 * len(folded.states) + 2 + len(folded.params)
+        ceiling = (max([bound, *pinned.values()])
+                   + largest_update(folded) * reduced ** 3)
     if store_bound is None:
         store_bound = ceiling
     context = divergence_context(expanded)
@@ -921,9 +924,7 @@ def model_check(machine: CounterMachine, phi: Formula,
     formula ignores counter values).
     """
     mc = flat_mc_to_buchi(machine, phi)
-    scale = max((abs(t.op.delta) for t in machine.transitions
-                 if isinstance(t.op, Update)), default=1)
-    ceiling = (bound + scale * len(machine.states) ** 3
+    ceiling = (bound + largest_update(machine) * len(machine.states) ** 3
                + 2 * len(mc.instance.machine.params) + 2)
     # Every derived parameter, the stored value included, is bounded by B.
     found = repeated_reach(mc.instance.machine, mc.instance.accepting, bound,
