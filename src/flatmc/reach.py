@@ -166,7 +166,10 @@ def _segment_exits(machine: CounterMachine | StrippedMachine, start: Config,
     """Shortest runs of a unary machine from `start`, on a boundary value,
     through the open interval (lo, hi) to each reachable configuration back
     on a boundary value or, inside the interval, of `target`, where runs
-    stop. Exits to the start's own value require at least one interior
+    stop. The search ends at the first exit of `target`: a level search
+    ends wherever it meets that exit, so later ones are never read, and an
+    interval with the target inside would otherwise yield one exit per
+    value. Exits to the start's own value require at least one interior
     configuration (value-preserving steps on the level are handled by the
     caller); exits to the opposite boundary may be direct. Tests of
     `machine` are evaluated as they stand; a zero test never fires inside
@@ -183,6 +186,8 @@ def _segment_exits(machine: CounterMachine | StrippedMachine, start: Config,
         if (end not in exits and lo <= end.value <= hi
                 and (here != start or end.value != start.value)):
             exits[end] = _run(start, _path(parents, here) + [(step, end)])
+            if end.state == target:
+                break
     return exits
 
 

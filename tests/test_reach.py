@@ -455,6 +455,16 @@ class _Forgetful(dict):
 
 
 class TestSharedIntervalWork:
+    def test_segment_exits_stop_at_the_first_target_exit(self):
+        # Every value inside the interval has a target configuration; the
+        # level search ends at the first one, so no other exit is searched.
+        m = CounterMachine.build([("a", "+1", "a"), ("a", "0", "t")],
+                                 initial="a")
+        exits = _segment_exits(m, Config("a", 0), 0, 50, target="t")
+        assert list(exits) == [Config("t", 1)]
+        assert exits[Config("t", 1)].steps == (0, 1)
+        assert list(_segment_exits(m, Config("a", 0), 0, 50)) == [Config("a", 50)]
+
     def test_segment_exits_are_shift_invariant(self):
         # A decrement at lo leaves the interval whether or not it is enabled,
         # so exits from (q, lo) and (q, hi) are those of (0, hi - lo) shifted.
