@@ -166,14 +166,12 @@ def _segment_exits(machine: CounterMachine | StrippedMachine, start: Config,
     """Shortest runs of a unary machine from `start`, on a boundary value,
     through the open interval (lo, hi) to each reachable configuration back
     on a boundary value or, inside the interval, of `target`, where runs
-    stop. The search ends at the first exit of `target`: a level search
-    ends wherever it meets that exit, so later ones are never read, and an
-    interval with the target inside would otherwise yield one exit per
-    value. Exits to the start's own value require at least one interior
-    configuration (value-preserving steps on the level are handled by the
-    caller); exits to the opposite boundary may be direct. Tests of
-    `machine` are evaluated as they stand; a zero test never fires inside
-    the interval."""
+    stop. The search ends at the first exit of `target`, where a level
+    search ends too, so it never reads a later one. Exits to the start's own
+    value require at least one interior configuration (value-preserving
+    steps on the level are handled by the caller); exits to the opposite
+    boundary may be direct. Tests of `machine` are evaluated as they stand;
+    a zero test never fires inside the interval."""
     # Ends are the configurations outside the open interval, and the target's.
     # Unary steps from inside it end on a boundary value; only the start's
     # steps can leave [lo, hi] or stay on its value, and those are not exits.
@@ -327,16 +325,12 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
 
 def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, int]]:
     """Replace each update +k or -k with k >= 2 by k unary steps through
-    fresh, unlabeled states. `origin` maps each kept transition, and the last
-    step of each chain, to the source transition; the other chain steps have
-    no image, and `_project` drops them. A machine with unary updates is
-    returned itself, with the identity origin.
-
-    Every verdict on the expansion is exact for the source: chain states
-    carry no label and no test, so they add no obligation and no choice, and
-    a chain for -k passes through v-1, ..., v-k, so it stays non-negative
-    exactly when the source step does. The expansion is pseudo-polynomial:
-    an update of k adds k - 1 states."""
+    fresh states; a machine with unary updates is returned itself. `origin`
+    maps each kept transition, and the last step of each chain, to the
+    source transition; `_project` drops the other chain steps. Every verdict
+    is exact: chain states carry no label and no test, and a chain for -k
+    passes through v-1, ..., v-k, so it stays non-negative exactly when the
+    source step does. An update of k adds k - 1 states: pseudo-polynomial."""
     sizes = [abs(t.op.delta) if isinstance(t.op, Update) else 0
              for t in machine.transitions]
     if max(sizes, default=0) <= 1:
@@ -357,9 +351,8 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
 
 
 def largest_update(machine: CounterMachine) -> int:
-    """The largest update size of `machine`, and at least 1. Default counter
-    ceilings are scaled by it rather than by the size of the expansion,
-    whose chains only spell out the source's updates."""
+    """The largest update size of `machine`, at least 1: the factor of every
+    default counter ceiling, in place of the states the expansion adds."""
     return max([1, *(abs(t.op.delta) for t in machine.transitions
                      if isinstance(t.op, Update))])
 

@@ -15,13 +15,11 @@ value. Both are least-credit fixpoints over the graph, and the same graph
 yields the counter cap at which a loop witness is searched, so no setting
 bounds the divergence case.
 Model checking a flat sentence reduces to repeated reachability of a tableau
-product whose registers become parameters, built on the machine as given;
-`repeated_reach` then expands binary-encoded updates into unary steps
-(`reach.expand_updates`). The paper's polynomial reduction of binary updates,
-`succinct_to_unary`, is off the solving path (`flatmc translate --mode
-unary` emits it): each large update becomes a gadget that emits a binary
-counting sequence, with the specification rewritten to ignore the inserted
-positions and to enforce the counting.
+product whose registers become parameters; `repeated_reach` expands its
+binary-encoded updates. The paper's polynomial reduction of those updates,
+`succinct_to_unary`, is only emitted, not solved: each large update becomes
+a gadget that emits a binary counting sequence, with the specification
+rewritten to ignore the inserted positions and to enforce the counting.
 
 Each construction keeps enough provenance to translate a witness of the
 reduced problem back into a self-certifying witness of the original one.
@@ -286,13 +284,6 @@ def _control_components(machine) -> tuple[dict, set]:
     return component, cyclic
 
 
-def _states_on_cycles(machine: CounterMachine) -> frozenset[str]:
-    """The control states that lie on a cycle of the transition graph: the
-    only ones a run can visit infinitely often."""
-    component, cyclic = _control_components(machine)
-    return frozenset(q for q in machine.states if component[q] in cyclic)
-
-
 def buchi_to_reach(machine: CounterMachine, accept_state: str,
                    context: Optional[DivergenceContext] = None) -> BuchiReduction:
     """Build a machine with a distinguished target state that is reachable iff
@@ -430,15 +421,15 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constants are folded, large updates expanded (`expand_updates`), and
-    the divergence analysis is built once for all accepting states. States
-    on no control cycle are skipped; the others go through `buchi_to_reach`
-    and `parametric_reach` in sorted order, and the first witness is
-    returned, projected back onto `machine`. Counter values are explored up
-    to `ceiling`, by default max(bound, constants) + |Q'|^3 for the states
-    Q' of the reduced machine, times the largest update size; the stored
-    value y ranges up to
-    `store_bound`, by default the ceiling. Negative limits are rejected.
+    Constants are folded, large updates expanded, and the divergence
+    analysis is built once for all accepting states. States on no control
+    cycle are skipped; the others go through `buchi_to_reach` and
+    `parametric_reach` in sorted order, and the first witness is returned,
+    projected back onto `machine`. Counter values are explored up to
+    `ceiling`, by default max(bound, constants) + k |Q'|^3 for the largest
+    update size k and the states Q' of the reduced machine; the stored value
+    y ranges up to `store_bound`, by default the ceiling. Negative limits
+    are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
@@ -457,7 +448,9 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     if store_bound is None:
         store_bound = ceiling
     context = divergence_context(expanded)
-    for accept_state in sorted(accepting & _states_on_cycles(expanded)):
+    # Only states on a cycle of the control graph can repeat.
+    component, cyclic = _control_components(expanded)
+    for accept_state in sorted(q for q in accepting if component[q] in cyclic):
         reduction = buchi_to_reach(expanded, accept_state, context=context)
         found = parametric_reach(reduction.machine, reduction.target, bound,
                                  pinned=pinned,
@@ -484,8 +477,7 @@ class McReduction:
     """The product of a machine and the tableau of a flat sentence: some
     accepting state repeats under some instantiation of the register
     parameters iff some run of the source satisfies the sentence. The
-    product copies the source's updates as they stand, large ones included;
-    `repeated_reach` expands them."""
+    product copies the source's updates, large ones included."""
     instance: BuchiInstance
     source: CounterMachine
     formula: Formula                 # renamed normal form actually encoded
@@ -885,11 +877,10 @@ def succinct_to_unary(machine: CounterMachine,
 @dataclass(frozen=True)
 class McWitness:
     """A self-certifying model-checking witness: the instantiation of the
-    product's parameters it was found under (the registers, the stored
-    value and any pinned constant, none of them read by the parameterless
-    machine), a lasso of the original machine, and the data word it spells
-    (None when the loop gains counter value and the formula tests
-    registers, in which case only the structural checks apply).
+    product's parameters it was found under, which the machine never reads,
+    a lasso of the original machine, and the data word it spells (None when
+    the loop gains counter value and the formula tests registers, in which
+    case only the structural checks apply).
     """
     gamma: dict[str, int]
     lasso: LassoRun

@@ -463,7 +463,8 @@ class TestSharedIntervalWork:
         exits = _segment_exits(m, Config("a", 0), 0, 50, target="t")
         assert list(exits) == [Config("t", 1)]
         assert exits[Config("t", 1)].steps == (0, 1)
-        assert list(_segment_exits(m, Config("a", 0), 0, 50)) == [Config("a", 50)]
+        assert list(_segment_exits(m, Config("a", 0), 0, 50)) == \
+            [Config("a", 50)]
 
     def test_segment_exits_are_shift_invariant(self):
         # A decrement at lo leaves the interval whether or not it is enabled,
