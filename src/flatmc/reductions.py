@@ -590,10 +590,10 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
     most once along a run, so a register is faithfully represented by one
     parameter.
     """
+    _require_flat_sentence(phi)
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_S):
         raise ClassMismatch("flat_mc_to_buchi requires a parameterless "
                             "machine with zero tests only")
-    _require_flat_sentence(phi)
     renamed = rename_registers(nnf(phi))
     untils = []
     for f in subformulas(renamed):
