@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from flatmc.formulas import (
@@ -244,43 +243,60 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
 def _control_components(machine) -> tuple[dict, set]:
     """Iterative Tarjan: the strongly connected components of the control
     graph of `machine`, a counter machine or a stripped one, and the set of
-    component ids containing a cycle. A visited state is on the stack until
-    its component is assigned."""
+    component ids containing a cycle."""
     forward = {q: [t.target for _i, t in machine.outgoing(q)]
                for q in machine.states}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
+    on_stack: set[str] = set()
     stack: list[str] = []
     component: dict[str, int] = {}
-    cyclic: set[int] = set()
+    sizes: dict[int, int] = {}
+    counter = 0
+    next_component = 0
     for root in forward:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
         work = [(root, iter(forward[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
         while work:
             node, it = work[-1]
-            succ = next(it, None)
-            if succ is None:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    # The root's index names the component.
-                    component[node] = index[node]
-                    while (member := stack.pop()) != node:
-                        component[member] = index[node]
-                        cyclic.add(index[node])
-                    if node in forward[node]:
-                        cyclic.add(index[node])
-            elif succ not in index:
-                index[succ] = low[succ] = len(index)
-                stack.append(succ)
-                work.append((succ, iter(forward[succ])))
-            elif succ not in component:
-                low[node] = min(low[node], index[succ])
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(forward[succ])))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                size = 0
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component[member] = next_component
+                    size += 1
+                    if member == node:
+                        break
+                sizes[next_component] = size
+                next_component += 1
+    cyclic = {cid for cid, size in sizes.items() if size > 1}
+    for node, outs in forward.items():
+        if node in outs:
+            cyclic.add(component[node])
     return component, cyclic
 
 
@@ -718,6 +734,22 @@ def _is_nnf(phi: Formula) -> bool:
                if isinstance(f, Neg))
 
 
+def _disj(parts):
+    parts = list(parts)
+    result = parts[0]
+    for p in parts[1:]:
+        result = Or(result, p)
+    return result
+
+
+def _conj(parts):
+    parts = list(parts)
+    result = parts[0]
+    for p in parts[1:]:
+        result = And(result, p)
+    return result
+
+
 def _xk(k: int, phi: Formula) -> Formula:
     for _ in range(k):
         phi = Next(phi)
@@ -734,8 +766,8 @@ def relativize(phi: Formula, lambda_props) -> Formula:
         return phi
     if not _is_nnf(phi):
         raise FormulaError("relativize requires negation normal form")
-    lam = reduce(Or, (Prop(p) for p in lambda_props))
-    notlam = reduce(And, (Neg(Prop(p)) for p in lambda_props))
+    lam = _disj(Prop(p) for p in lambda_props)
+    notlam = _conj(Neg(Prop(p)) for p in lambda_props)
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, (Prop, RegTest, Neg)):
@@ -761,8 +793,8 @@ def _counter_formula(reduction_seps: Mapping[int, str], bit_zero: str,
                      bit_one: str, lambda_props) -> Formula:
     """The conjunction forcing every gadget traversal to count from 1 to |z|
     in least-significant-bit-first binary between its delimiters."""
-    lam = reduce(Or, (Prop(p) for p in sorted(lambda_props)))
-    notlam = reduce(And, (Neg(Prop(p)) for p in sorted(lambda_props)))
+    lam = _disj(Prop(p) for p in sorted(lambda_props))
+    notlam = _conj(Neg(Prop(p)) for p in sorted(lambda_props))
     zero, one = Prop(bit_zero), Prop(bit_one)
     parts = []
     for z in sorted(reduction_seps):
@@ -776,16 +808,16 @@ def _counter_formula(reduction_seps: Mapping[int, str], bit_zero: str,
             return _xk(n + 1, phi)
 
         init = globally(Or(Neg(first), _xk(2, And(one, Next(Until(zero, sep))))))
-        fin = globally(Or(Neg(last_but_one), reduce(And, (
-            _xk(i, one if bit_at(z, i) else zero) for i in range(1, n + 1)))))
+        fin = globally(Or(Neg(last_but_one), _conj(
+            _xk(i, one if bit_at(z, i) else zero) for i in range(1, n + 1))))
         eqsuff = Until(Or(And(zero, jump(zero)), And(one, jump(one))), sep)
         inc = globally(Or(
             Neg(And(sep, And(Neg(last_but_one), Neg(last)))),
             Next(Until(And(one, jump(zero)),
                        And(zero, And(jump(one), Next(eqsuff)))))))
         exit_ = globally(Or(Neg(first), Until(true_formula(), last)))
-        parts.append(reduce(And, (init, fin, inc, exit_)))
-    return reduce(And, parts)
+        parts.append(_conj((init, fin, inc, exit_)))
+    return _conj(parts)
 
 
 def succinct_to_unary(machine: CounterMachine,
