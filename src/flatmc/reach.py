@@ -79,6 +79,10 @@ from flatmc.machines import (
 # Scales `default_bound`, the parameter bound used when none is given.
 DEFAULT_MULTIPLIER = 8
 
+# The most states `expand_updates` builds: an update of k adds k - 1, so
+# a machine file of a few bytes could otherwise ask for any amount of memory.
+MAX_EXPANDED_STATES = 100_000
+
 
 def default_bound(machine: CounterMachine) -> int:
     """A heuristic default for parameter bounds:
@@ -330,11 +334,18 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
     source transition; `_project` drops the other chain steps. Every verdict
     is exact: chain states carry no label and no test, and a chain for -k
     passes through v-1, ..., v-k, so it stays non-negative exactly when the
-    source step does. An update of k adds k - 1 states: pseudo-polynomial."""
+    source step does. An update of k adds k - 1 states: pseudo-polynomial,
+    so an expansion of more than MAX_EXPANDED_STATES states is refused
+    before it is built."""
     sizes = [abs(t.op.delta) if isinstance(t.op, Update) else 0
              for t in machine.transitions]
     if max(sizes, default=0) <= 1:
         return machine, {i: i for i in range(len(sizes))}
+    size = len(machine.states) + sum(k - 1 for k in sizes if k >= 2)
+    if size > MAX_EXPANDED_STATES:
+        raise MachineError(
+            f"expanding the large updates would take {size} states, more "
+            f"than the limit of {MAX_EXPANDED_STATES}")
     prefix = "u"  # no state name starts with it, so chain states are fresh
     while any(q.startswith(prefix) for q in machine.states):
         prefix += "u"
@@ -350,11 +361,33 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
         labels=machine.labels, extra_states=machine.states), origin
 
 
-def largest_update(machine: CounterMachine) -> int:
-    """The largest update size of `machine`, at least 1: the factor of every
-    default counter ceiling, in place of the states the expansion adds."""
-    return max([1, *(abs(t.op.delta) for t in machine.transitions
-                     if isinstance(t.op, Update))])
+def headroom(machine: CounterMachine, states: int) -> int:
+    """How far a default counter ceiling lies above the highest value H at
+    which a test changes, for the updates of `machine` on a machine of
+    `states` states: states^3 when every update is unary, and otherwise
+    the larger of k * states^3 and k + u + u * d, for the largest update
+    size k and u (d) the smaller of k * states and the sum of increments
+    (decrements).
+
+    The second term suffices for reachability. Above H every test reads
+    the same, so a stretch of a run above H can be moved down. Label a
+    level v > H + k by the step that last crosses it upwards before the
+    run's peak, as its source state or its transition, with the offset of
+    v within the step: at most u labels. Label v likewise by the first
+    downward crossing after the peak: at most d. Two levels with equal
+    labels let the run go from the lower crossing to the part after the
+    higher one, moved down by their distance, and back at the lower
+    downward crossing; a run ending above both drops its tail the same way
+    by its upward label alone. So some run to the target ends at most
+    H + k + u and peaks at most u * d above that."""
+    deltas = [t.op.delta for t in machine.transitions
+              if isinstance(t.op, Update)]
+    k = max(map(abs, deltas), default=0)
+    if k <= 1:
+        return states ** 3
+    up = min(k * states, sum(delta for delta in deltas if delta > 0))
+    down = min(k * states, -sum(delta for delta in deltas if delta < 0))
+    return max(k * states ** 3, k + up + up * down)
 
 
 def _project(run: Run | LassoRun, origin: Mapping[int, int],
@@ -433,8 +466,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     otherwise. Its large updates are expanded (`expand_updates`), and the
     run found is projected back and validated against `machine`. Counter
     values are explored up to `ceiling`, defaulting to max(bound, pinned
-    values) + k |Q|^3 for the largest update size k. Negative limits are
-    rejected.
+    values) + headroom(machine, |Q|); below that ceiling reachability is
+    decided exactly. Negative limits are rejected.
 
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
@@ -491,7 +524,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
             ranges[x] = (0, bounds.get(x, bound))
     highest = max([bound, *pinned.values(), *bounds.values()], default=bound)
     top = (ceiling if ceiling is not None
-           else highest + largest_update(machine) * len(machine.states) ** 3)
+           else highest + headroom(machine, len(machine.states)))
     top = max(top, highest + 1)
 
     tests = _param_tests(expanded)

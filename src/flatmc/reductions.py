@@ -76,7 +76,7 @@ from flatmc.reach import (
     _strip,
     expand_updates,
     fold_constants,
-    largest_update,
+    headroom,
     parametric_reach,
     plain_rep_lasso,
 )
@@ -442,10 +442,9 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     cycle are skipped; the others go through `buchi_to_reach` and
     `parametric_reach` in sorted order, and the first witness is returned,
     projected back onto `machine`. Counter values are explored up to
-    `ceiling`, by default max(bound, constants) + k |Q'|^3 for the largest
-    update size k and the states Q' of the reduced machine; the stored value
-    y ranges up to `store_bound`, by default the ceiling. Negative limits
-    are rejected.
+    `ceiling`, by default max(bound, constants) + headroom(machine, |Q'|)
+    for the states Q' of the reduced machine; the stored value y ranges up
+    to `store_bound`, by default the ceiling. Negative limits are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
@@ -459,8 +458,7 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
         # Q' holds the states and their copies, a store and a target state,
         # and a chain state per parameter.
         reduced = 2 * len(folded.states) + 2 + len(folded.params)
-        ceiling = (max([bound, *pinned.values()])
-                   + largest_update(folded) * reduced ** 3)
+        ceiling = max([bound, *pinned.values()]) + headroom(folded, reduced)
     if store_bound is None:
         store_bound = ceiling
     context = divergence_context(expanded)
@@ -947,7 +945,7 @@ def model_check(machine: CounterMachine, phi: Formula,
     formula ignores counter values).
     """
     mc = flat_mc_to_buchi(machine, phi)
-    ceiling = (bound + largest_update(machine) * len(machine.states) ** 3
+    ceiling = (bound + headroom(machine, len(machine.states))
                + 2 * len(mc.instance.machine.params) + 2)
     # Every derived parameter, the stored value included, is bounded by B.
     found = repeated_reach(mc.instance.machine, mc.instance.accepting, bound,

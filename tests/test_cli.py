@@ -9,6 +9,7 @@ import json
 import pathlib
 import random
 import re
+import time
 import types
 
 import pytest
@@ -380,6 +381,22 @@ class TestBinaryUpdates:
                 assert (got is not None) == expected
         assert outside < 60
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("args", [["reach", "--target", "r"],
+                                      ["buchi", "--accepting", "q"],
+                                      ["mc", "--formula", "true"]])
+    def test_huge_update_is_refused_at_once(self, write, capsys, args):
+        # Its expansion would take a billion states; it is refused before
+        # any of them is built.
+        path = write("m.json", {"states": ["q", "r"], "initial": "q",
+                                "transitions": [{"from": "q",
+                                                 "op": "+1000000000",
+                                                 "to": "r"}]})
+        start = time.perf_counter()
+        assert main([args[0], path, *args[1:]]) == 2
+        assert time.perf_counter() - start < 2
+        assert "states, more than the limit" in capsys.readouterr().err
 
 
 class TestTranslate:

@@ -359,6 +359,18 @@ class TestParametricReach:
         assert w.run.configs[-1] == Config("q2", 0)
         assert validate_run(m, {}, w.run) is None
 
+    def test_default_ceiling_covers_coprime_updates(self):
+        # t needs the counter at 53 * 47 = 2491 first: above the default
+        # bound 432 plus 53 |Q|^3 = 1431, so the headroom must come from
+        # the sizes of the updates, not only from the largest one.
+        m = CounterMachine.build([("s", "+53", "s"), ("s", "-47", "r"),
+                                  ("r", "-47", "r"), ("r", "=0", "t")],
+                                 initial="s")
+        assert bounded_reach_oracle(m, {}, "t", 3000) is not None
+        w = parametric_reach(m, "t", default_bound(m))
+        assert w is not None and validate_run(m, {}, w.run) is None
+        assert max(c.value for c in w.run.configs) == 2491
+
     @pytest.mark.parametrize("limits", [{"bounds": {"x": -1}},
                                         {"ceiling": -1}])
     def test_negative_limit_rejected(self, limits):
