@@ -23,7 +23,7 @@ from flatmc.machines import (
     validate_lasso,
     validate_run,
 )
-from flatmc.reach import ReachWitness, fold_constants, parametric_reach
+from flatmc.reach import ReachWitness, parametric_reach
 from flatmc.reductions import (
     BuchiWitness,
     McWitness,
@@ -46,7 +46,6 @@ __all__ = [
     "Run",
     "Transition",
     "Update",
-    "fold_constants",
     "model_check",
     "parametric_reach",
     "parse",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -51,6 +50,9 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
+    # Nested too deeply, a number of too many digits, or not UTF-8.
+    except (RecursionError, ValueError) as err:
+        raise InputError(f"{path}: {err}") from err
 
 
 def _load_machine(path: str) -> CounterMachine:
@@ -60,14 +62,7 @@ def _load_machine(path: str) -> CounterMachine:
         raise InputError(f"{path}: {err}") from err
 
 
-def _load_formula(source: str) -> formulas.Formula:
-    text = source
-    if os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
-            raise InputError(f"cannot read {source}: {err}") from err
+def _load_formula(text: str) -> formulas.Formula:
     try:
         return formulas.parse(text)
     except FormulaError as err:
@@ -117,14 +112,12 @@ def _bound(args, machine: CounterMachine) -> int:
 def cmd_reach(args) -> int:
     machine = _load_machine(args.machine)
     bound = _bound(args, machine)
-    folded, pinned = fold_constants(machine)
-    witness = parametric_reach(folded, args.target, bound, pinned=pinned,
+    witness = parametric_reach(machine, args.target, bound,
                                ceiling=_limit(args, "cap"))
     if witness is None:
         _report(args, "absent", bound)
         return 1
-    gamma = {x: v for x, v in witness.gamma.items() if x in machine.params}
-    data = jsonio.witness_to_data(gamma, witness.run)
+    data = jsonio.witness_to_data(witness.gamma, witness.run)
     _emit_witness(args, data)
     _report(args, "present", bound, witness=data)
     return 0
@@ -161,9 +154,8 @@ def cmd_mc(args) -> int:
     if witness is None:
         _report(args, "absent", bound)
         return 1
-    gamma = {x: v for x, v in witness.gamma.items() if x in machine.params}
     data = jsonio.witness_to_data(
-        gamma, Run(witness.lasso.configs, witness.lasso.steps),
+        {}, Run(witness.lasso.configs, witness.lasso.steps),
         loop_start=witness.lasso.loop_start,
         formula_holds=True if witness.formula_checked else None)
     _emit_witness(args, data)
@@ -189,11 +181,12 @@ def cmd_translate(args) -> int:
     elif args.mode == "buchi2reach":
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
-        folded, _pinned = fold_constants(machine)
+        folded, pinned = fold_constants(machine)
         reduction = buchi_to_reach(folded, args.target)
         print(json.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,
+            "pinned": pinned,
         }, indent=2))
     else:  # foldconst
         folded, pinned = fold_constants(machine)
@@ -287,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="does some run satisfy the flat sentence?")
     common(p)
-    p.add_argument("--formula", required=True,
-                   help="formula text, or a path to a formula file")
+    p.add_argument("--formula", required=True, help="formula text")
     p.set_defaults(handler=cmd_mc)
 
     p = sub.add_parser("translate", help="emit a construction")

@@ -55,6 +55,16 @@ class ConstTest:
 Op = Union[Update, ParamTest, ConstTest]
 
 
+def _digits(text: str, complaint: str) -> int:
+    """The value of `text`, which must be ASCII digits within int's limit."""
+    if not (text.isascii() and text.isdigit()):
+        raise MachineError(complaint)
+    try:
+        return int(text)
+    except ValueError as err:
+        raise MachineError(f"{complaint}: {err}") from err
+
+
 def parse_op(text: str) -> Op:
     """Parse the textual operation format used in machine files and tests.
 
@@ -64,19 +74,15 @@ def parse_op(text: str) -> Op:
     if text == "0":
         return Update(0)
     if text and text[0] in "+-":
-        body = text[1:]
-        if not body.isdigit():
-            raise MachineError(f"malformed update op: {text!r}")
-        value = int(body)
+        value = _digits(text[1:], f"malformed update op: {text!r}")
         return Update(value if text[0] == "+" else -value)
     if text == "=0":
         return ConstTest("=", 0)
     if len(text) >= 4 and text[0] in RELATIONS and text[1:3] in ("c:", "x:"):
         rel, kind, arg = text[0], text[1], text[3:]
         if kind == "c":
-            if not arg.isdigit():
-                raise MachineError(f"malformed constant in op: {text!r}")
-            return ConstTest(rel, int(arg))
+            return ConstTest(rel, _digits(arg, f"malformed constant in op: "
+                                               f"{text!r}"))
         if not NAME_RE.match(arg):
             raise MachineError(f"malformed parameter name in op: {text!r}")
         return ParamTest(rel, arg)

@@ -252,20 +252,20 @@ def _param_tests(machine: CounterMachine) -> tuple[tuple[str, str], ...]:
 
 
 def _test_pattern(tests: tuple[tuple[str, str], ...],
-                  span_of: Mapping[str, tuple[int, int]],
-                  segment: int) -> tuple[bool, ...]:
+                  box: Mapping[str, tuple[int, int]],
+                  low: int) -> tuple[bool, ...]:
     """For each of the parameter tests listed by `_param_tests`, whether it
-    holds throughout the open interval between levels `segment` and
-    `segment + 1` for some value of its parameter; `span_of` gives the level
-    indices of the two ends of each parameter's range. A greater-than test
-    holds there if the lower end lies at or below the interval, a less-than
-    test if the upper end lies above it, and an equality test if the interval
-    lies between the two ends, which a range of one value never allows. These
-    comparisons of level indices alone decide which transitions survive
+    holds throughout the open interval between adjacent levels whose lower
+    one is `low`, for some value of its parameter in the inclusive range
+    that `box` gives it. Both ends of every range are levels, so a
+    greater-than test holds there if the lower end lies at or below `low`, a
+    less-than test if the upper end lies above it, and an equality test if
+    the interval lies between the two ends, which a range of one value never
+    allows. These comparisons alone decide which transitions survive
     stripping."""
-    return tuple(span_of[x][0] <= segment if rel == ">"
-                 else span_of[x][1] > segment if rel == "<"
-                 else span_of[x][0] <= segment < span_of[x][1]
+    return tuple(box[x][0] <= low if rel == ">"
+                 else box[x][1] > low if rel == "<"
+                 else box[x][0] <= low < box[x][1]
                  for x, rel in tests)
 
 
@@ -294,9 +294,10 @@ def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachin
 
 def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, int]]:
     """Replace every constant test other than =0 by a test against a fresh
-    parameter pinned to that constant. The result is of class OCA(P) when the
-    input had unary updates; pinned parameters are honored by parametric_reach
-    (fixed, not enumerated)."""
+    parameter pinned to that constant, and return the pinned values. The
+    result is of class OCA(P) when the input had unary updates;
+    `parametric_reach` folds its machine this way and searches each pinned
+    parameter at its constant alone."""
     consts = sorted({t.op.const for t in machine.transitions
                      if isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0)})
     if not consts:
@@ -419,8 +420,9 @@ def _project(run: Run | LassoRun, origin: Mapping[int, int],
 
 @dataclass(frozen=True)
 class ReachWitness:
-    """A parameter instantiation together with a concrete run that starts at
-    (initial, 0) and ends in the target state; independently re-checkable."""
+    """An instantiation of the machine's parameters together with a concrete
+    run that starts at (initial, 0) and ends in the target state;
+    independently re-checkable."""
     gamma: dict[str, int]
     run: Run
 
@@ -455,19 +457,22 @@ def enumerate_gammas(params, ranges: Mapping[str, tuple[int, int]]):
 
 
 def parametric_reach(machine: CounterMachine, target: str, bound: int,
-                     pinned: Optional[Mapping[str, int]] = None,
-                     bounds: Optional[Mapping[str, int]] = None,
+                     ranges: Optional[Mapping[str, tuple[int, int]]] = None,
                      ceiling: Optional[int] = None) -> Optional[ReachWitness]:
-    """Decide whether `target` is reachable for some instantiation with all
-    free parameter values <= bound (per-parameter overrides via `bounds`,
-    fixed values via `pinned`). Absence is relative to the bound.
+    """Decide whether `target` is reachable for some instantiation of the
+    parameters of `machine` with values <= bound, or within the inclusive
+    range (lo, hi) that `ranges` gives a parameter. Absence is relative to
+    these ranges.
 
-    The machine must have only =0 constant tests; run fold_constants first
-    otherwise. Its large updates are expanded (`expand_updates`), and the
-    run found is projected back and validated against `machine`. Counter
-    values are explored up to `ceiling`, defaulting to max(bound, pinned
-    values) + headroom(machine, |Q|); below that ceiling reachability is
-    decided exactly. Negative limits are rejected.
+    The machine is taken as written. Its constant tests are folded
+    (`fold_constants`) into parameters whose range is their constant alone,
+    and its large updates are expanded (`expand_updates`). The witness's
+    `gamma` names exactly the parameters of `machine`, and its run is
+    projected back and validated against `machine`. Counter values are
+    explored up to `ceiling`, defaulting to the largest of the bound, the
+    range ends and the constants, plus headroom(machine, |Q|); below that
+    ceiling reachability is decided exactly. A negative limit, a range with
+    lo > hi, or one naming no parameter of `machine` is rejected.
 
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
@@ -501,28 +506,21 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
       a run, since each of its chunks is.
     Only which run the breadth-first search meets first may differ.
     """
-    expanded, origin = expand_updates(machine)
-    _require_unary_zero_tests(expanded, "parametric_reach")
     if target not in machine.states:
         raise MachineError(f"target {target!r} not in machine")
-    if bound < 0:
-        raise MachineError("bound must be non-negative")
-    pinned = dict(pinned or {})
-    bounds = dict(bounds or {})
-    for x in (*pinned, *bounds):
+    if min(bound, ceiling or 0) < 0:
+        raise MachineError("bound and ceiling must be non-negative")
+    for x, (lo, hi) in (ranges or {}).items():
         if x not in machine.params:
             raise MachineError(f"unknown parameter {x!r}")
-    if any(v < 0 for v in pinned.values()):
-        raise MachineError("pinned parameter values must be non-negative")
-    if min([*bounds.values(), ceiling or 0]) < 0:
-        raise MachineError("parameter bounds and ceiling must be non-negative")
-    ranges: dict[str, tuple[int, int]] = {}
-    for x in machine.params:
-        if x in pinned:
-            ranges[x] = (pinned[x], pinned[x])
-        else:
-            ranges[x] = (0, bounds.get(x, bound))
-    highest = max([bound, *pinned.values(), *bounds.values()], default=bound)
+        if not 0 <= lo <= hi:
+            raise MachineError(
+                f"range of {x!r} must have 0 <= lo <= hi, got ({lo}, {hi})")
+    folded, constants = fold_constants(machine)
+    expanded, origin = expand_updates(folded)
+    ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
+              **{x: (c, c) for x, c in constants.items()}}
+    highest = max([bound, *(hi for _lo, hi in ranges.values())])
     top = (ceiling if ceiling is not None
            else highest + headroom(machine, len(machine.states)))
     top = max(top, highest + 1)
@@ -535,17 +533,18 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
             and _level_search(expanded, tests, ranges, target, top, memo,
                               peak) is None):
         return None
-    for gamma in enumerate_gammas(machine.params, ranges):
+    for gamma in enumerate_gammas(folded.params, ranges):
         point = {x: (v, v) for x, v in gamma.items()}
         run = _level_search(expanded, tests, point, target, top, memo, peak)
         if run is None:
             continue
+        own = {x: gamma[x] for x in machine.params}
         run = _project(run, origin, machine)
-        defect = validate_run(machine, gamma, run)
+        defect = validate_run(machine, own, run)
         if defect is not None or run.configs[-1].state != target:
             raise AssertionError(
                 f"solver produced an invalid witness: {defect}")
-        return ReachWitness(dict(gamma), run)
+        return ReachWitness(own, run)
     return None
 
 
@@ -574,12 +573,11 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     level_values = sorted({0, top, *levels, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
-    span_of = {x: (index_of[lo], index_of[hi]) for x, (lo, hi) in box.items()}
     entries: dict[int, tuple[StrippedMachine, dict]] = {}
 
     def exits_from(here: Config, segment: int) -> list:
         if segment not in entries:
-            pattern = _test_pattern(tests, span_of, segment)
+            pattern = _test_pattern(tests, box, level_values[segment])
             entry = memo.get(pattern)
             if entry is None:
                 entry = memo[pattern] = (_strip(machine, pattern), {})

@@ -452,13 +452,15 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     for q in sorted(accepting):
         if q not in machine.states:
             raise MachineError(f"accepting state {q!r} is not a state")
-    folded, pinned = fold_constants(machine)
+    folded, constants = fold_constants(machine)
     expanded, origin = expand_updates(folded)
     if ceiling is None:
         # Q' holds the states and their copies, a store and a target state,
         # and a chain state per parameter.
         reduced = 2 * len(folded.states) + 2 + len(folded.params)
-        ceiling = max([bound, *pinned.values()]) + headroom(folded, reduced)
+        ceiling = max([bound, *constants.values()]) + headroom(folded, reduced)
+    # Each folded constant is a parameter of the reduced machine of one value.
+    pinned = {x: (c, c) for x, c in constants.items()}
     if store_bound is None:
         store_bound = ceiling
     context = divergence_context(expanded)
@@ -467,8 +469,8 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     for accept_state in sorted(q for q in accepting if component[q] in cyclic):
         reduction = buchi_to_reach(expanded, accept_state, context=context)
         found = parametric_reach(reduction.machine, reduction.target, bound,
-                                 pinned=pinned,
-                                 bounds={reduction.y: store_bound},
+                                 ranges={**pinned,
+                                         reduction.y: (0, store_bound)},
                                  ceiling=ceiling)
         if found is None:
             continue
@@ -906,13 +908,11 @@ def succinct_to_unary(machine: CounterMachine,
 
 @dataclass(frozen=True)
 class McWitness:
-    """A self-certifying model-checking witness: the instantiation of the
-    product's parameters it was found under, which the machine never reads,
-    a lasso of the original machine, and the data word it spells (None when
-    the loop gains counter value and the formula tests registers, in which
-    case only the structural checks apply).
+    """A self-certifying model-checking witness: a lasso of the original
+    machine, which has no parameters, and the data word it spells (None
+    when the loop gains counter value and the formula tests registers, in
+    which case only the structural checks apply).
     """
-    gamma: dict[str, int]
     lasso: LassoRun
     word: Optional[LassoWord]
     formula_checked: bool
@@ -961,6 +961,5 @@ def model_check(machine: CounterMachine, phi: Formula,
     word = lasso_word(machine, lasso) if checked else None
     if checked and not evaluate(word, 0, {}, phi):
         raise AssertionError("model_check witness fails the formula re-check")
-    return McWitness(gamma=dict(found.certificate.gamma), lasso=lasso,
-                     word=word, formula_checked=checked)
+    return McWitness(lasso=lasso, word=word, formula_checked=checked)
 

@@ -33,7 +33,7 @@ from flatmc.machines import (
     rep_reach_oracle,
     validate_lasso,
 )
-from flatmc.reach import fold_constants, interval_return, interval_run, parametric_reach
+from flatmc.reach import interval_return, interval_run, parametric_reach
 from flatmc.reductions import (
     bit_at,
     bits,
@@ -120,8 +120,7 @@ def test_criterion_3_reach_solver(tmp_path):
         machine = random_machine(rng, max_states=5, max_params=2,
                                  with_consts=True, max_const=3)
         target = rng.choice(sorted(machine.states))
-        folded, pinned = fold_constants(machine)
-        witness = parametric_reach(folded, target, bound, pinned=pinned)
+        witness = parametric_reach(machine, target, bound)
         cap = bound + len(machine.states) ** 3
         expected = any(
             bounded_reach_oracle(machine, gamma, target, cap) is not None
@@ -131,13 +130,9 @@ def test_criterion_3_reach_solver(tmp_path):
             continue
         if witness is None:
             continue
-        # As `flatmc reach` writes it: without the parameters pinned to the
-        # folded constants, which the machine file does not have.
-        gamma = {x: v for x, v in witness.gamma.items()
-                 if x in machine.params}
         machine_path.write_text(json.dumps(machine_to_data(machine)))
         witness_path.write_text(json.dumps(
-            witness_to_data(gamma, witness.run)))
+            witness_to_data(witness.gamma, witness.run)))
         if cli_main(["check", str(witness_path), str(machine_path)]) != 0:
             failures.append((index, "check rejected witness"))
     _verdict(3, "parametric reachability equals the oracle", failures,
@@ -157,7 +152,7 @@ def test_criterion_4_buchi_reduction():
         reduction = buchi_to_reach(machine, accept)
         witness = parametric_reach(
             reduction.machine, reduction.target, 3 + len(machine.states),
-            bounds={x: 3 for x in machine.params}, ceiling=cap)
+            ranges={x: (0, 3) for x in machine.params}, ceiling=cap)
         expected = any(
             rep_reach_oracle(machine, gamma, [accept], cap) is not None
             for gamma in all_gammas(machine.params, 3))

@@ -142,6 +142,47 @@ MISTYPED = {
 }
 
 
+def _with_op(op: str) -> str:
+    """CLIMB_AND_TEST with its one test replaced by `op`, as file text."""
+    return json.dumps(dict(CLIMB_AND_TEST, transitions=[
+        {"from": "q", "op": "+1", "to": "q"},
+        {"from": "q", "op": op, "to": "q2"}]))
+
+
+DEEP = "[" * 100000 + "]" * 100000
+DIGITS = "9" * 5000
+
+# Input files that raised out of `main` with a traceback, except the
+# Arabic-Indic digit, which was read as 3: which file is corrupted, and its
+# text or bytes.
+MALFORMED = {
+    "deep-machine": ("machine", DEEP),
+    "deep-witness": ("witness", DEEP),
+    "long-value": ("witness", '{"gamma": {"x": 0}, "run": [{"state": "q", '
+                              '"value": ' + DIGITS + ', "via": null}]}'),
+    "long-update": ("machine", _with_op("+" + DIGITS)),
+    "long-constant": ("machine", _with_op(">c:" + DIGITS)),
+    "superscript-digit": ("machine", _with_op("+\u00b2")),
+    "arabic-indic-digit": ("machine", _with_op("+\u0663")),
+    "not-utf-8": ("machine", b"\xff{}"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exits_2_with_a_message(self, case, write, tmp_path, capsys):
+        corrupted, text = MALFORMED[case]
+        machine = write("m.json", CLIMB_AND_TEST)
+        path = tmp_path / f"{corrupted}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        if corrupted == "machine":
+            code = main(["reach", str(path), "--target", "q2", "--bound", "3"])
+        else:
+            code = main(["check", str(path), machine])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestStrictTypes:
     @pytest.mark.parametrize("field", [*MISTYPED, "value"])
     def test_mistyped_field_is_input_error(self, field, write, capsys):
@@ -300,14 +341,19 @@ class TestMc:
                      "--bound", "3", "--witness", out]) == 0
         assert main(["check", out, machine, "F @r. G [=r]"]) == 0
 
-    def test_formula_from_file(self, write, tmp_path):
+    def test_formula_is_text_even_where_a_file_has_its_name(
+            self, write, tmp_path, monkeypatch):
+        # A file named p holds `G q`, which this machine violates; `mc` and
+        # `check` read the argument p as the proposition p, not the file.
         data = {"states": ["q"], "initial": "q", "labels": {"q": ["p"]},
                 "transitions": [{"from": "q", "op": "0", "to": "q"}]}
         machine = write("m.json", data)
-        formula = tmp_path / "phi.ltl"
-        formula.write_text("G p\n")
-        assert main(["mc", machine, "--formula", str(formula),
-                     "--bound", "3"]) == 0
+        out = str(tmp_path / "w.json")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p").write_text("G q\n")
+        assert main(["mc", machine, "--formula", "p", "--bound", "3",
+                     "--witness", out]) == 0
+        assert main(["check", out, machine, "p"]) == 0
 
 
 # The flat sentences of the `mc_registers` benchmark workload.
@@ -434,6 +480,24 @@ class TestTranslate:
         again = machine_from_data(emitted["machine"])
         assert emitted["target"] in again.states
         assert "y" in again.params
+
+    def test_buchi2reach_lists_the_pinned_constants(self, write, capsys):
+        # <c:0 never fires, so no run repeats r; its folded parameter must
+        # stay pinned to 0 on the emitted machine, or s_hat becomes reachable.
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": "q", "op": "<c:0", "to": "r"},
+                            {"from": "r", "op": "0", "to": "r"}]})
+        assert main(["buchi", machine, "--accepting", "r", "--bound", "2"]) == 1
+        capsys.readouterr()
+        assert main(["translate", machine, "--mode", "buchi2reach",
+                     "--target", "r"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted["pinned"] == {"xc0": 0}
+        reduced = machine_from_data(emitted["machine"])
+        assert parametric_reach(reduced, emitted["target"], 2) is not None
+        assert parametric_reach(reduced, emitted["target"], 2, ranges={
+            x: (c, c) for x, c in emitted["pinned"].items()}) is None
 
     def test_buchi2reach_unknown_target_is_input_error(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)

@@ -90,11 +90,11 @@ class TestIntervalRun:
 def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
               gamma: dict) -> StrippedMachine:
     """Strip `machine` for the open interval between levels `segment` and
-    `segment + 1` of the increasing values `levels`, each parameter sitting
-    on the level of its value under `gamma`."""
-    span_of = {x: (levels.index(v),) * 2 for x, v in gamma.items()}
-    return _strip(machine, _test_pattern(_param_tests(machine), span_of,
-                                         segment))
+    `segment + 1` of the increasing values `levels`, each parameter ranging
+    over its value under `gamma` alone."""
+    box = {x: (v, v) for x, v in gamma.items()}
+    return _strip(machine, _test_pattern(_param_tests(machine), box,
+                                         levels[segment]))
 
 
 def _kept(stripped: StrippedMachine) -> list[tuple[int, Transition]]:
@@ -250,9 +250,9 @@ class TestFoldConstants:
     def test_solver_equivalence_with_pinning(self):
         m = CounterMachine.build(
             [("q", "+1", "q"), ("q", "=c:2", "win")], initial="q")
-        folded, pinned = fold_constants(m)
-        w = parametric_reach(folded, "win", 4, pinned=pinned)
-        assert w is not None and w.gamma[next(iter(pinned))] == 2
+        w = parametric_reach(m, "win", 4)
+        assert w is not None and w.gamma == {}
+        assert w.run.configs[-1] == Config("win", 2)
 
 
 class TestDefaultBound:
@@ -344,10 +344,16 @@ class TestParametricReach:
         assert w.run.configs == (Config("a", 0), Config("t", 0))
         assert w.run.steps == (1,)
 
-    def test_rejects_unfolded_constants(self):
-        m = CounterMachine.build([("q", "=c:2", "q2")], initial="q")
-        with pytest.raises(ClassMismatch):
-            parametric_reach(m, "q2", 4)
+    def test_folds_constant_tests_itself(self):
+        # >c:2 becomes a parameter inside the solver only: gamma names the
+        # machine's own parameters, and the run is one of the machine as
+        # written.
+        m = CounterMachine.build([("q", "+1", "q"), ("q", ">c:2", "p"),
+                                  ("p", "=x:x", "t")],
+                                 initial="q", params=["x"])
+        w = parametric_reach(m, "t", 4)
+        assert w is not None and w.gamma == {"x": 3}
+        assert validate_run(m, w.gamma, w.run) is None
 
     def test_expands_succinct_updates(self):
         # The run is found on the expansion and reported in the machine's
@@ -371,7 +377,7 @@ class TestParametricReach:
         assert w is not None and validate_run(m, {}, w.run) is None
         assert max(c.value for c in w.run.configs) == 2491
 
-    @pytest.mark.parametrize("limits", [{"bounds": {"x": -1}},
+    @pytest.mark.parametrize("limits", [{"ranges": {"x": (0, -1)}},
                                         {"ceiling": -1}])
     def test_negative_limit_rejected(self, limits):
         m = CounterMachine.build([("a", "+1", "a"), ("a", ">x:x", "b")],
@@ -379,6 +385,16 @@ class TestParametricReach:
         assert parametric_reach(m, "b", 3) is not None
         with pytest.raises(MachineError):
             parametric_reach(m, "b", 3, **limits)
+
+    @pytest.mark.parametrize("ranges", [{"y": (0, 2)}, {"x": (2, 1)},
+                                        {"x": (-1, 2)}],
+                             ids=["unknown", "reversed", "negative"])
+    def test_bad_range_rejected(self, ranges):
+        m = CounterMachine.build([("a", "+1", "a"), ("a", ">x:x", "b")],
+                                 initial="a", params=["x"])
+        assert parametric_reach(m, "b", 3, ranges={"x": (1, 2)}) is not None
+        with pytest.raises(MachineError):
+            parametric_reach(m, "b", 3, ranges=ranges)
 
     def test_needs_distinct_levels(self):
         # q2 requires the counter strictly between the two parameters.

@@ -111,7 +111,7 @@ class TestBuchiToReach:
             bound = 3 + len(m.states)
             witness = parametric_reach(
                 red.machine, red.target, bound,
-                bounds={x: 3 for x in m.params}, ceiling=cap)
+                ranges={x: (0, 3) for x in m.params}, ceiling=cap)
             expected = rep_reach_exists(m, [accept], cap=cap)
             assert (witness is not None) == expected, (m, accept)
             if witness is not None:
@@ -126,7 +126,8 @@ def first_per_state_witness(machine, accepting, bound, ceiling):
     for accept in sorted(accepting):
         red = buchi_to_reach(machine, accept)
         witness = parametric_reach(red.machine, red.target, bound,
-                                   bounds={red.y: ceiling}, ceiling=ceiling)
+                                   ranges={red.y: (0, ceiling)},
+                                   ceiling=ceiling)
         if witness is not None:
             return accept, witness, buchi_witness_to_lasso(red, witness)[1]
     return None
@@ -170,7 +171,9 @@ class TestRepeatedReach:
             repeated_reach(m, sorted(m.states), 2)
         assert seen
         for reduced, bound, kwargs in seen:
-            highest = max([bound, *kwargs["pinned"].values()])
+            # The folded constants range over one value each, y over more.
+            pinned = [lo for lo, hi in kwargs["ranges"].values() if lo == hi]
+            highest = max([bound, *pinned])
             assert kwargs["ceiling"] == highest + len(reduced.states) ** 3
 
     def test_store_bound_limits_the_stored_value(self):
