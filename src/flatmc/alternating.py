@@ -24,15 +24,18 @@ from typing import Optional
 
 from flatmc.machines import (
     NAME_RE,
+    ClassMismatch,
     Config,
     ConstTest,
     CounterMachine,
+    MachineClass,
     MachineError,
     Run,
     Update,
+    classify,
     validate_run,
 )
-from flatmc.reach import ReachWitness, _require_unary_zero_tests
+from flatmc.reach import ReachWitness
 
 BLANK = "#"
 FIRST = "first?"
@@ -250,7 +253,9 @@ def machine_to_a2a(machine: CounterMachine, target: str) -> ReachA2A:
     beyond the next delimiter; greater-than spawns a branch that must never
     see the parameter again (it drifts right forever, hence accepts).
     """
-    _require_unary_zero_tests(machine, "machine_to_a2a")
+    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
+        raise ClassMismatch(
+            "machine_to_a2a requires unary updates and zero tests only")
     if target not in machine.states:
         raise MachineError(f"target {target!r} not in machine")
     params = machine.params

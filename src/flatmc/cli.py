@@ -34,7 +34,6 @@ from flatmc.reductions import (
     model_check,
     repeated_reach,
     succinct_to_unary,
-    word_checkable,
 )
 
 
@@ -156,8 +155,7 @@ def cmd_mc(args) -> int:
         return 1
     data = jsonio.witness_to_data(
         {}, Run(witness.lasso.configs, witness.lasso.steps),
-        loop_start=witness.lasso.loop_start,
-        formula_holds=True if witness.formula_checked else None)
+        loop_start=witness.lasso.loop_start, formula_holds=True)
     _emit_witness(args, data)
     _report(args, "present", bound, witness=data)
     return 0
@@ -229,12 +227,7 @@ def cmd_check(args) -> int:
     if phi is not None:
         if lasso is None:
             return reject("a formula check needs a lasso witness")
-        if not word_checkable(lasso, phi):
-            _report(args, "valid (formula not evaluated: the loop gains "
-                          "counter value and the formula tests registers)")
-            return 0
-        word = lasso_word(machine, lasso)
-        if not evaluate(word, 0, {}, phi):
+        if not evaluate(lasso_word(machine, lasso), 0, {}, phi):
             return reject("the spelled word does not satisfy the formula")
     _report(args, "valid")
     return 0

@@ -1,5 +1,6 @@
 """Freeze LTL: syntax, parser, negation normal form, the flat fragment, and
-an exact evaluator over ultimately periodic data words.
+an exact evaluator over ultimately periodic data words, whose loop may gain
+counter value on each pass.
 
 The freeze quantifier `@r.` stores the current counter value in register r;
 register tests `[=r]`, `[<r]`, `[>r]` compare the current value with the
@@ -493,13 +494,17 @@ def rename_registers(phi: Formula) -> Formula:
 @dataclass(frozen=True)
 class LassoWord:
     """An ultimately periodic data word: a finite prefix followed by a
-    forever-repeated loop of (proposition set, counter value) pairs."""
+    forever-repeated loop of (proposition set, counter value) pairs, whose
+    values rise by `gain` on each pass."""
     prefix: tuple[tuple[frozenset[str], int], ...]
     loop: tuple[tuple[frozenset[str], int], ...]
+    gain: int = 0
 
     def __post_init__(self):
         if not self.loop:
             raise FormulaError("lasso words need a nonempty loop")
+        if self.gain < 0:
+            raise FormulaError("the loop gain must be non-negative")
         normalize = tuple(
             (frozenset(props), value) for props, value in self.prefix)
         object.__setattr__(self, "prefix", normalize)
@@ -518,10 +523,11 @@ class LassoWord:
         return len(self.prefix) + (i - len(self.prefix)) % len(self.loop)
 
     def at(self, i: int) -> tuple[frozenset[str], int]:
-        i = self.norm(i)
         if i < len(self.prefix):
             return self.prefix[i]
-        return self.loop[i - len(self.prefix)]
+        passes, j = divmod(i - len(self.prefix), len(self.loop))
+        props, value = self.loop[j]
+        return props, value + passes * self.gain
 
     def span(self) -> int:
         return len(self.prefix) + len(self.loop)
@@ -529,9 +535,18 @@ class LassoWord:
 
 def evaluate(word: LassoWord, position: int, assignment, phi: Formula) -> bool:
     """Exact satisfaction of `phi` at `position` of `word` under the register
-    assignment. Until and release walk the finitely many position classes of
-    the lasso; results are memoized per (position class, subformula,
-    assignment restricted to its free registers)."""
+    assignment.
+
+    A position in loop pass k reads as the same position in pass 0 with
+    every register lowered by k * gain: all values shift alike, so every
+    comparison reads the same. In the loop, a register below the least loop
+    value compares like any value below it, so it is raised to one below
+    that value. Registers thus only fall from pass to pass, and not below
+    that floor, so until and release walk finitely many (position,
+    registers) states before one repeats. Results are memoized per
+    (position, subformula, values of its free registers)."""
+    start = len(word.prefix)
+    floor = min(value for _props, value in word.loop) - 1
     memo: dict = {}
     free_cache: dict = {}
 
@@ -541,9 +556,22 @@ def evaluate(word: LassoWord, position: int, assignment, phi: Formula) -> bool:
             got = free_cache[f] = free_registers(f)
         return got
 
+    def canonical(i: int, nu: dict) -> tuple[int, dict]:
+        """Position i under `nu` as a position of pass 0 or the prefix."""
+        if i < start:
+            return i, nu
+        passes, j = divmod(i - start, len(word.loop))
+        if word.gain:
+            lower = passes * word.gain
+            nu = {r: max(v - lower, floor) for r, v in nu.items()}
+        return start + j, nu
+
+    def state(f: Formula, i: int, nu: dict) -> tuple:
+        return f, i, tuple(sorted((r, nu.get(r)) for r in free(f)))
+
     def sat(f: Formula, i: int, nu: dict) -> bool:
-        i = word.norm(i)
-        key = (f, i, tuple(sorted((r, nu.get(r)) for r in free(f))))
+        i, nu = canonical(i, nu)
+        key = state(f, i, nu)
         got = memo.get(key)
         if got is not None:
             return got
@@ -573,32 +601,33 @@ def evaluate(word: LassoWord, position: int, assignment, phi: Formula) -> bool:
             return sat(f.body, i + 1, nu)
         if isinstance(f, Freeze):
             return sat(f.body, i, {**nu, f.reg: word.at(i)[1]})
-        if isinstance(f, Until):
-            visited = set()
-            j = i
-            while True:
-                jn = word.norm(j)
-                if jn in visited:
-                    return False
-                visited.add(jn)
-                if sat(f.right, j, nu):
-                    return True
-                if not sat(f.left, j, nu):
-                    return False
-                j += 1
-        # Release: either the right side holds on the whole forward orbit, or
-        # the left side releases at some point where the right still holds.
-        visited = set()
-        j = i
+        # Until and release walk forward until a (position, registers)
+        # state repeats. Until holds where its right side first holds, and
+        # fails where its left side fails before that or when the walk
+        # closes; release is its dual. Every state of the walk has the
+        # result of its end, so all are memoized and a later walk stops at
+        # the first of them it meets.
+        until = isinstance(f, Until)
+        walk = set()
         while True:
-            jn = word.norm(j)
-            if jn in visited:
-                return True
-            visited.add(jn)
-            if not sat(f.right, j, nu):
-                return False
-            if sat(f.left, j, nu):
-                return True
-            j += 1
+            i, nu = canonical(i, nu)
+            here = state(f, i, nu)
+            result = memo.get(here)
+            if result is not None:
+                break
+            if here in walk:
+                result = not until
+                break
+            walk.add(here)
+            if sat(f.right, i, nu) == until:
+                result = until
+                break
+            if sat(f.left, i, nu) != until:
+                result = not until
+                break
+            i += 1
+        for here in walk:
+            memo[here] = result
+        return result
 
     return sat(phi, position, dict(assignment))

@@ -92,15 +92,6 @@ def default_bound(machine: CounterMachine) -> int:
             * DEFAULT_MULTIPLIER)
 
 
-def _require_unary_zero_tests(machine: CounterMachine, who: str) -> None:
-    for t in machine.transitions:
-        if isinstance(t.op, Update) and abs(t.op.delta) > 1:
-            raise ClassMismatch(f"{who} requires unary updates, got {t}")
-        if isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0):
-            raise ClassMismatch(
-                f"{who} requires constants to be folded first, got {t}")
-
-
 def _require_plain_oca(machine: CounterMachine, who: str) -> None:
     if classify(machine) is not MachineClass.OCA:
         raise ClassMismatch(f"{who} requires a plain OCA, got "
@@ -637,38 +628,56 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
 # ---------------------------------------------------------------------------
 
 def plain_rep_lasso(machine: CounterMachine | StrippedMachine, start: str,
-                    good: str, cap: int) -> Optional[LassoRun]:
+                    good: str, need: int) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
     infinitely often, for machines without any tests, a stripped machine
-    among them; its steps are the indices `outgoing` lists. None if there is
-    none with every counter value at most `cap`.
+    among them; its steps are the indices `outgoing` lists. `need` is the
+    least value from which a non-empty closed walk through `good` ends no
+    lower than it started (`DivergenceContext.need`). None if there is no
+    such lasso.
 
-    The loop starts at the reachable configuration of `good` with the least
-    value from which a loop exists, and is an exact return to it if there is
-    one, else a return to `good` with a larger value, which pumps since
-    every transition is an update. Each part is a first path of the search
-    with transitions tried in declaration order."""
+    The prefix is the first path of the search from (start, 0) to `good`
+    with a value of at least `need`; from there the closed walk, shifted up,
+    is a loop. The loop is the first path back to `good` with at least the
+    anchor's value, which pumps since every transition is an update. Paths
+    are tried with transitions in declaration order.
+
+    Both searches enter only states from which `good` is reachable in the
+    control graph, each by a path of fewer than |Q| steps that lowers the
+    value by at most |Q| - 1 times the largest update K. So a search whose
+    end needs a value of at least v has an end within reach of every
+    configuration above v + (|Q| - 1) K. Either it finds an end, after
+    finitely many configurations, or it only meets values at most that high
+    and stops."""
     if any(not isinstance(t.op, Update) for q in machine.states
            for _i, t in machine.outgoing(q)):
         raise ClassMismatch("plain_rep_lasso requires a test-free machine")
     if start not in machine.states or good not in machine.states:
         raise MachineError("unknown state")
 
+    incoming: dict[str, list] = {q: [] for q in machine.states}
+    for q in machine.states:
+        for _i, t in machine.outgoing(q):
+            incoming[t.target].append((None, q))
+    reaches: dict = {}
+    for _ in _bfs(good, incoming.__getitem__, lambda q: False, reaches):
+        pass  # with no ends, the search only fills `reaches`
+
     def steps(here: Config) -> list:
         return [step for step in successors(machine, {}, here)
-                if step[1].value <= cap]
+                if step[1].state in reaches]
+
+    def anchors(c: Config) -> bool:
+        return c.state == good and c.value >= need
 
     origin = Config(start, 0)
-    tree: dict = {}
-    for _ in _bfs(origin, steps, lambda c: False, tree):
-        pass  # with no ends, the search only fills the tree
-    for anchor in sorted(c for c in tree if c.state == good):
-        loop = _first_path(anchor, steps, anchor.__eq__)
-        if loop is None:
-            loop = _first_path(anchor, steps, lambda c: c.state == good
-                               and c.value > anchor.value)
-        if loop is not None:
-            prefix = _path(tree, anchor)
-            run = _run(origin, prefix + loop)
-            return LassoRun(run.configs, run.steps, loop_start=len(prefix))
-    return None
+    prefix = [] if anchors(origin) else _first_path(origin, steps, anchors)
+    if prefix is None:
+        return None
+    anchor = prefix[-1][1] if prefix else origin
+    loop = _first_path(anchor, steps, lambda c: c.state == good
+                       and c.value >= anchor.value)
+    if loop is None:
+        return None
+    run = _run(origin, prefix + loop)
+    return LassoRun(run.configs, run.steps, loop_start=len(prefix))

@@ -11,9 +11,10 @@ state f are found on its control graph, with no counter cap: f needs an
 entry value, the least one from which a non-empty closed walk through f
 ends no lower than it started, and it is at most |SCC(f)| - 1; the states
 that loop are those from which counter value 0 reaches f with at least that
-value. Both are least-credit fixpoints over the graph, and the same graph
-yields the counter cap at which a loop witness is searched, so no setting
-bounds the divergence case.
+value. Both are least-credit fixpoints over the graph, and the loop witness
+is a search for a path to f with at least that value and one back with no
+less, which needs no counter cap either, so no setting bounds the
+divergence case.
 Model checking a flat sentence reduces to repeated reachability of a tableau
 product whose registers become parameters; `repeated_reach` expands its
 binary-encoded updates. The paper's polynomial reduction of those updates,
@@ -104,8 +105,8 @@ class DivergenceContext:
     a value at least `need(f)`, the least entry value of a non-empty closed
     walk through f with effect >= 0. Both are decided on the control graph
     by least-credit fixpoints (`_credits`), with no cap on counter values;
-    `loop_cap` reads off the same graph the counter cap of the search that
-    rebuilds a loop witness."""
+    `plain_rep_lasso`, given `need(f)`, rebuilds a loop witness without one
+    either."""
     machine: StrippedMachine
     component: Mapping[str, int]    # control state -> SCC id
     cyclic: frozenset[int]          # ids of the SCCs containing a cycle
@@ -169,43 +170,6 @@ class DivergenceContext:
             return frozenset()
         credit = self._credits(accept_state, need)
         return frozenset(q for q, c in credit.items() if c == 0)
-
-    def _distances(self, goal: str,
-                   scc: Optional[int] = None) -> dict[str, int]:
-        """For each state that can reach `goal`, the length of a shortest
-        path to it; with `scc`, of a shortest path inside that SCC."""
-        distance = {goal: 0}
-        work = deque([goal])
-        while work:
-            here = work.popleft()
-            for back, _delta in self.incoming[here]:
-                if back not in distance and (
-                        scc is None or self.component[back] == scc):
-                    distance[back] = distance[here] + 1
-                    work.append(back)
-        return distance
-
-    def loop_cap(self, accept_state: str) -> int:
-        """A counter cap at which `plain_rep_lasso` finds a loop through
-        `accept_state` from every loop entry: need + 2D + 2E + 1, where D
-        (E) is the longest of the shortest path lengths to the accept state
-        from the states that reach it (inside its SCC). Only defined for an
-        accept state with loop entries.
-
-        From an entry, a run reaching the accept state with a value at least
-        the need either stays below need + D or, where it first reaches
-        that value, can switch to a shortest path; so some such run stays at
-        or below need + 2D, ending at a value w >= need. From w, a closed
-        walk with effect >= 0 either stays at or below w + E or, where it
-        first goes above, can switch to a shortest path back inside the SCC
-        and end above w; so some loop stays at or below w + 2E + 1."""
-        need = self.need(accept_state)
-        if need is None:
-            raise ValueError(f"no loop through {accept_state!r}")
-        far = max(self._distances(accept_state).values())
-        near = max(self._distances(accept_state,
-                                   self.component[accept_state]).values())
-        return need + 2 * far + 2 * near + 1
 
 
 @dataclass(frozen=True)
@@ -377,8 +341,8 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
     in which the loop starts at the accept state.
 
     In the divergence case the loop comes from `plain_rep_lasso` on the
-    test-free machine, searched with the context's `loop_cap`, at which a
-    loop from every chain entry is proved to exist."""
+    test-free machine, given the accept state's `need`: a chain entry is a
+    loop entry, so the search finds a loop from it with no counter cap."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
@@ -402,7 +366,7 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         context = reduction.context
         base = plain_rep_lasso(context.machine, anchor.state,
                                reduction.accept_state,
-                               cap=context.loop_cap(reduction.accept_state))
+                               context.need(reduction.accept_state))
         if base is None:
             raise AssertionError(
                 f"no divergence loop from {anchor.state!r} despite chain entry")
@@ -495,7 +459,6 @@ class McReduction:
     parameters iff some run of the source satisfies the sentence. The
     product copies the source's updates, large ones included."""
     instance: BuchiInstance
-    source: CounterMachine
     formula: Formula                 # renamed normal form actually encoded
     step_origin: Mapping[int, int]   # product transition -> source transition
 
@@ -689,7 +652,7 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
                                    extra_states=(initial,))
     return McReduction(
         instance=BuchiInstance(product, frozenset(accepting)),
-        source=machine, formula=renamed, step_origin=step_origin)
+        formula=renamed, step_origin=step_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -909,28 +872,19 @@ def succinct_to_unary(machine: CounterMachine,
 @dataclass(frozen=True)
 class McWitness:
     """A self-certifying model-checking witness: a lasso of the original
-    machine, which has no parameters, and the data word it spells (None
-    when the loop gains counter value and the formula tests registers, in
-    which case only the structural checks apply).
-    """
+    machine, which has no parameters, and the data word it spells, which
+    satisfies the formula."""
     lasso: LassoRun
-    word: Optional[LassoWord]
-    formula_checked: bool
-
-
-def word_checkable(lasso: LassoRun, phi: Formula) -> bool:
-    """Whether the word a lasso spells is checked against `phi`: unless the
-    loop gains counter value and `phi` tests a register."""
-    return lasso.loop_delta == 0 or not any(
-        isinstance(f, RegTest) for f in subformulas(phi))
+    word: LassoWord
 
 
 def lasso_word(machine: CounterMachine, lasso: LassoRun) -> LassoWord:
     """The data word spelled by a lasso: state labels paired with counter
-    values, the final configuration folded onto the loop entry."""
+    values, the final configuration folded onto the loop entry, and the
+    loop's gain in counter value per pass."""
     entries = [(machine.labels[c.state], c.value) for c in lasso.configs[:-1]]
     return LassoWord(tuple(entries[:lasso.loop_start]),
-                     tuple(entries[lasso.loop_start:]))
+                     tuple(entries[lasso.loop_start:]), lasso.loop_delta)
 
 
 def model_check(machine: CounterMachine, phi: Formula,
@@ -941,8 +895,7 @@ def model_check(machine: CounterMachine, phi: Formula,
     itself, and `repeated_reach` expands its large updates, so one
     projection maps the product's lasso back. A returned witness has been
     re-validated: the lasso against the machine, and the spelled word
-    against the formula whenever the word is exactly periodic (or the
-    formula ignores counter values).
+    against the formula.
     """
     mc = flat_mc_to_buchi(machine, phi)
     ceiling = (bound + headroom(machine, len(machine.states))
@@ -957,9 +910,8 @@ def model_check(machine: CounterMachine, phi: Formula,
     if defect is not None:
         raise AssertionError(
             f"model_check produced an invalid lasso: {defect.reason}")
-    checked = word_checkable(lasso, phi)
-    word = lasso_word(machine, lasso) if checked else None
-    if checked and not evaluate(word, 0, {}, phi):
+    word = lasso_word(machine, lasso)
+    if not evaluate(word, 0, {}, phi):
         raise AssertionError("model_check witness fails the formula re-check")
-    return McWitness(lasso=lasso, word=word, formula_checked=checked)
+    return McWitness(lasso=lasso, word=word)
 

@@ -91,3 +91,68 @@ def mc_oracle(machine: CounterMachine, phi, max_positions: int = 12,
         return False
 
     return dfs([Config(machine.initial, 0)], [])
+
+
+def prefix_verdict(entries, position: int, phi) -> Optional[bool]:
+    """Satisfaction of the sentence `phi` at `position` of every infinite
+    data word that begins with the (proposition set, value) pairs `entries`:
+    True or False if each such word agrees, None if the prefix cannot tell.
+    Kleene's three-valued logic, with every position past the prefix
+    unknown; until and release unfold backwards from the end."""
+    from flatmc.formulas import (And, Freeze, Neg, Next, Or, Prop, RegTest,
+                                 Until)
+
+    def neg(a):
+        return None if a is None else not a
+
+    def conj(a, b):
+        if a is False or b is False:
+            return False
+        return None if a is None or b is None else True
+
+    def disj(a, b):
+        return neg(conj(neg(a), neg(b)))
+
+    memo: dict = {}  # keyed by id: hashing a formula walks all of it
+
+    def sat(f, i: int, nu: tuple):
+        if i >= len(entries):
+            return None
+        key = (id(f), i, nu)
+        if key not in memo:
+            memo[key] = at(f, i, nu)
+        return memo[key]
+
+    def at(f, i: int, nu: tuple):
+        props, value = entries[i]
+        if isinstance(f, Prop):
+            return f.name in props
+        if isinstance(f, RegTest):
+            stored = dict(nu)[f.reg]
+            return {"<": value < stored, "=": value == stored,
+                    ">": value > stored}[f.rel]
+        if isinstance(f, Neg):
+            return neg(sat(f.body, i, nu))
+        if isinstance(f, And):
+            return conj(sat(f.left, i, nu), sat(f.right, i, nu))
+        if isinstance(f, Or):
+            return disj(sat(f.left, i, nu), sat(f.right, i, nu))
+        if isinstance(f, Next):
+            return sat(f.body, i + 1, nu)
+        if isinstance(f, Freeze):
+            bound = tuple(sorted({**dict(nu), f.reg: value}.items()))
+            return sat(f.body, i, bound)
+        result = None  # the unknown rest of the word
+        for j in range(len(entries) - 1, i - 1, -1):
+            if (id(f), j, nu) in memo:
+                result = memo[id(f), j, nu]
+                continue
+            left, right = sat(f.left, j, nu), sat(f.right, j, nu)
+            if isinstance(f, Until):
+                result = disj(right, conj(left, result))
+            else:
+                result = conj(right, disj(left, result))
+            memo[id(f), j, nu] = result
+        return result
+
+    return sat(phi, position, ())

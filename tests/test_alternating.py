@@ -25,6 +25,7 @@ from flatmc.alternating import (
     validate_run_tree,
 )
 from flatmc.machines import (
+    ClassMismatch,
     CounterMachine,
     bounded_reach_oracle,
     machine_size,
@@ -150,6 +151,13 @@ class TestTranslation:
         m = CounterMachine.build([("q", "=0", "q2")], initial="q")
         ta = machine_to_a2a(m, "q2")
         assert any(t.test == FIRST for t in ta.automaton.transitions)
+
+    @pytest.mark.parametrize("op", ["+2", "<c:3"])
+    def test_rejects_large_updates_and_unfolded_constants(self, op):
+        m = CounterMachine.build([("q", op, "q2")], initial="q",
+                                 params=["x"])
+        with pytest.raises(ClassMismatch):
+            machine_to_a2a(m, "q2")
 
 
 class TestMembership:

@@ -17,7 +17,7 @@ import pytest
 import flatmc
 from flatmc import reductions
 from flatmc.cli import build_parser, main
-from flatmc.formulas import FormulaError, parse
+from flatmc.formulas import FormulaError, RegTest, parse, subformulas
 from flatmc.jsonio import (
     machine_from_data,
     machine_to_data,
@@ -26,7 +26,6 @@ from flatmc.jsonio import (
 )
 from flatmc.machines import MachineError, Run, rep_reach_oracle, validate_run
 from flatmc.reach import parametric_reach
-from flatmc.reductions import word_checkable
 from tests.gen import all_gammas, random_machine
 from tests.oracles import gamma_reach_oracle, mc_oracle
 
@@ -341,6 +340,22 @@ class TestMc:
                      "--bound", "3", "--witness", out]) == 0
         assert main(["check", out, machine, "F @r. G [=r]"]) == 0
 
+    def test_climbing_witness_checks_exactly_valid(self, write, tmp_path,
+                                                   capsys):
+        # The loop gains counter value and the sentence tests a register:
+        # the word is still evaluated, with each pass one higher.
+        data = {"states": ["q"], "initial": "q", "labels": {"q": ["p"]},
+                "transitions": [{"from": "q", "op": "+1", "to": "q"}]}
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        text = "F @r. X [>r]"
+        assert main(["mc", machine, "--formula", text, "--bound", "3",
+                     "--witness", out]) == 0
+        assert json.loads(open(out).read())["formula_holds"] is True
+        capsys.readouterr()
+        assert main(["check", out, machine, text]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
     def test_formula_is_text_even_where_a_file_has_its_name(
             self, write, tmp_path, monkeypatch):
         # A file named p holds `G q`, which this machine violates; `mc` and
@@ -413,6 +428,8 @@ class TestBinaryUpdates:
             m = random_machine(rng, max_states=3, max_params=0,
                                with_labels=True, max_update=8)
             text = MC_PATTERNS[i % len(MC_PATTERNS)]
+            tests_a_register = any(isinstance(f, RegTest)
+                                   for f in subformulas(parse(text)))
             got = self._run(write, tmp_path, m, [
                 "mc", "--formula", text, "--bound", "3"], [text])
             expected = mc_oracle(m, parse(text), max_positions=12,
@@ -421,7 +438,7 @@ class TestBinaryUpdates:
                 lasso = got.lasso
                 assert (len(lasso.configs) > 12
                         or max(c.value for c in lasso.configs) > 3
-                        or not word_checkable(lasso, parse(text)))
+                        or (lasso.loop_delta > 0 and tests_a_register))
                 outside += 1
             else:
                 assert (got is not None) == expected
@@ -498,6 +515,14 @@ class TestTranslate:
         assert parametric_reach(reduced, emitted["target"], 2) is not None
         assert parametric_reach(reduced, emitted["target"], 2, ranges={
             x: (c, c) for x, c in emitted["pinned"].items()}) is None
+
+    def test_a2a_rejects_a_large_update(self, write, capsys):
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": "q", "op": "+3", "to": "r"}]})
+        assert main(["translate", machine, "--mode", "a2a",
+                     "--target", "r"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_buchi2reach_unknown_target_is_input_error(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)
@@ -606,6 +631,19 @@ class TestCheck:
         for formula in ([], [text]):
             assert main(["check", bad, machine, *formula]) == 2
             assert "'r_1'" in capsys.readouterr().err
+
+    def test_false_formula_on_a_climbing_loop_is_rejected(self, write,
+                                                          capsys):
+        # The run climbs forever, so no value is frozen and met again.
+        machine = write("m.json", {
+            "states": ["q"], "initial": "q", "labels": {"q": ["p"]},
+            "transitions": [{"from": "q", "op": "+1", "to": "q"}]})
+        witness = write("w.json", {"gamma": {}, "loop_start": 0, "run": [
+            {"state": "q", "value": 0, "via": None},
+            {"state": "q", "value": 1, "via": 0}]})
+        assert main(["check", witness, machine, "F @r. G [=r]"]) == 1
+        assert "does not satisfy the formula" in capsys.readouterr().out
+        assert main(["check", witness, machine, "F @r. X [>r]"]) == 0
 
     def test_unknown_witness_key_is_input_error(self, write, tmp_path):
         machine_path = write("m.json", CLIMB_AND_TEST)

@@ -4,6 +4,7 @@ lasso-word evaluator."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from flatmc.formulas import (
     rename_registers,
 )
 from tests.gen import random_formula, random_lasso
+from tests.oracles import prefix_verdict
 
 FINITE_VALUES = parse("F @r. G ([<r] | [=r])")
 SERVED = parse("G @r.(req -> F(serve & [=r]))")
@@ -215,6 +217,16 @@ class TestLassoWord:
         assert w.at(1) == w.at(3) == w.at(5)
         assert w.norm(4) == 2
 
+    def test_rejects_negative_gain(self):
+        with pytest.raises(FormulaError):
+            LassoWord((), ((frozenset(), 0),), -1)
+
+    def test_gain_is_added_once_per_pass(self):
+        w = LassoWord(((frozenset("p"), 1),),
+                      ((frozenset(), 2), (frozenset("q"), 3)), 5)
+        assert [w.at(i)[1] for i in range(7)] == [1, 2, 3, 7, 8, 12, 13]
+        assert w.at(4) == (frozenset("q"), 8)
+
 
 class TestEvaluate:
     def test_freeze_then_next(self):
@@ -276,3 +288,51 @@ class TestEvaluate:
             rotated = LassoWord(w.prefix + w.loop[:k], w.loop[k:] + w.loop[:k])
             for i in range(w.span()):
                 assert evaluate(w, i, {}, f) == evaluate(rotated, i, {}, f)
+
+
+class TestClimbingLoops:
+    """Words whose loop rises by a gain on each pass, against the
+    three-valued verdict of an explicit prefix of PASSES passes."""
+
+    PASSES = 12
+
+    def test_climbing_loop_examples(self):
+        climb = LassoWord((), ((frozenset("p"), 0),), 1)
+        assert evaluate(climb, 0, {}, parse("F @r. X [>r]"))
+        assert not evaluate(climb, 0, {}, parse("F @r. G [=r]"))
+        assert not evaluate(climb, 0, {}, FINITE_VALUES)
+        assert evaluate(climb, 0, {}, parse("@r. G ([>r] | [=r])"))
+        # Frozen at 5 in the prefix: met once, two passes in, then passed.
+        late = LassoWord(((frozenset(), 5),), ((frozenset(), 1),
+                                               (frozenset(), 2)), 2)
+        assert evaluate(late, 0, {}, parse("@r. F [=r]"))
+        assert evaluate(late, 0, {}, parse("@r. F G [>r]"))
+        assert not evaluate(late, 0, {}, parse("@r. G F [=r]"))
+
+    def test_far_register_takes_time_linear_in_its_distance(self):
+        # r is frozen 3000 above a loop that climbs from 0, so G F [=r]
+        # walks 3000 passes; each F walk must stop at the states an earlier
+        # one memoized, or the check takes quadratic time.
+        far = LassoWord(((frozenset(), 0), (frozenset(), 3000)),
+                        ((frozenset(), 0),), 1)
+        started = time.perf_counter()
+        assert evaluate(far, 0, {}, parse("X @r. X F [=r]"))
+        assert not evaluate(far, 0, {}, parse("X @r. X G F [=r]"))
+        assert time.perf_counter() - started < 3
+
+    def test_agrees_with_an_explicit_prefix(self):
+        rng = random.Random(43)
+        decided = 0
+        for _ in range(1000):
+            f = random_formula(rng, depth=3)
+            w = random_lasso(rng)
+            word = LassoWord(w.prefix, w.loop, rng.randint(0, 3))
+            length = len(word.prefix) + self.PASSES * len(word.loop)
+            entries = [word.at(i) for i in range(length)]
+            for i in (0, rng.randrange(word.span() + len(word.loop))):
+                expected = prefix_verdict(entries, i, f)
+                if expected is not None:
+                    decided += 1
+                    assert evaluate(word, i, {}, f) == expected, \
+                        (word, i, render(f))
+        assert decided >= 1000

@@ -20,6 +20,7 @@ from flatmc.machines import (
     Update,
     bounded_reach_oracle,
     rep_reach_oracle,
+    validate_lasso,
     validate_run,
 )
 from flatmc.reach import (
@@ -38,7 +39,7 @@ from flatmc.reach import (
     parametric_reach,
     plain_rep_lasso,
 )
-from flatmc.reductions import buchi_to_reach
+from flatmc.reductions import buchi_to_reach, divergence_context
 from tests.gen import all_gammas, random_machine, random_oca
 from tests.oracles import gamma_reach_oracle, interval_run_oracle
 
@@ -787,27 +788,45 @@ def _count_level_searches(monkeypatch) -> list:
 class TestPlainRepReach:
     def test_zero_loop(self):
         m = CounterMachine.build([("good", "0", "good")], initial="good")
-        assert plain_rep_lasso(m, "good", "good", cap=8) is not None
+        assert plain_rep_lasso(m, "good", "good", 0) is not None
 
     def test_decrement_only(self):
         m = CounterMachine.build([("t", "-1", "t")], initial="t")
-        assert plain_rep_lasso(m, "t", "t", cap=8) is None
+        assert plain_rep_lasso(m, "t", "t", 0) is None
 
     def test_round_trip_loop(self):
         m = CounterMachine.build(
             [("t", "+1", "t"), ("t", "0", "good"), ("good", "0", "t")],
             initial="t")
-        assert plain_rep_lasso(m, "t", "good", cap=4) is not None
+        assert plain_rep_lasso(m, "t", "good", 0) is not None
 
     def test_rejects_tests(self):
         m = CounterMachine.build([("t", "=0", "t")], initial="t")
         with pytest.raises(ClassMismatch):
-            plain_rep_lasso(m, "t", "t", cap=8)
+            plain_rep_lasso(m, "t", "t", 0)
+
+    def test_search_with_no_end_stops(self, monkeypatch):
+        # `a` climbs forever and never reaches `g`; the search must not
+        # follow it. A call budget turns a regression into a failure.
+        m = CounterMachine.build([("a", "+1", "a")], initial="a",
+                                 extra_states=["g"])
+        calls = []
+        successors = reach_module.successors
+
+        def budgeted(*args):
+            calls.append(None)
+            assert len(calls) < 1000, "the search does not stop"
+            return successors(*args)
+
+        monkeypatch.setattr(reach_module, "successors", budgeted)
+        assert plain_rep_lasso(m, "a", "g", 0) is None
 
     def test_agrees_with_core_oracle(self):
-        # The same lasso as the brute-force oracle, which searches the
-        # configuration graph on its own: the same anchor, loop shape and
-        # steps, or None on both sides.
+        # A lasso exactly when the brute-force oracle, which searches the
+        # configuration graph on its own, finds one below a counter cap of
+        # need + 4|Q| + 1: some lasso stays that low whenever one exists.
+        # A found lasso validates from the start and loops at `good` from a
+        # value of at least `need`.
         rng = random.Random(606)
         found = 0
         for _ in range(200):
@@ -821,8 +840,14 @@ class TestPlainRepReach:
             good = rng.choice(states)
             rebased = CounterMachine.build(triples, initial=start,
                                            extra_states=states)
-            cap = rng.randint(0, 12)
+            need = divergence_context(m).need(good)
+            cap = (need or 0) + 4 * len(states) + 1
             expected = rep_reach_oracle(rebased, {}, [good], cap)
-            assert plain_rep_lasso(m, start, good, cap=cap) == expected
-            found += expected is not None
+            got = plain_rep_lasso(m, start, good, need or 0)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert validate_lasso(rebased, {}, got) is None
+                anchor = got.configs[got.loop_start]
+                assert anchor.state == good and anchor.value >= need
+                found += 1
         assert found >= 50

@@ -304,15 +304,33 @@ class TestDivergenceContext:
                 assert need == 0 or not closes_from(free, f, need - 1, cap)
         assert finite >= 50 and raised >= 10
 
-    def test_loop_found_at_loop_cap_from_every_entry(self):
+    def test_loop_found_exactly_from_the_loop_entries(self):
         rng = random.Random(2024)
+        lassos = 0
         for _ in range(40):
-            m = random_machine(rng, max_states=5, max_params=1)
+            m = random_machine(rng, max_states=5, max_params=1, density=3.0)
             context = divergence_context(m)
-            for f in sorted(context.machine.states):
-                for q in sorted(context.loop_entries(f)):
-                    assert plain_rep_lasso(context.machine, q, f,
-                                           cap=context.loop_cap(f)), (m, f, q)
+            free = context.machine
+            for f in sorted(free.states):
+                need = context.need(f)
+                entries = context.loop_entries(f)
+                for q in sorted(free.states):
+                    lasso = plain_rep_lasso(free, q, f,
+                                            0 if need is None else need)
+                    assert (lasso is not None) == (q in entries), (m, f, q)
+                    if lasso is None:
+                        continue
+                    lassos += 1
+                    configs = lasso.configs
+                    assert configs[0] == Config(q, 0)
+                    for here, step, there in zip(configs, lasso.steps,
+                                                 configs[1:]):
+                        assert (step, there) in successors(free, {}, here)
+                    anchor = configs[lasso.loop_start]
+                    assert anchor.state == configs[-1].state == f
+                    assert anchor.value <= configs[-1].value
+                    assert lasso.loop_start < len(lasso.steps)
+        assert lassos >= 100
 
     def test_analysis_is_fast(self):
         rng = random.Random(577)
@@ -559,7 +577,7 @@ class TestModelCheck:
         witness = model_check(m, parse("G p"), 3)
         assert witness is not None
         assert witness.lasso.loop_delta > 0
-        assert witness.formula_checked
+        assert evaluate(witness.word, 0, {}, parse("G p"))
 
     def test_finitely_many_values_diverging(self):
         m = CounterMachine.build([("q", "+1", "q")], initial="q")
@@ -569,7 +587,6 @@ class TestModelCheck:
         m = CounterMachine.build([("q", "0", "q")], initial="q")
         witness = model_check(m, parse("F @r. G [=r]"), 3)
         assert witness is not None
-        assert witness.word is not None and witness.formula_checked
         assert evaluate(witness.word, 0, {}, parse("F @r. G [=r]"))
 
     def test_rejects_non_flat(self):
@@ -594,5 +611,4 @@ class TestModelCheck:
             witness = model_check(m, parse(text), 3)
             assert witness is not None, text
             assert validate_lasso(m, {}, witness.lasso) is None
-            if witness.word is not None:
-                assert evaluate(witness.word, 0, {}, parse(text))
+            assert evaluate(witness.word, 0, {}, parse(text))
