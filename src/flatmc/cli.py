@@ -16,7 +16,6 @@ import sys
 from typing import Optional
 
 from flatmc import formulas, jsonio
-from flatmc.alternating import dump_a2a, machine_to_a2a
 from flatmc.formulas import FormulaError, evaluate
 from flatmc.machines import (
     ClassMismatch,
@@ -166,6 +165,8 @@ def cmd_translate(args) -> int:
     if args.mode == "a2a":
         if not args.target:
             raise InputError("--mode a2a needs --target")
+        # Imported here: no other command needs the automaton construction.
+        from flatmc.alternating import dump_a2a, machine_to_a2a
         folded, _pinned = fold_constants(machine)
         translated = machine_to_a2a(folded, args.target)
         print(dump_a2a(translated.automaton), end="")

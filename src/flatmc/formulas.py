@@ -30,52 +30,72 @@ class FormulaSyntaxError(FormulaError):
 # Syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make `cls` a formula node: a frozen dataclass whose hash, the one the
+    dataclass would compute from its fields, is computed once at
+    construction. Formulas are keys of the tableau's sets and of `evaluate`'s
+    memo, and the generated hash would walk the whole subtree on every
+    lookup. The stored value is no field, so `repr` and `==` ignore it."""
+    names = tuple(cls.__annotations__)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash(tuple(getattr(self, n) for n in names)))
+
+    def __hash__(self):
+        return self._hash
+
+    cls.__post_init__ = __post_init__
+    cls.__hash__ = __hash__  # a hash of its own, which `dataclass` keeps
+    return dataclass(frozen=True)(cls)
+
+
+@_node
 class Prop:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Next:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Until:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Release:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class RegTest:
     rel: str  # '<', '=', '>'
     reg: str
 
 
-@dataclass(frozen=True)
+@_node
 class Freeze:
     reg: str
     body: "Formula"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
@@ -206,9 +206,10 @@ class CounterMachine:
         return self._outgoing[state]
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """A name built from `base` that avoids every name in `taken`."""
-    taken = set(taken)
+def fresh_name(base: str, taken: Container[str]) -> str:
+    """A name built from `base` that avoids every name in `taken`, which is
+    only read, not copied: a caller naming many states passes one set and
+    adds each name it takes."""
     if base not in taken:
         return base
     n = 0

@@ -32,7 +32,10 @@ machine over-approximates every instantiation in the box, so when it cannot
 reach the target, no instantiation can, and the answer is absent after one
 search instead of (B+1)^|X|. Its tests are again constant inside the
 intervals between levels placed at both ends of every range, so the same
-level search decides it exactly (see `parametric_reach`).
+level search decides it exactly (see `parametric_reach`). Once an
+instantiation has found no run, the same relaxation decides a slice, the box
+in which the first parameter of several with wide ranges is fixed to one
+value, and a slice with no run skips every instantiation in it.
 
 All of these searches run on one breadth-first search with parent pointers,
 `_bfs`: the level graph, whose edges are chunks of runs; the exits of an
@@ -469,7 +472,19 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     the whole box of ranges runs first, and if it finds no run, the answer
     is absent. Otherwise the instantiations are tried in the order of
     `enumerate_gammas`, and the first run found is the witness, so the box
-    changes no answer and no witness. The box search is sound for absence:
+    changes no answer and no witness.
+
+    Once a point search has found no run, and at least two ranges hold more
+    than one value, the first parameter x with such a range is sliced: for
+    each value v of x, the box {**ranges, x: (v, v)} is searched once, when
+    the first instantiation with x = v comes up, and if it finds no run,
+    every instantiation with x = v is skipped. Points are still tried in
+    order and skipped only when proven absent, so slices change no answer
+    and no witness either. Slices come after the first miss because the
+    first point often hits; with one wide range a slice would be a point.
+
+    The box search, and likewise a slice, which is a box, is sound for
+    absence:
     - It searches the relaxed machine, whose test against x, ranging over
       [lo, hi], fires at value v when some value in the range lets it fire:
       `<x` when v < hi, `>x` when v > lo, and `=x` when lo <= v <= hi.
@@ -483,6 +498,8 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
       exact for one instantiation, whose tests change only at its levels.
     So if the box search finds no run, no instantiation in the box has a
     run below the ceiling, and neither does any level search among them.
+    Every search of a call shares its `memo`, since a stripped machine and
+    its exits depend only on the test pattern, not on the box.
 
     Every search of the call, the box search and each instantiation's, also
     has a level at `peak`, the largest end of any range, so the interval
@@ -520,14 +537,29 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     memo: dict = {}
     # Every search shares a level at the largest end of any range.
     peak = (max(hi for _lo, hi in ranges.values()),) if ranges else ()
-    if (any(lo < hi for lo, hi in ranges.values())
-            and _level_search(expanded, tests, ranges, target, top, memo,
-                              peak) is None):
+    wide = [x for x, (lo, hi) in ranges.items() if lo < hi]
+    if wide and _level_search(expanded, tests, ranges, target, top, memo,
+                              peak) is None:
         return None
+    # The first wide parameter is sliced once a point has missed, unless a
+    # slice would be a point; `slices` tells for each of its values whether
+    # the slice has a run.
+    sliced: Optional[str] = None
+    slices: dict[int, bool] = {}
     for gamma in enumerate_gammas(folded.params, ranges):
+        if sliced is not None:
+            v = gamma[sliced]
+            if v not in slices:
+                slices[v] = _level_search(
+                    expanded, tests, {**ranges, sliced: (v, v)}, target, top,
+                    memo, peak) is not None
+            if not slices[v]:
+                continue
         point = {x: (v, v) for x, v in gamma.items()}
         run = _level_search(expanded, tests, point, target, top, memo, peak)
         if run is None:
+            if len(wide) > 1:
+                sliced = wide[0]
             continue
         own = {x: gamma[x] for x in machine.params}
         run = _project(run, origin, machine)

@@ -64,6 +64,7 @@ from flatmc.machines import (
     MachineClass,
     MachineError,
     ParamTest,
+    Transition,
     Update,
     classify,
     fresh_name,
@@ -305,30 +306,28 @@ def buchi_to_reach(machine: CounterMachine, accept_state: str,
     chain.append(target)
     y = fresh_name("y", params)
 
-    triples: list = []
-    origin: dict[int, int] = {}
-    for i, t in enumerate(machine.transitions):
-        origin[len(triples)] = i
-        triples.append((t.source, t.op, t.target))
-    store_index = len(triples)
-    triples.append((accept_state, ParamTest("=", y), store))
+    # The source's own transitions come first, as the same objects.
+    transitions = list(machine.transitions)
+    origin = {i: i for i in range(len(transitions))}
+    store_index = len(transitions)
+    transitions.append(Transition(accept_state, ParamTest("=", y), store))
     for i, t in enumerate(machine.transitions):
         if t.source == accept_state:
-            origin[len(triples)] = i
-            triples.append((store, t.op, hat[t.target]))
+            origin[len(transitions)] = i
+            transitions.append(Transition(store, t.op, hat[t.target]))
     for i, t in enumerate(machine.transitions):
-        origin[len(triples)] = i
-        triples.append((hat[t.source], t.op, hat[t.target]))
-    triples.append((hat[accept_state], ParamTest("=", y), target))
-    for t in sorted(context.loop_entries(accept_state)):
-        triples.append((t, Update(0), chain[0]))
-    for i, x in enumerate(params):
-        triples.append((chain[i], ParamTest(">", x), chain[i + 1]))
+        origin[len(transitions)] = i
+        transitions.append(Transition(hat[t.source], t.op, hat[t.target]))
+    transitions.append(Transition(hat[accept_state], ParamTest("=", y), target))
+    transitions.extend(Transition(q, Update(0), chain[0])
+                       for q in sorted(context.loop_entries(accept_state)))
+    transitions.extend(Transition(chain[i], ParamTest(">", x), chain[i + 1])
+                       for i, x in enumerate(params))
 
-    built = CounterMachine.build(
-        triples, initial=machine.initial,
-        params=params + (y,), labels=machine.labels,
-        extra_states=set(machine.states) | set(hat.values()) | {store, target})
+    built = CounterMachine(
+        states=machine.states | frozenset(hat.values()) | {store, *chain},
+        initial=machine.initial, params=params + (y,),
+        transitions=tuple(transitions), labels=machine.labels)
     return BuchiReduction(machine=built, target=target, source=machine,
                           accept_state=accept_state, y=y, origin=origin,
                           store_index=store_index, context=context)

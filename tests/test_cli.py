@@ -6,9 +6,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 import types
 
@@ -480,6 +483,14 @@ class TestTranslate:
         out = capsys.readouterr().out
         assert "init: #" in out
         assert "q2 # true" in out
+
+    def test_only_a2a_imports_the_automaton_module(self):
+        # A fresh process starting the command line does not load it.
+        src = pathlib.Path(flatmc.__file__).resolve().parents[1]
+        code = ("import sys, flatmc.cli; "
+                "sys.exit('flatmc.alternating' in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
     def test_foldconst_identity_without_constants(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -33,6 +34,7 @@ from flatmc.formulas import (
     parse,
     render,
     rename_registers,
+    subformulas,
 )
 from tests.gen import random_formula, random_lasso
 from tests.oracles import prefix_verdict
@@ -204,6 +206,39 @@ class TestRenameRegisters:
             f = nnf(random_formula(rng, depth=3))
             w = random_lasso(rng)
             assert evaluate(w, 0, {}, f) == evaluate(w, 0, {}, rename_registers(f))
+
+
+class TestNodeHash:
+    def test_equal_trees_built_separately_hash_equal(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            state = rng.getstate()
+            f = random_formula(rng)
+            rng.setstate(state)
+            g = random_formula(rng)
+            assert f is not g and f == g and hash(f) == hash(g)
+            # The hash a frozen dataclass computes from the fields.
+            assert hash(f) == hash(tuple(getattr(f, x.name) for x in fields(f)))
+
+    def test_cached_hash_is_in_neither_repr_nor_equality(self):
+        f = parse("@r. X ([=r] U !p)")
+        assert [x.name for x in fields(f)] == ["reg", "body"]
+        assert repr(f) == (
+            "Freeze(reg='r', body=Next(body=Until(left=RegTest(rel='=', "
+            "reg='r'), right=Neg(body=Prop(name='p')))))")
+        g = parse("@r. X ([=r] U !p)")
+        object.__setattr__(g, "_hash", hash(f) + 1)
+        assert f == g
+
+    def test_evaluation_leaves_the_hash_alone(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            f = random_formula(rng, depth=3)
+            before = {id(node): (hash(node), dict(vars(node)))
+                      for node in subformulas(f)}
+            evaluate(random_lasso(rng), 0, {}, f)
+            assert before == {id(node): (hash(node), dict(vars(node)))
+                              for node in subformulas(f)}
 
 
 class TestLassoWord:

@@ -663,6 +663,86 @@ class TestBoxSearch:
         assert boxes == [{"x0": (0, 12), "x1": (0, 12)}]
 
 
+class TestSliceRefinement:
+    def test_same_answer_as_plain_enumeration(self, monkeypatch):
+        # With two or more wide ranges, a slice fixes the first parameter
+        # and relaxes the others. Skipping the points of a dead slice changes
+        # neither the verdict nor the first witness: each is what trying
+        # every point in order, with a fresh memo each, gives. Every range
+        # here is wide, and the Buchi reductions add a y to every machine
+        # with a parameter.
+        rng = random.Random(5151)
+        searches = []
+        search = reach_module._level_search
+
+        def recorded(machine, tests, box, *rest):
+            run = search(machine, tests, box, *rest)
+            searches.append((dict(box), run))
+            return run
+
+        monkeypatch.setattr(reach_module, "_level_search", recorded)
+        compared = hits = dead = skipped = 0
+        for _ in range(1500):
+            m = random_machine(rng, max_states=4, max_params=2, density=1.5)
+            accept = rng.choice(sorted(m.states))
+            reduction = buchi_to_reach(m, accept)
+            for machine, target in ((m, accept),
+                                    (reduction.machine, reduction.target)):
+                ranges = {}
+                for x in machine.params:
+                    lo = rng.randint(0, 3)
+                    ranges[x] = (lo, lo + rng.choice((2, 3, 4)))
+                if len(ranges) < 2:
+                    continue
+                peak = (max(hi for _lo, hi in ranges.values()),)
+                ceiling = peak[0] + rng.randint(1, 6)
+                tests = _param_tests(machine)
+                expected, tried = None, 0
+                for gamma in enumerate_gammas(machine.params, ranges):
+                    tried += 1
+                    point = {x: (v, v) for x, v in gamma.items()}
+                    run = search(machine, tests, point, target, ceiling, {},
+                                 peak)
+                    if run is not None:
+                        expected = (gamma, run.configs, run.steps)
+                        break
+                searches.clear()
+                got = parametric_reach(machine, target, 0, ranges=ranges,
+                                       ceiling=ceiling)
+                compared += 1
+                if expected is None:
+                    assert got is None
+                else:
+                    hits += 1
+                    assert (got.gamma, got.run.configs, got.run.steps) == expected
+                # The box fixes no parameter, a slice the first, a point all.
+                fixed = [[x for x, (lo, hi) in box.items() if lo == hi]
+                         for box, _run in searches]
+                assert all(len(xs) in (0, len(ranges)) or xs == [machine.params[0]]
+                           for xs in fixed)
+                dead += sum(len(xs) == 1 and run is None
+                            for xs, (_box, run) in zip(fixed, searches))
+                if searches[0][1] is not None:
+                    skipped += tried - fixed.count(list(ranges))
+        assert compared >= 1200 and hits >= 300
+        assert dead >= 20 and skipped >= 150
+
+    def test_dead_slices_decide_in_one_search_per_value(self, monkeypatch):
+        # >x0 and <x0 each fire somewhere in the box, and =x1 lets the
+        # counter go up and down, so the box reaches d; every instantiation
+        # is absent. Each slice of x0 is dead, so after the box and the
+        # first point, one search per value of x0 decides the answer.
+        m = CounterMachine.build(
+            [("a", "+1", "a"), ("a", "-1", "a"), ("a", ">x:x0", "b"),
+             ("b", "<x:x0", "d"), ("a", "=x:x1", "c"), ("c", "+1", "c"),
+             ("c", "-1", "a")],
+            initial="a", params=("x0", "x1"))
+        bound = 64
+        boxes = _count_level_searches(monkeypatch)
+        assert parametric_reach(m, "d", bound) is None
+        assert len(boxes) <= bound + 3
+
+
 def _parity() -> CounterMachine:
     """q0 +1 q1, q1 +1 q0, q0 =x t: t is reachable exactly for even x."""
     return CounterMachine.build(
