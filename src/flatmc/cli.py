@@ -26,7 +26,12 @@ from flatmc.machines import (
     validate_lasso,
     validate_run,
 )
-from flatmc.reach import default_bound, fold_constants, parametric_reach
+from flatmc.reach import (
+    default_bound,
+    expand_updates,
+    fold_constants,
+    parametric_reach,
+)
 from flatmc.reductions import (
     buchi_to_reach,
     lasso_word,
@@ -180,8 +185,9 @@ def cmd_translate(args) -> int:
     elif args.mode == "buchi2reach":
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
+        # Folded and expanded as `buchi` solves it.
         folded, pinned = fold_constants(machine)
-        reduction = buchi_to_reach(folded, args.target)
+        reduction = buchi_to_reach(expand_updates(folded)[0], args.target)
         print(json.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,

@@ -5,16 +5,23 @@ counter value in a fresh parameter (or, for runs whose counter diverges,
 jumping to a state from which the test-stripped machine loops forever);
 `repeated_reach` runs that reduction over a set of accepting states and is
 the one repeated-reachability entry point, used by `model_check` and by the
-command line. The test-stripped machine is a one-dimensional vector addition
-system with states, so the states that loop forever through an accepting
-state f are found on its control graph, with no counter cap: f needs an
-entry value, the least one from which a non-empty closed walk through f
-ends no lower than it started, and it is at most |SCC(f)| - 1; the states
-that loop are those from which counter value 0 reaches f with at least that
-value. Both are least-credit fixpoints over the graph, and the loop witness
-is a search for a path to f with at least that value and one back with no
-less, which needs no counter cap either, so no setting bounds the
-divergence case.
+command line. One reduction serves every accepting state, so one search
+decides them all: each state f gets its own store state and its own copy,
+of SCC(f) alone, f's strongly connected component in the control graph,
+since a closed walk through f never leaves it; all share one test chain. A
+run to the target enters one copy and never leaves it, so under each
+instantiation the target is reachable iff it is for some one state, and
+the first witness is the first instantiation under which some state
+repeats, with that state at its loop start.
+The test-stripped machine is a one-dimensional vector addition system with
+states, so the states that loop forever through an accepting state f are
+found on its control graph, with no counter cap: f needs an entry value,
+the least one from which a non-empty closed walk through f ends no lower
+than it started, and it is at most |SCC(f)| - 1; the states that loop are
+those from which counter value 0 reaches f with at least that value. Both
+are least-credit fixpoints over the graph, and the loop witness is a search
+for a path to f with at least that value and one back with no less, which
+needs no counter cap either, so no setting bounds the divergence case.
 Model checking a flat sentence reduces to repeated reachability of a tableau
 product whose registers become parameters; `repeated_reach` expands its
 binary-encoded updates. The paper's polynomial reduction of those updates,
@@ -98,9 +105,11 @@ class BuchiInstance:
 class DivergenceContext:
     """The test-free divergence machine of a machine and its control graph:
     the strongly connected component (SCC) of each state, the SCCs with a
-    cycle, and each state's incoming edges with their counter effects. Built
-    once per machine and reused across accept states. The machine is
-    stripped, so its loops are already in the source's transitions.
+    cycle, and each state's incoming edges with their counter effects; and,
+    in `loops`, each state on a cycle of the source's own control graph,
+    tests included, with its SCC there. Built once per machine and reused
+    across accept states. The divergence machine is stripped, so its loops
+    are already in the source's transitions.
 
     A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
     a value at least `need(f)`, the least entry value of a non-empty closed
@@ -112,6 +121,7 @@ class DivergenceContext:
     component: Mapping[str, int]    # control state -> SCC id
     cyclic: frozenset[int]          # ids of the SCCs containing a cycle
     incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
+    loops: Mapping[str, frozenset[str]]  # state on a source cycle -> its SCC
 
     def _credits(self, goal: str, value: int,
                  scc: Optional[int] = None) -> dict[str, int]:
@@ -175,15 +185,16 @@ class DivergenceContext:
 
 @dataclass(frozen=True)
 class BuchiReduction:
-    """The reachability instance equivalent to repeating `accept_state`, plus
-    the provenance to translate a reachability witness back into a lasso."""
+    """The reachability instance equivalent to repeating some state of
+    `accepting`, plus the provenance to translate a reachability witness
+    back into a lasso."""
     machine: CounterMachine
     target: str
     source: CounterMachine
-    accept_state: str
+    accepting: tuple[str, ...]      # sorted
     y: str
     origin: Mapping[int, int]       # new machine transition -> source transition
-    store_index: int                # index of the (accept, =y, store) transition
+    stores: Mapping[int, str]       # index of each (f, =y, store) transition -> f
     context: DivergenceContext
 
 
@@ -192,7 +203,8 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
     interval above every parameter, where exactly the greater-than tests
     hold, and find the SCCs of the stripped control graph. Each accept state
     is then analyzed on that graph alone, in time polynomial in its size and
-    free of any counter cap (see `DivergenceContext`)."""
+    free of any counter cap (see `DivergenceContext`). The SCCs of the
+    unstripped control graph are found too, for `loops`."""
     stripped = _strip(machine, tuple(rel == ">" for _x, rel
                                      in _param_tests(machine)))
     component, cyclic = _control_components(stripped)
@@ -200,9 +212,16 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
     for q in sorted(stripped.states):
         for _i, t in stripped.outgoing(q):
             incoming[t.target].append((q, t.op.delta))
+    own, own_cyclic = _control_components(machine)
+    members: dict[int, set] = {c: set() for c in own_cyclic}
+    for q, c in own.items():
+        if c in own_cyclic:
+            members[c].add(q)
+    sccs = {c: frozenset(qs) for c, qs in members.items()}
     return DivergenceContext(
         machine=stripped, component=component, cyclic=frozenset(cyclic),
-        incoming={q: tuple(edges) for q, edges in incoming.items()})
+        incoming={q: tuple(edges) for q, edges in incoming.items()},
+        loops={q: sccs[c] for q, c in own.items() if c in own_cyclic})
 
 
 def _control_components(machine) -> tuple[dict, set]:
@@ -265,83 +284,108 @@ def _control_components(machine) -> tuple[dict, set]:
     return component, cyclic
 
 
-def buchi_to_reach(machine: CounterMachine, accept_state: str,
+def buchi_to_reach(machine: CounterMachine, *accepting: str,
                    context: Optional[DivergenceContext] = None) -> BuchiReduction:
-    """Build a machine with a distinguished target state that is reachable iff
-    `accept_state` can be visited infinitely often in `machine`.
+    """Build a machine with a distinguished target state that is reachable
+    under an instantiation of the parameters iff some state of `accepting`
+    can be visited infinitely often in `machine` under it.
 
-    A fresh parameter y stores a counter value at a visit of the accept
-    state; a copy of the machine then has to revisit it with the same value.
-    For runs whose counter diverges, a chain of strict greater-than tests
-    over every parameter lets the target be entered from any state that can
-    loop forever through the accept state once all tests are dropped; with no
+    A fresh parameter y stores a counter value at a visit of an accepting
+    state f, in a store state of f's own; from there a copy of SCC(f), f's
+    strongly connected component in the control graph of `machine`, has to
+    revisit the copy of f with the same value. A closed walk through f
+    stays inside SCC(f), so the smaller copy loses no loop. For runs whose
+    counter diverges, a chain of strict greater-than tests over every
+    parameter lets the target be entered from any state that can loop
+    forever through an accepting state once all tests are dropped; with no
     parameters the chain is empty and such a state steps straight into the
     target. `context` is the divergence analysis of `machine`, built here if
     not given.
+
+    The source's own transitions come first, as the same objects. Then, for
+    each accepting state in sorted order, its store transition, the store
+    state's copies of its transitions into the copy, the copy, and the
+    final `=y` test into the target; then the one chain, entered from the
+    loop entries of every accepting state. A run into a copy never leaves
+    it, so a run to the target is a run of the reduction of exactly one
+    accepting state, and under each instantiation the target is reachable
+    iff it is in the reduction of some one state: one search decides all of
+    them, and its first witness is the first instantiation under which some
+    state repeats.
     """
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
         raise ClassMismatch(
             "buchi_to_reach requires unary updates and zero tests only")
-    if accept_state not in machine.states:
-        raise MachineError(f"accepting state {accept_state!r} not in machine")
+    for f in accepting:
+        if f not in machine.states:
+            raise MachineError(f"accepting state {f!r} not in machine")
+    accepting = tuple(sorted(set(accepting)))
 
     if context is None:
         context = divergence_context(machine)
 
     taken = set(machine.states)
-    hat = {}
-    for q in sorted(machine.states):
-        hat[q] = fresh_name(f"{q}_hat", taken)
-        taken.add(hat[q])
-    store = fresh_name("s", taken)
-    taken.add(store)
-    target = fresh_name("s_hat", taken)
-    taken.add(target)
 
+    def fresh(base: str) -> str:
+        name = fresh_name(base, taken)
+        taken.add(name)
+        return name
+
+    # A state on no cycle has no loop: its copy is itself alone.
+    hats = {f: {q: fresh(f"{q}_hat")
+                for q in sorted(context.loops.get(f, (f,)))}
+            for f in accepting}
+    store_states = {f: fresh("s") for f in accepting}
+    target = fresh("s_hat")
     params = machine.params
-    chain = []
-    for i in range(1, len(params) + 1):
-        chain.append(fresh_name(f"t{i}", taken))
-        taken.add(chain[-1])
-    chain.append(target)
+    chain = [fresh(f"t{i}") for i in range(1, len(params) + 1)] + [target]
     y = fresh_name("y", params)
 
-    # The source's own transitions come first, as the same objects.
     transitions = list(machine.transitions)
     origin = {i: i for i in range(len(transitions))}
-    store_index = len(transitions)
-    transitions.append(Transition(accept_state, ParamTest("=", y), store))
-    for i, t in enumerate(machine.transitions):
-        if t.source == accept_state:
-            origin[len(transitions)] = i
-            transitions.append(Transition(store, t.op, hat[t.target]))
-    for i, t in enumerate(machine.transitions):
-        origin[len(transitions)] = i
-        transitions.append(Transition(hat[t.source], t.op, hat[t.target]))
-    transitions.append(Transition(hat[accept_state], ParamTest("=", y), target))
+    stores = {}
+    for f in accepting:
+        hat, store = hats[f], store_states[f]
+        stores[len(transitions)] = f
+        transitions.append(Transition(f, ParamTest("=", y), store))
+        for i, t in enumerate(machine.transitions):
+            if t.source == f and t.target in hat:
+                origin[len(transitions)] = i
+                transitions.append(Transition(store, t.op, hat[t.target]))
+        for i, t in enumerate(machine.transitions):
+            if t.source in hat and t.target in hat:
+                origin[len(transitions)] = i
+                transitions.append(
+                    Transition(hat[t.source], t.op, hat[t.target]))
+        transitions.append(Transition(hat[f], ParamTest("=", y), target))
+    entries = set().union(*map(context.loop_entries, accepting))
     transitions.extend(Transition(q, Update(0), chain[0])
-                       for q in sorted(context.loop_entries(accept_state)))
+                       for q in sorted(entries))
     transitions.extend(Transition(chain[i], ParamTest(">", x), chain[i + 1])
                        for i, x in enumerate(params))
 
     built = CounterMachine(
-        states=machine.states | frozenset(hat.values()) | {store, *chain},
+        states=machine.states.union(*(hat.values() for hat in hats.values()),
+                                    store_states.values(), chain),
         initial=machine.initial, params=params + (y,),
         transitions=tuple(transitions), labels=machine.labels)
     return BuchiReduction(machine=built, target=target, source=machine,
-                          accept_state=accept_state, y=y, origin=origin,
-                          store_index=store_index, context=context)
+                          accepting=accepting, y=y, origin=origin,
+                          stores=stores, context=context)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
                            witness: ReachWitness) -> tuple[dict, LassoRun]:
     """Translate a reachability witness for the reduced machine into an
     instantiation of the source parameters and a lasso of the source machine
-    in which the loop starts at the accept state.
+    whose loop starts at an accepting state: the one whose final test ends
+    the run or, in the divergence case, the least one whose loop entries
+    contain the chain entry.
 
     In the divergence case the loop comes from `plain_rep_lasso` on the
-    test-free machine, given the accept state's `need`: a chain entry is a
-    loop entry, so the search finds a loop from it with no counter cap."""
+    test-free machine, given that state's `need`: the chain entry is one of
+    its loop entries, so the search finds a loop from it with no counter
+    cap."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
@@ -349,10 +393,13 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         raise MachineError("a run reaching the fresh target cannot be empty")
     last = reduction.machine.transitions[run.steps[-1]]
     if last.op == ParamTest("=", reduction.y):
-        # Same-value case: the run stored a counter value at the accept state
-        # and revisited it in the copy. The store and the final test vanish
-        # in the source; the loop starts where the value was stored.
-        stored = run.steps.index(reduction.store_index)
+        # Same-value case: the run stored a counter value at an accepting
+        # state, in its one store step, and revisited it in that state's
+        # copy. The store and the final test vanish in the source; the loop
+        # starts where the value was stored.
+        stored = next(pos for pos, step in enumerate(run.steps)
+                      if step in reduction.stores)
+        accept_state = reduction.stores[run.steps[stored]]
         lasso = _project(LassoRun(run.configs, run.steps, stored),
                          reduction.origin, source)
     else:
@@ -363,9 +410,10 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         cut = len(run.steps) - chain_len
         anchor = run.configs[cut]
         context = reduction.context
-        base = plain_rep_lasso(context.machine, anchor.state,
-                               reduction.accept_state,
-                               context.need(reduction.accept_state))
+        accept_state = next(f for f in reduction.accepting
+                            if anchor.state in context.loop_entries(f))
+        base = plain_rep_lasso(context.machine, anchor.state, accept_state,
+                               context.need(accept_state))
         if base is None:
             raise AssertionError(
                 f"no divergence loop from {anchor.state!r} despite chain entry")
@@ -377,7 +425,7 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
     defect = validate_lasso(source, gamma, lasso)
     if defect is not None:
         raise AssertionError(f"witness translation broke: {defect.reason}")
-    if lasso.configs[lasso.loop_start].state != reduction.accept_state:
+    if lasso.configs[lasso.loop_start].state != accept_state:
         # The divergence loop may visit the accept state mid-loop only; the
         # stored loops are anchored there, so this indicates a bug.
         raise AssertionError("translated loop does not start at the accept state")
@@ -402,12 +450,21 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
 
     Constants are folded, large updates expanded, and the divergence
     analysis is built once for all accepting states. States on no control
-    cycle are skipped; the others go through `buchi_to_reach` and
-    `parametric_reach` in sorted order, and the first witness is returned,
-    projected back onto `machine`. Counter values are explored up to
-    `ceiling`, by default max(bound, constants) + headroom(machine, |Q'|)
-    for the states Q' of the reduced machine; the stored value y ranges up
-    to `store_bound`, by default the ceiling. Negative limits are rejected.
+    cycle are skipped; the others, the candidates, go through one
+    `buchi_to_reach` and one `parametric_reach` call, and the witness is
+    projected back onto `machine`. The verdict is exact for each
+    instantiation: under it the reduction reaches its target iff the
+    reduction of some one candidate does. So the witness is the first
+    instantiation, in `enumerate_gammas` order over the parameters and y,
+    under which some candidate repeats, and its accepting state is the
+    state at the loop start: the candidate whose final test ends the run
+    or, in the divergence case, the least candidate that loops from the
+    chain entry. Counter values are explored up to `ceiling`, by default
+    max(bound, constants) + headroom(machine, |Q'|) for |Q'| = 2|Q| + 2 +
+    |X| over the folded machine, the size of a reduction with a full copy
+    of the machine, whatever the size of the copies built; the stored
+    value y ranges up to `store_bound`, by default the ceiling. Negative
+    limits are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
@@ -418,7 +475,7 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     folded, constants = fold_constants(machine)
     expanded, origin = expand_updates(folded)
     if ceiling is None:
-        # Q' holds the states and their copies, a store and a target state,
+        # Q' holds the states and a full copy, a store and a target state,
         # and a chain state per parameter.
         reduced = 2 * len(folded.states) + 2 + len(folded.params)
         ceiling = max([bound, *constants.values()]) + headroom(folded, reduced)
@@ -428,23 +485,23 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
         store_bound = ceiling
     context = divergence_context(expanded)
     # Only states on a cycle of the control graph can repeat.
-    component, cyclic = _control_components(expanded)
-    for accept_state in sorted(q for q in accepting if component[q] in cyclic):
-        reduction = buchi_to_reach(expanded, accept_state, context=context)
-        found = parametric_reach(reduction.machine, reduction.target, bound,
-                                 ranges={**pinned,
-                                         reduction.y: (0, store_bound)},
-                                 ceiling=ceiling)
-        if found is None:
-            continue
-        gamma, lasso = buchi_witness_to_lasso(reduction, found)
-        own = {x: v for x, v in gamma.items() if x in machine.params}
-        lasso = _project(lasso, origin, machine)
-        defect = validate_lasso(machine, own, lasso)
-        if defect is not None:
-            raise AssertionError(f"expansion projection broke: {defect.reason}")
-        return BuchiWitness(accept_state, own, lasso, found)
-    return None
+    candidates = [q for q in accepting if q in context.loops]
+    if not candidates:
+        return None
+    reduction = buchi_to_reach(expanded, *candidates, context=context)
+    found = parametric_reach(reduction.machine, reduction.target, bound,
+                             ranges={**pinned, reduction.y: (0, store_bound)},
+                             ceiling=ceiling)
+    if found is None:
+        return None
+    gamma, lasso = buchi_witness_to_lasso(reduction, found)
+    own = {x: v for x, v in gamma.items() if x in machine.params}
+    lasso = _project(lasso, origin, machine)
+    defect = validate_lasso(machine, own, lasso)
+    if defect is not None:
+        raise AssertionError(f"expansion projection broke: {defect.reason}")
+    return BuchiWitness(lasso.configs[lasso.loop_start].state, own, lasso,
+                        found)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ from flatmc.jsonio import (
     witness_from_data,
     witness_to_data,
 )
-from flatmc.machines import MachineError, Run, rep_reach_oracle, validate_run
+from flatmc.machines import (
+    MachineError,
+    Run,
+    Update,
+    rep_reach_oracle,
+    validate_run,
+)
 from flatmc.reach import parametric_reach
 from tests.gen import all_gammas, random_machine
 from tests.oracles import gamma_reach_oracle, mc_oracle
@@ -286,6 +292,21 @@ class TestBuchi:
         assert witness.gamma["x0"] <= 1
         assert main(["check", out, machine]) == 0
 
+    def test_reports_the_accepting_state_that_repeats(self, write, tmp_path,
+                                                      capsys):
+        # Both states lie on a cycle, and only b repeats: a's loop takes a
+        # decrement from 0.
+        machine = write("m.json", {
+            "states": ["a", "b"], "initial": "a",
+            "transitions": [{"from": "a", "op": "-1", "to": "a"},
+                            {"from": "a", "op": "0", "to": "b"},
+                            {"from": "b", "op": "0", "to": "b"}]})
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "a,b", "--bound", "2",
+                     "--json", "--witness", out]) == 0
+        assert json.loads(capsys.readouterr().out)["accepting"] == "b"
+        assert main(["check", out, machine]) == 0
+
     def test_divergence_loop_above_the_cap(self, write, tmp_path):
         # The chain is entered at (a, 1), above --cap 0, so the loop is
         # searched at the value bound the divergence analysis proves.
@@ -526,6 +547,23 @@ class TestTranslate:
         assert parametric_reach(reduced, emitted["target"], 2) is not None
         assert parametric_reach(reduced, emitted["target"], 2, ranges={
             x: (c, c) for x, c in emitted["pinned"].items()}) is None
+
+    def test_buchi2reach_expands_large_updates(self, write, capsys):
+        # As `buchi` does, the reduction is built on the machine with its
+        # constants folded and its large updates expanded.
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": "q", "op": "+2", "to": "r"},
+                            {"from": "r", "op": "-2", "to": "q"}]})
+        assert main(["buchi", machine, "--accepting", "r", "--bound", "2"]) == 0
+        capsys.readouterr()
+        assert main(["translate", machine, "--mode", "buchi2reach",
+                     "--target", "r"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        reduced = machine_from_data(emitted["machine"])
+        assert {abs(t.op.delta) for t in reduced.transitions
+                if isinstance(t.op, Update)} <= {0, 1}
+        assert parametric_reach(reduced, emitted["target"], 2) is not None
 
     def test_a2a_rejects_a_large_update(self, write, capsys):
         machine = write("m.json", {

@@ -35,7 +35,12 @@ from flatmc.machines import (
     validate_lasso,
 )
 from flatmc import reductions
-from flatmc.reach import parametric_reach, plain_rep_lasso
+from flatmc.reach import (
+    enumerate_gammas,
+    fold_constants,
+    parametric_reach,
+    plain_rep_lasso,
+)
 from flatmc.reductions import (
     bit_at,
     bits,
@@ -60,6 +65,20 @@ def rep_reach_exists(machine, accepting, gamma_bound=3, cap=None):
     return any(
         rep_reach_oracle(machine, gamma, accepting, cap) is not None
         for gamma in all_gammas(machine.params, gamma_bound))
+
+
+def reachable(machine, state):
+    """The states the control graph of `machine` leads to from `state`,
+    `state` itself included."""
+    seen = {state}
+    work = [state]
+    while work:
+        here = work.pop()
+        for t in machine.transitions:
+            if t.source == here and t.target not in seen:
+                seen.add(t.target)
+                work.append(t.target)
+    return seen
 
 
 class TestBuchiToReach:
@@ -102,12 +121,23 @@ class TestBuchiToReach:
             buchi_to_reach(m, "q")
 
     def test_equivalence_random(self):
+        # The copy holds SCC(accept) alone, the states the accept state
+        # reaches and is reached from; on the machines where that is fewer
+        # than all states the verdict still equals the oracle's.
         rng = random.Random(4711)
+        smaller = 0
         for _ in range(40):
             m = random_machine(rng, max_states=4, max_params=2)
             accept = rng.choice(sorted(m.states))
             cap = 3 + len(m.states) ** 3
             red = buchi_to_reach(m, accept)
+            scc = reachable(m, accept) & {
+                q for q in m.states if accept in reachable(m, q)}
+            # The source, the copy, a store, a chain state per parameter and
+            # the target.
+            assert len(red.machine.states) == \
+                len(m.states) + len(scc) + 2 + len(m.params)
+            smaller += len(scc) < len(m.states)
             bound = 3 + len(m.states)
             witness = parametric_reach(
                 red.machine, red.target, bound,
@@ -118,63 +148,88 @@ class TestBuchiToReach:
                 gamma, lasso = buchi_witness_to_lasso(red, witness)
                 assert validate_lasso(m, gamma, lasso) is None
                 assert all(gamma[x] <= 3 for x in m.params)
+        assert smaller >= 20
 
 
-def first_per_state_witness(machine, accepting, bound, ceiling):
+def per_state_witnesses(machine, accepting, bound, ceiling):
     """Reference for repeated_reach: reduce and solve every accepting state
-    on its own, in sorted order, off-cycle states included."""
+    on its own, off-cycle states included, and keep the witness each finds
+    first."""
+    found = {}
     for accept in sorted(accepting):
         red = buchi_to_reach(machine, accept)
         witness = parametric_reach(red.machine, red.target, bound,
                                    ranges={red.y: (0, ceiling)},
                                    ceiling=ceiling)
         if witness is not None:
-            return accept, witness, buchi_witness_to_lasso(red, witness)[1]
-    return None
+            found[accept] = witness
+    return found
 
 
 class TestRepeatedReach:
-    def test_same_first_witness_as_per_state_reductions(self):
+    def test_first_instantiation_under_which_some_state_repeats(self):
+        # One search decides every accepting state: its verdict is that of
+        # the per-state reductions, and its instantiation is the first, in
+        # enumerate_gammas order, of their first ones, under which the
+        # reported state's own reduction reaches its target.
         rng = random.Random(2718)
-        present = 0
-        for _ in range(40):
+        present = several = 0
+        for _ in range(300):
             m = random_machine(rng, max_states=4, max_params=2)
-            accepting = rng.sample(sorted(m.states), min(2, len(m.states)))
+            accepting = rng.sample(sorted(m.states), min(3, len(m.states)))
             ceiling = 3 + len(m.states) ** 2
             found = repeated_reach(m, accepting, 2, ceiling=ceiling)
-            expected = first_per_state_witness(m, accepting, 2, ceiling)
-            if expected is None:
-                assert found is None, (m, accepting)
+            expected = per_state_witnesses(m, accepting, 2, ceiling)
+            assert (found is not None) == bool(expected), (m, accepting)
+            if found is None:
                 continue
             present += 1
-            accept, witness, lasso = expected
-            assert found.accept_state == accept
-            assert found.certificate == witness
-            assert found.lasso == lasso
-            assert found.gamma == {x: witness.gamma[x] for x in m.params}
+            several += len(expected) > 1
+            firsts = [w.gamma for w in expected.values()]
+            ranges = {**{x: (0, 2) for x in m.params}, "y": (0, ceiling)}
+            first = next(g for g in enumerate_gammas((*m.params, "y"), ranges)
+                         if g in firsts)
+            assert found.certificate.gamma == first, (m, accepting)
+            assert found.gamma == {x: first[x] for x in m.params}
+            red = buchi_to_reach(m, found.accept_state)
+            assert parametric_reach(
+                red.machine, red.target, 2, ceiling=ceiling,
+                ranges={x: (v, v) for x, v in first.items()}) is not None
             assert validate_lasso(m, found.gamma, found.lasso) is None
-        assert present >= 10
+            lasso = found.lasso
+            assert lasso.configs[lasso.loop_start].state == found.accept_state
+        assert present >= 120 and several >= 25
 
     def test_default_ceiling_counts_reduced_states(self, monkeypatch):
+        # The default ceiling is headroom over the 2|Q| + 2 + |X| states of
+        # a reduction with a full copy of the folded machine, whatever the
+        # size of the copies the reduction builds.
         seen = []
         original = reductions.parametric_reach
 
         def spy(machine, target, bound, **kwargs):
-            seen.append((machine, bound, kwargs))
+            seen.append((bound, kwargs))
             return original(machine, target, bound, **kwargs)
 
         monkeypatch.setattr(reductions, "parametric_reach", spy)
         rng = random.Random(99)
+        checked = 0
         for _ in range(10):
             m = random_machine(rng, max_states=3, max_params=1,
                                with_consts=True)
+            folded, _constants = fold_constants(m)
+            states = 2 * len(folded.states) + 2 + len(folded.params)
+            seen.clear()
             repeated_reach(m, sorted(m.states), 2)
-        assert seen
-        for reduced, bound, kwargs in seen:
-            # The folded constants range over one value each, y over more.
-            pinned = [lo for lo, hi in kwargs["ranges"].values() if lo == hi]
-            highest = max([bound, *pinned])
-            assert kwargs["ceiling"] == highest + len(reduced.states) ** 3
+            for bound, kwargs in seen:
+                # The folded constants range over one value each, y over
+                # more.
+                pinned = [lo for lo, hi in kwargs["ranges"].values()
+                          if lo == hi]
+                highest = max([bound, *pinned])
+                assert kwargs["ceiling"] == highest + states ** 3
+                checked += 1
+        assert checked
 
     def test_store_bound_limits_the_stored_value(self):
         # The only lassos store the value 2 with x0 = 1 (see the CLI test
