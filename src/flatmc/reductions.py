@@ -198,13 +198,15 @@ class BuchiReduction:
     context: DivergenceContext
 
 
-def divergence_context(machine: CounterMachine) -> DivergenceContext:
+def divergence_context(machine: CounterMachine,
+                       loops: Optional[Mapping[str, frozenset[str]]] = None
+                       ) -> DivergenceContext:
     """Build the divergence analysis of `machine`: strip its tests for the
     interval above every parameter, where exactly the greater-than tests
     hold, and find the SCCs of the stripped control graph. Each accept state
     is then analyzed on that graph alone, in time polynomial in its size and
-    free of any counter cap (see `DivergenceContext`). The SCCs of the
-    unstripped control graph are found too, for `loops`."""
+    free of any counter cap (see `DivergenceContext`). `loops` is
+    `_cycle_components(machine)`, computed here if not given."""
     stripped = _strip(machine, tuple(rel == ">" for _x, rel
                                      in _param_tests(machine)))
     component, cyclic = _control_components(stripped)
@@ -212,16 +214,22 @@ def divergence_context(machine: CounterMachine) -> DivergenceContext:
     for q in sorted(stripped.states):
         for _i, t in stripped.outgoing(q):
             incoming[t.target].append((q, t.op.delta))
-    own, own_cyclic = _control_components(machine)
-    members: dict[int, set] = {c: set() for c in own_cyclic}
-    for q, c in own.items():
-        if c in own_cyclic:
-            members[c].add(q)
-    sccs = {c: frozenset(qs) for c, qs in members.items()}
     return DivergenceContext(
         machine=stripped, component=component, cyclic=frozenset(cyclic),
         incoming={q: tuple(edges) for q, edges in incoming.items()},
-        loops={q: sccs[c] for q, c in own.items() if c in own_cyclic})
+        loops=_cycle_components(machine) if loops is None else loops)
+
+
+def _cycle_components(machine: CounterMachine) -> dict[str, frozenset[str]]:
+    """Each state on a cycle of the control graph of `machine`, tests
+    included, mapped to its SCC there: the states that can repeat."""
+    component, cyclic = _control_components(machine)
+    members: dict[int, set] = {c: set() for c in cyclic}
+    for q, c in component.items():
+        if c in cyclic:
+            members[c].add(q)
+    sccs = {c: frozenset(qs) for c, qs in members.items()}
+    return {q: sccs[c] for q, c in component.items() if c in cyclic}
 
 
 def _control_components(machine) -> tuple[dict, set]:
@@ -448,23 +456,23 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constants are folded, large updates expanded, and the divergence
-    analysis is built once for all accepting states. States on no control
-    cycle are skipped; the others, the candidates, go through one
-    `buchi_to_reach` and one `parametric_reach` call, and the witness is
-    projected back onto `machine`. The verdict is exact for each
-    instantiation: under it the reduction reaches its target iff the
-    reduction of some one candidate does. So the witness is the first
-    instantiation, in `enumerate_gammas` order over the parameters and y,
-    under which some candidate repeats, and its accepting state is the
-    state at the loop start: the candidate whose final test ends the run
-    or, in the divergence case, the least candidate that loops from the
-    chain entry. Counter values are explored up to `ceiling`, by default
-    max(bound, constants) + headroom(machine, |Q'|) for |Q'| = 2|Q| + 2 +
-    |X| over the folded machine, the size of a reduction with a full copy
-    of the machine, whatever the size of the copies built; the stored
-    value y ranges up to `store_bound`, by default the ceiling. Negative
-    limits are rejected.
+    Constants are folded and large updates expanded. States on no control
+    cycle are skipped, and with none left the answer is absent before any
+    divergence analysis is built; the others, the candidates, share one
+    divergence analysis and go through one `buchi_to_reach` and one
+    `parametric_reach` call, and the witness is projected back onto
+    `machine`. The verdict is exact for each instantiation: under it the
+    reduction reaches its target iff the reduction of some one candidate
+    does. So the witness is the first instantiation, in `enumerate_gammas`
+    order over the parameters and y, under which some candidate repeats,
+    and its accepting state is the state at the loop start: the candidate
+    whose final test ends the run or, in the divergence case, the least
+    candidate that loops from the chain entry. Counter values are explored
+    up to `ceiling`, by default max(bound, constants) + headroom(machine,
+    |Q'|) for |Q'| = 2|Q| + 2 + |X| over the folded machine, the size of a
+    reduction with a full copy of the machine, whatever the size of the
+    copies built; the stored value y ranges up to `store_bound`, by default
+    the ceiling. Negative limits are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
@@ -483,11 +491,13 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     pinned = {x: (c, c) for x, c in constants.items()}
     if store_bound is None:
         store_bound = ceiling
-    context = divergence_context(expanded)
-    # Only states on a cycle of the control graph can repeat.
-    candidates = [q for q in accepting if q in context.loops]
+    # Only states on a cycle of the control graph can repeat; the rest of
+    # the divergence analysis is built only if one is accepting.
+    loops = _cycle_components(expanded)
+    candidates = [q for q in accepting if q in loops]
     if not candidates:
         return None
+    context = divergence_context(expanded, loops)
     reduction = buchi_to_reach(expanded, *candidates, context=context)
     found = parametric_reach(reduction.machine, reduction.target, bound,
                              ranges={**pinned, reduction.y: (0, store_bound)},
@@ -512,8 +522,12 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
 class McReduction:
     """The product of a machine and the tableau of a flat sentence: some
     accepting state repeats under some instantiation of the register
-    parameters iff some run of the source satisfies the sentence. The
-    product copies the source's updates, large ones included."""
+    parameters iff some run of the source satisfies the sentence. A product
+    state is either a core, keyed by a machine state, the obligations
+    forwarded to the next position and a round-robin index, or a state of a
+    test chain into a core (see `flat_mc_to_buchi`); the accepting states
+    are cores. The product copies the source's updates, large ones
+    included."""
     instance: BuchiInstance
     formula: Formula                 # renamed normal form actually encoded
     step_origin: Mapping[int, int]   # product transition -> source transition
@@ -595,31 +609,52 @@ def _next_requirements(atom) -> frozenset:
     return frozenset(out)
 
 
-def _obligations(atom):
-    """The parameter tests a product state fires while sitting on one
-    position: one equality per freeze chosen in the atom, one comparison per
-    register-test literal. Deterministic order."""
-    tests = []
-    for f in sorted((f for f in atom if isinstance(f, Freeze)),
-                    key=lambda f: f.reg):
-        tests.append(ParamTest("=", f.reg))
-    for f in sorted((f for f in atom if isinstance(f, RegTest)),
-                    key=lambda f: (f.reg, f.rel)):
-        tests.append(ParamTest(f.rel, f.reg))
-    return tests
+def _obligations(atom) -> Optional[tuple[ParamTest, ...]]:
+    """The parameter tests a position fires: an equality for each register
+    frozen there and a comparison for each register-test literal, one test
+    per register, sorted by register. Every test of one position compares
+    the same counter value with its register's parameter, so an atom that
+    gives one register two relations can never fire, and is None; a test
+    that repeats is fired once."""
+    relation: dict[str, str] = {}
+    for f in atom:
+        if isinstance(f, Freeze):
+            reg, rel = f.reg, "="
+        elif isinstance(f, RegTest):
+            reg, rel = f.reg, f.rel
+        else:
+            continue
+        if relation.setdefault(reg, rel) != rel:
+            return None
+    return tuple(ParamTest(relation[reg], reg) for reg in sorted(relation))
 
 
 def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
     """Product construction: machine states paired with tableau positions of
-    the sentence, each pair expanded into a chain of parameter tests (the
-    frozen registers and register tests committed to at this position),
-    followed by the machine's own transitions into successor pairs. One
-    generalized Buechi set per until, degeneralized by a round-robin counter.
+    the sentence, each position's parameter tests (the frozen registers and
+    register tests committed to there) fired on a chain, followed by the
+    machine's own transitions into successor positions. One generalized
+    Buechi set per until, degeneralized by a round-robin index.
 
-    Atoms that agree on their forwarded obligations and their fired tests
-    behave identically, so product states carry only that signature. An until
-    is pending exactly when it is forwarded, which is what the fairness sets
-    observe.
+    Atoms that agree on their forwarded obligations and their tests behave
+    identically, so a position carries only that signature. A position is
+    entered at its entry, the first state of its chain, and the chain ends
+    in its core, the state keyed by (machine state, forwarded obligations,
+    round-robin index): every test set of that key runs its own chain into
+    the one core, the entry of a position with no test is the core itself,
+    and the machine's transitions leave the core into the entries of the
+    successor positions. The core is the accepting state, since acceptance
+    reads only the obligations and the index: an until is pending exactly
+    when it is forwarded, which is what the fairness sets observe. Atoms
+    whose chain can never fire are dropped (`_obligations`).
+
+    Sharing the core keeps the language: cores of one key would have the
+    same successors if each test set had its own. A chain only tests the
+    counter and never changes it; it is left only into its core, and a
+    core is entered only at the end of a chain or as a test-free entry.
+    So a run visits an entry infinitely often iff it visits that entry's
+    core infinitely often, and a same-value return to one is a same-value
+    return to the other.
 
     Registers are renamed apart first; flatness guarantees each is frozen at
     most once along a run, so a register is faithfully represented by one
@@ -638,17 +673,20 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
 
     signatures: dict = {}
 
-    def expansions(requirements: frozenset, state: str) -> list[tuple]:
+    def expansions(requirements: frozenset, labels: frozenset) -> list[tuple]:
         """Deduplicated (forwarded obligations, tests) signatures of the
-        saturated extensions of `requirements` at a state with the given
-        labels."""
-        key = (requirements, state)
+        saturated extensions of `requirements` at a position carrying
+        `labels`, without the atoms whose tests can never fire."""
+        key = (requirements, labels)
         got = signatures.get(key)
         if got is None:
             got = []
             seen = set()
-            for atom in _saturate(requirements, machine.labels[state]):
-                sig = (_next_requirements(atom), tuple(_obligations(atom)))
+            for atom in _saturate(requirements, labels):
+                tests = _obligations(atom)
+                if tests is None:
+                    continue
+                sig = (_next_requirements(atom), tests)
                 if sig not in seen:
                     seen.add(sig)
                     got.append(sig)
@@ -660,46 +698,52 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
             return 0
         return index % k + 1 if untils[index - 1] not in owed else index
 
-    entry: dict[tuple, str] = {}
+    cores: dict[tuple, str] = {}
+    chains: dict[tuple, str] = {}
     accepting: set[str] = set()
     triples: list = []
     step_origin: dict[int, int] = {}
-    worklist: list[tuple] = []
+    worklist: deque = deque()
 
-    def entry_state(macro) -> str:
-        got = entry.get(macro)
-        if got is None:
-            q, (owed, _tests), index = macro
-            got = f"n{len(entry)}_{q}"
-            entry[macro] = got
+    def entry_state(q: str, sig: tuple, index: int) -> str:
+        """The first state of position (q, sig, index): the head of its
+        test chain, built on first use, or its core if it fires no test."""
+        owed, tests = sig
+        key = (q, owed, index)
+        core = cores.get(key)
+        if core is None:
+            core = cores[key] = f"n{len(cores)}_{q}"
             if k == 0 or (index == k and untils[k - 1] not in owed):
-                accepting.add(got)
-            worklist.append(macro)
-        return got
+                accepting.add(core)
+            worklist.append(key)
+        if not tests:
+            return core
+        head = chains.get((key, tests))
+        if head is None:
+            head = chains[key, tests] = f"{core}_t{len(chains)}"
+            at = head
+            for j, test in enumerate(tests[:-1]):
+                triples.append((at, test, f"{head}_c{j}"))
+                at = f"{head}_c{j}"
+            triples.append((at, tests[-1], core))
+        return head
 
     initial = "mcinit"
     start_index = 1 if k else 0
-    for sig in expansions(frozenset((renamed,)), machine.initial):
-        triples.append((initial, Update(0),
-                        entry_state((machine.initial, sig, start_index))))
+    for sig in expansions(frozenset((renamed,)),
+                          machine.labels[machine.initial]):
+        head = entry_state(machine.initial, sig, start_index)
+        triples.append((initial, Update(0), head))
 
     while worklist:
-        macro = worklist.pop(0)
-        q, (owed, tests), index = macro
-        head = entry[macro]
-        core = head
-        for j, test in enumerate(tests):
-            nxt = f"{head}_c{j}"
-            triples.append((core, test, nxt))
-            core = nxt
+        key = worklist.popleft()
+        q, owed, index = key
         nxt_index = advance(owed, index)
-        for i, t in enumerate(machine.transitions):
-            if t.source != q:
-                continue
-            for sig in expansions(owed, t.target):
+        for i, t in machine.outgoing(q):
+            for sig in expansions(owed, machine.labels[t.target]):
+                head = entry_state(t.target, sig, nxt_index)
                 step_origin[len(triples)] = i
-                triples.append((core, t.op,
-                                entry_state((t.target, sig, nxt_index))))
+                triples.append((cores[key], t.op, head))
 
     registers = sorted({f.reg for f in subformulas(renamed)
                         if isinstance(f, Freeze)})

@@ -19,7 +19,7 @@ from flatmc.cli import main
 from flatmc.jsonio import machine_to_data
 from tests.gen import random_machine
 
-DIGEST = "22abe74816ee7acf"
+DIGEST = "1d00ed59c34e4822"
 SEED = 2024
 FORMULAS = ("G F p", "F G q", "p U q", "G(p -> F q)", "X X p",
             "F @r. X [>r]", "@r. G F [=r]", "F @r. G([<r] | [=r])")

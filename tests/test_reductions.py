@@ -4,6 +4,9 @@ end-to-end model-checking pipeline."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 import time
 from collections import deque
@@ -35,6 +38,8 @@ from flatmc.machines import (
     validate_lasso,
 )
 from flatmc import reductions
+from flatmc.cli import main
+from flatmc.jsonio import machine_to_data
 from flatmc.reach import (
     enumerate_gammas,
     fold_constants,
@@ -266,6 +271,24 @@ class TestRepeatedReach:
             repeated_reach(plain, ["r", "nowhere"], 3)
         assert repeated_reach(plain, ["r"], 3) is None
 
+    def test_no_divergence_analysis_without_a_candidate(self, monkeypatch):
+        # Neither accepting state lies on a cycle: the answer is absent
+        # before the divergence analysis is built.
+        calls = []
+        original = reductions.divergence_context
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "divergence_context", counted)
+        m = CounterMachine.build([("a", "+1", "b"), ("b", "-1", "c"),
+                                  ("c", "0", "c")], initial="a")
+        assert repeated_reach(m, ["a", "b"], 3) is None
+        assert calls == []
+        assert repeated_reach(m, ["c"], 3) is not None
+        assert len(calls) == 1
+
     def test_divergence_machine_keeps_updates_and_greater_tests(self):
         m = CounterMachine.build(
             [("a", "+1", "b"), ("b", ">x:x", "a"), ("b", "<x:x", "a"),
@@ -398,6 +421,56 @@ class TestDivergenceContext:
             assert time.perf_counter() - started < 1.0
 
 
+# Seed-1 query 929 of the `mc_registers` benchmark list, paired there with
+# `F @r. G([<r] | [=r])`.
+QUERY_929 = CounterMachine.build(
+    [("s1", "0", "s2"), ("s2", "-1", "s3"), ("s3", "0", "s0"),
+     ("s3", "-1", "s1"), ("s0", "+1", "s3")],
+    initial="s0", labels={"s0": ["p"], "s1": ["p"], "s2": ["p"], "s3": ["q"]})
+
+# The sentences of the `mc_registers` benchmark that freeze a register, and
+# one that freezes and tests a register at the same position.
+REGISTER_PATTERNS = (
+    "F @r. G([<r] | [=r])",
+    "F @r. G(p -> [>r] | [=r])",
+    "!G @r.(p -> F(q & [=r]))",
+    "@r. G F [=r]",
+    "F @r. X [>r]",
+    "F @r. ([=r] & X [<r])",
+)
+
+
+def labelled_machine(rng):
+    """A random machine of 3 or 4 states with unary updates and zero tests,
+    each state labelled with some of p and q."""
+    n = rng.choice((3, 4))
+    states = [f"s{i}" for i in range(n)]
+    transitions = [(rng.choice(states), rng.choice(("+1", "-1", "0", "=0")),
+                    rng.choice(states)) for _ in range(n + 2)]
+    labels = {q: [p for p in ("p", "q") if rng.random() < 0.5]
+              for q in states}
+    return CounterMachine.build(transitions, initial="s0", labels=labels,
+                                extra_states=states)
+
+
+def chains_of(product):
+    """Each maximal chain of parameter tests in a product, as (first state,
+    tests in order, last state). A chain state has one way out, its test."""
+    tested = {t.source for t in product.transitions
+              if isinstance(t.op, ParamTest)}
+    into = {t.target for t in product.transitions
+            if isinstance(t.op, ParamTest)}
+    chains = []
+    for head in sorted(tested - into):
+        at, tests = head, []
+        while at in tested:
+            (_i, t), = product.outgoing(at)
+            tests.append(t.op)
+            at = t.target
+        chains.append((head, tuple(tests), at))
+    return chains
+
+
 class TestFlatMcToBuchi:
     def test_requires_flat_sentence(self):
         m = CounterMachine.build([("q", "0", "q")], initial="q")
@@ -452,6 +525,31 @@ class TestFlatMcToBuchi:
             got = model_check(machine, phi, 3) is not None
             expected = mc_oracle(machine, phi, max_positions=10)
             assert got == expected, text
+
+    def test_no_chain_that_can_never_fire(self):
+        # Every test of a chain compares one counter value with its
+        # register's parameter: two relations on one register never both
+        # hold, and a second equal test adds nothing.
+        mc = flat_mc_to_buchi(QUERY_929, parse("F @r. G([<r] | [=r])"))
+        chains = chains_of(mc.instance.machine)
+        assert chains
+        for _head, tests, _core in chains:
+            assert len(set(tests)) == len(tests), tests
+            assert len({t.param for t in tests}) == len(tests), tests
+
+    def test_test_sets_of_a_position_share_its_core(self):
+        # The `<r` and `=r` chains of one position end in one core, and the
+        # accepting states are cores, never inside a chain.
+        mc = flat_mc_to_buchi(QUERY_929, parse("F @r. G([<r] | [=r])"))
+        product = mc.instance.machine
+        ends: dict = {}
+        for _head, tests, core in chains_of(product):
+            ends.setdefault(core, set()).add(tests)
+        assert {(ParamTest("<", "r_1"),), (ParamTest("=", "r_1"),)} in \
+            ends.values()
+        for f in mc.instance.accepting:
+            assert not any(isinstance(t.op, ParamTest)
+                           for _i, t in product.outgoing(f))
 
 
 class TestSuccinctToUnary:
@@ -656,6 +754,38 @@ class TestModelCheck:
         assert witness is not None
         assert validate_lasso(m, {}, witness.lasso) is None
         assert witness.lasso.loop_delta > 0
+
+    def test_register_patterns_agree_with_the_oracle(self, tmp_path):
+        # Whenever a short lasso satisfies the sentence, `mc` answers
+        # present, and every witness it writes passes `flatmc check` with
+        # its formula.
+        rng = random.Random(1729)
+        machine_file = tmp_path / "m.json"
+        witness_file = tmp_path / "w.json"
+        present = dict.fromkeys(REGISTER_PATTERNS, 0)
+        confirmed = 0
+        for i in range(240):
+            text = REGISTER_PATTERNS[i % len(REGISTER_PATTERNS)]
+            m = labelled_machine(rng)
+            machine_file.write_text(json.dumps(machine_to_data(m)))
+            witness_file.unlink(missing_ok=True)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["mc", str(machine_file), "--formula", text,
+                             "--bound", "3", "--witness", str(witness_file)])
+            assert code in (0, 1), out.getvalue()
+            if mc_oracle(m, parse(text), max_positions=8):
+                assert code == 0, (text, m)
+                confirmed += 1
+            if code == 0:
+                present[text] += 1
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["check", str(witness_file),
+                                 str(machine_file), text]) == 0
+                assert out.getvalue().strip() == "valid"
+        assert all(present.values()), present
+        assert sum(present.values()) >= 75 and confirmed >= 55
 
     def test_witnesses_are_self_certifying(self):
         m = CounterMachine.build(
