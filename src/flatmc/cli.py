@@ -21,8 +21,8 @@ from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
+    LassoRun,
     MachineError,
-    Run,
     validate_lasso,
     validate_run,
 )
@@ -72,15 +72,6 @@ def _load_formula(text: str) -> formulas.Formula:
         raise InputError(f"formula: {err}") from err
 
 
-def _emit_witness(args, data: dict) -> None:
-    text = json.dumps(data, indent=2)
-    if args.witness:
-        with open(args.witness, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    elif not args.json:
-        print(text)
-
-
 def _report(args, verdict: str, bound: Optional[int] = None,
             witness: Optional[dict] = None, **extra) -> None:
     if args.json:
@@ -98,6 +89,23 @@ def _report(args, verdict: str, bound: Optional[int] = None,
             print(f"present (bound {bound})")
         else:
             print(verdict)
+
+
+def _answer(args, bound: int, witness: Optional[dict], **extra) -> int:
+    """Report a solver's answer and return its exit code: absent (1) when
+    there is no witness, else present (0) once the witness is written to
+    --witness or, without --json, to stdout."""
+    if witness is None:
+        _report(args, "absent", bound)
+        return 1
+    text = json.dumps(witness, indent=2)
+    if args.witness:
+        with open(args.witness, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    elif not args.json:
+        print(text)
+    _report(args, "present", bound, witness=witness, **extra)
+    return 0
 
 
 def _limit(args, flag: str) -> Optional[int]:
@@ -118,12 +126,9 @@ def cmd_reach(args) -> int:
     witness = parametric_reach(machine, args.target, bound,
                                ceiling=_limit(args, "cap"))
     if witness is None:
-        _report(args, "absent", bound)
-        return 1
-    data = jsonio.witness_to_data(witness.gamma, witness.run)
-    _emit_witness(args, data)
-    _report(args, "present", bound, witness=data)
-    return 0
+        return _answer(args, bound, None)
+    return _answer(args, bound,
+                   jsonio.witness_to_data(witness.gamma, witness.run))
 
 
 def cmd_buchi(args) -> int:
@@ -137,16 +142,12 @@ def cmd_buchi(args) -> int:
     found = repeated_reach(machine, accepting, bound,
                            ceiling=_limit(args, "cap"))
     if found is None:
-        _report(args, "absent", bound)
-        return 1
+        return _answer(args, bound, None)
     certificate = jsonio.witness_to_data(dict(found.certificate.gamma),
                                          found.certificate.run)
-    data = jsonio.witness_to_data(
-        found.gamma, Run(found.lasso.configs, found.lasso.steps),
-        loop_start=found.lasso.loop_start, certificate=certificate)
-    _emit_witness(args, data)
-    _report(args, "present", bound, witness=data, accepting=found.accept_state)
-    return 0
+    return _answer(args, bound, jsonio.witness_to_data(
+        found.gamma, found.lasso, certificate=certificate),
+        accepting=found.accept_state)
 
 
 def cmd_mc(args) -> int:
@@ -155,17 +156,16 @@ def cmd_mc(args) -> int:
     bound = _bound(args, machine)
     witness = model_check(machine, phi, bound)
     if witness is None:
-        _report(args, "absent", bound)
-        return 1
-    data = jsonio.witness_to_data(
-        {}, Run(witness.lasso.configs, witness.lasso.steps),
-        loop_start=witness.lasso.loop_start, formula_holds=True)
-    _emit_witness(args, data)
-    _report(args, "present", bound, witness=data)
-    return 0
+        return _answer(args, bound, None)
+    return _answer(args, bound, jsonio.witness_to_data(
+        {}, witness.lasso, formula_holds=True))
 
 
 def cmd_translate(args) -> int:
+    if args.target is not None and args.mode in ("unary", "foldconst"):
+        raise InputError(f"--mode {args.mode} does not read --target")
+    if args.formula is not None and args.mode != "unary":
+        raise InputError(f"--mode {args.mode} does not read --formula")
     machine = _load_machine(args.machine)
     if args.mode == "a2a":
         if not args.target:
@@ -205,13 +205,13 @@ def cmd_translate(args) -> int:
 def cmd_check(args) -> int:
     machine = _load_machine(args.machine)
     try:
-        witness = jsonio.witness_from_data(_load_json(args.witness))
+        gamma, run = jsonio.witness_from_data(_load_json(args.witness))
     except MachineError as err:
         raise InputError(f"{args.witness}: {err}") from err
     for x in machine.params:
-        if x not in witness.gamma:
+        if x not in gamma:
             raise InputError(f"gamma misses parameter {x!r}")
-    unknown = sorted(set(witness.gamma) - set(machine.params))
+    unknown = sorted(set(gamma) - set(machine.params))
     if unknown:
         raise InputError(f"gamma names {unknown[0]!r}, which is no parameter "
                          f"of the machine")
@@ -221,20 +221,16 @@ def cmd_check(args) -> int:
         _report(args, f"invalid witness: {reason}")
         return 1
 
-    first = witness.run.configs[0]
-    if first != Config(machine.initial, 0):
+    if run.configs[0] != Config(machine.initial, 0):
         return reject("run does not start at (initial, 0)")
-    lasso = witness.lasso
-    if lasso is not None:
-        defect = validate_lasso(machine, witness.gamma, lasso)
-    else:
-        defect = validate_run(machine, witness.gamma, witness.run)
+    is_lasso = isinstance(run, LassoRun)
+    defect = (validate_lasso if is_lasso else validate_run)(machine, gamma, run)
     if defect is not None:
         return reject(f"step {defect.position}: {defect.reason}")
     if phi is not None:
-        if lasso is None:
+        if not is_lasso:
             return reject("a formula check needs a lasso witness")
-        if not evaluate(lasso_word(machine, lasso), 0, {}, phi):
+        if not evaluate(lasso_word(machine, run), 0, {}, phi):
             return reject("the spelled word does not satisfy the formula")
     _report(args, "valid")
     return 0

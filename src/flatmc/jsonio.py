@@ -1,9 +1,11 @@
 """JSON machine and witness file formats.
 
 Machine files describe a counter machine; unknown keys are rejected so typos
-fail loudly. Witness files carry an instantiation plus a run (optionally a
-lasso via loop_start) and are designed to be re-checkable against a machine
-file without trusting their producer.
+fail loudly. Witness files carry an instantiation plus a run, and are
+designed to be re-checkable against a machine file without trusting their
+producer. A `LassoRun` is written as its run plus `loop_start`, and a file
+with `loop_start` is read back as one; this module alone maps between the
+two.
 """
 
 from __future__ import annotations
@@ -120,29 +122,12 @@ def _run_from_data(data: Any) -> Run:
                tuple(e["via"] for e in data[1:]))
 
 
-class WitnessFile:
-    """Parsed witness: an instantiation plus a run, and a lasso when
-    loop_start is given. The self-description fields `formula_holds` and
-    `certificate` are accepted and ignored: a check trusts neither."""
-
-    def __init__(self, gamma: dict, run: Run, loop_start: Optional[int]):
-        self.gamma = gamma
-        self.run = run
-        self.loop_start = loop_start
-
-    @property
-    def lasso(self) -> Optional[LassoRun]:
-        if self.loop_start is None:
-            return None
-        return LassoRun(self.run.configs, self.run.steps, self.loop_start)
-
-
-def witness_to_data(gamma: dict, run: Run, loop_start: Optional[int] = None,
+def witness_to_data(gamma: dict, run: Run,
                     formula_holds: Optional[bool] = None,
                     certificate: Optional[dict] = None) -> dict:
     data: dict = {"gamma": dict(gamma), "run": run_to_data(run)}
-    if loop_start is not None:
-        data["loop_start"] = loop_start
+    if isinstance(run, LassoRun):
+        data["loop_start"] = run.loop_start
     if formula_holds is not None:
         data["formula_holds"] = formula_holds
     if certificate is not None:
@@ -150,7 +135,11 @@ def witness_to_data(gamma: dict, run: Run, loop_start: Optional[int] = None,
     return data
 
 
-def witness_from_data(data: Any) -> WitnessFile:
+def witness_from_data(data: Any) -> tuple[dict, Run]:
+    """The instantiation and the run of a witness file; the run is a
+    `LassoRun` when the file gives `loop_start`. The self-description fields
+    `formula_holds` and `certificate` are accepted and ignored: a check
+    trusts neither."""
     if not isinstance(data, dict):
         raise MachineError("witness file must be a JSON object")
     unknown = set(data) - _WITNESS_KEYS
@@ -164,6 +153,8 @@ def witness_from_data(data: Any) -> WitnessFile:
         raise MachineError("gamma must map parameter names to naturals")
     run = _run_from_data(data["run"])
     loop_start = data.get("loop_start")
-    if loop_start is not None and not _is_int(loop_start):
-        raise MachineError("loop_start must be an integer")
-    return WitnessFile(dict(gamma), run, loop_start)
+    if loop_start is not None:
+        if not _is_int(loop_start):
+            raise MachineError("loop_start must be an integer")
+        run = LassoRun(run.configs, run.steps, loop_start)
+    return dict(gamma), run

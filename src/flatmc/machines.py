@@ -335,16 +335,14 @@ class Run:
 
 
 @dataclass(frozen=True)
-class LassoRun:
-    """A finite representation of an ultimately periodic run.
+class LassoRun(Run):
+    """A finite representation of an ultimately periodic run: a run whose
+    loop is configs[loop_start:].
 
-    The loop is configs[loop_start:]; its first and last configurations share
-    a state, and the final counter value is >= the loop-entry value. A strictly
-    increasing loop denotes the run in which each iteration is shifted up by
-    the difference.
+    The loop's first and last configurations share a state, and the final
+    counter value is >= the loop-entry value. A strictly increasing loop
+    denotes the run in which each iteration is shifted up by the difference.
     """
-    configs: tuple[Config, ...]
-    steps: tuple[int, ...]
     loop_start: int
 
     @property
@@ -425,7 +423,7 @@ def validate_lasso(machine: CounterMachine, gamma: Gamma,
     validates, the loop is nonempty and returns to its entry state without
     losing counter value, and a value-gaining loop uses only transitions that
     survive upward shifts (so that every unrolling validates)."""
-    defect = validate_run(machine, gamma, Run(lasso.configs, lasso.steps))
+    defect = validate_run(machine, gamma, lasso)
     if defect is not None:
         return defect
     if not 0 <= lasso.loop_start < len(lasso.configs) - 1:

@@ -402,10 +402,10 @@ def _project(run: Run | LassoRun, origin: Mapping[int, int],
             steps.append(emitted)
             configs.append(Config(source.transitions[emitted].target,
                                   run.configs[pos + 1].value))
-    if isinstance(run, Run):
-        return Run(tuple(configs), tuple(steps))
-    loop_start = sum(step in origin for step in run.steps[:run.loop_start])
-    return LassoRun(tuple(configs), tuple(steps), loop_start)
+    if isinstance(run, LassoRun):
+        loop_start = sum(step in origin for step in run.steps[:run.loop_start])
+        return LassoRun(tuple(configs), tuple(steps), loop_start)
+    return Run(tuple(configs), tuple(steps))
 
 
 # ---------------------------------------------------------------------------

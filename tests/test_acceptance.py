@@ -28,7 +28,6 @@ from flatmc.formulas import (
 from flatmc.jsonio import machine_to_data, witness_to_data
 from flatmc.machines import (
     CounterMachine,
-    Run,
     bounded_reach_oracle,
     rep_reach_oracle,
     validate_lasso,
@@ -259,8 +258,7 @@ def test_criterion_6_model_checking(tmp_path):
         machine_path.write_text(json.dumps(machine_to_data(machine)))
         # As `flatmc mc` writes it: the machine has no parameters.
         witness_path.write_text(json.dumps(witness_to_data(
-            {}, Run(witness.lasso.configs, witness.lasso.steps),
-            loop_start=witness.lasso.loop_start)))
+            {}, witness.lasso)))
         code = cli_main(["check", str(witness_path), str(machine_path), text])
         if code != 0:
             failures.append((text, "check rejected witness"))

@@ -27,6 +27,7 @@ from flatmc.alternating import (
 from flatmc.machines import (
     ClassMismatch,
     CounterMachine,
+    ParamTest,
     bounded_reach_oracle,
     machine_size,
 )
@@ -294,6 +295,20 @@ class TestRunTrees:
         back = extract_run(ta, tree, word)
         assert back.gamma == witness.gamma
         assert back.run.configs == witness.run.configs
+
+    def test_greater_test_round_trip(self):
+        # >x spawns a side branch that drifts right from the test position.
+        m = CounterMachine.build(
+            [("q", "+1", "q"), ("q", ">x:x", "r"), ("r", "<x:y", "t")],
+            initial="q", params=["x", "y"])
+        witness = parametric_reach(m, "t", 2)
+        assert ParamTest(">", "x") in {m.transitions[i].op
+                                       for i in witness.run.steps}
+        ta = machine_to_a2a(m, "t")
+        tree = construct_accepting_tree(ta, witness)
+        word = encode_gamma(witness.gamma, order=m.params)
+        assert validate_run_tree(ta.automaton, word, tree) is None
+        assert extract_run(ta, tree, word) == witness
 
     def test_length_zero_witness(self):
         m = climb_and_test()

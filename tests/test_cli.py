@@ -28,13 +28,16 @@ from flatmc.jsonio import (
     witness_to_data,
 )
 from flatmc.machines import (
+    Config,
+    LassoRun,
     MachineError,
     Run,
     Update,
+    op_value,
     rep_reach_oracle,
     validate_run,
 )
-from flatmc.reach import parametric_reach
+from flatmc.reach import expand_updates, parametric_reach
 from tests.gen import all_gammas, random_machine
 from tests.oracles import gamma_reach_oracle, mc_oracle
 
@@ -107,16 +110,16 @@ class TestReach:
         out = str(tmp_path / "w.json")
         assert main(["reach", machine, "--target", "q2", "--bound", "3",
                      "--witness", out]) == 0
-        witness = witness_from_data(json.loads(open(out).read()))
-        assert witness.gamma == {"x": 0}
+        gamma, _run = witness_from_data(json.loads(open(out).read()))
+        assert gamma == {"x": 0}
 
     def test_target_is_initial(self, write, tmp_path):
         machine = write("m.json", CLIMB_AND_TEST)
         out = str(tmp_path / "w.json")
         assert main(["reach", machine, "--target", "q", "--bound", "3",
                      "--witness", out]) == 0
-        witness = witness_from_data(json.loads(open(out).read()))
-        assert len(witness.run.steps) == 0
+        _gamma, run = witness_from_data(json.loads(open(out).read()))
+        assert len(run.steps) == 0
 
     def test_absent_up_to_bound(self, write, capsys):
         data = {"states": ["q", "q2"], "initial": "q", "params": ["x"],
@@ -175,6 +178,27 @@ MALFORMED = {
     "not-utf-8": ("machine", b"\xff{}"),
 }
 
+# Bad input on the command line or in the machine file: the machine file (None
+# for a missing one), the command and its flags, and the message.
+BAD_INPUT = {
+    "missing-file": (None, ["reach", "--target", "q2"], "cannot read"),
+    "not-json": ('{"states": [', ["reach", "--target", "q2"],
+                 "is not valid JSON"),
+    "no-accepting-state": (CLIMB_AND_TEST, ["buchi", "--accepting", ","],
+                           "no accepting states given"),
+    "a2a-without-target": (CLIMB_AND_TEST, ["translate", "--mode", "a2a"],
+                           "--mode a2a needs --target"),
+    "buchi2reach-without-target": (
+        CLIMB_AND_TEST, ["translate", "--mode", "buchi2reach"],
+        "--mode buchi2reach needs --target"),
+    "parameter-twice": (dict(CLIMB_AND_TEST, params=["x", "x"]),
+                        ["reach", "--target", "q2"],
+                        "duplicate parameter names"),
+    "label-for-unlisted-state": (dict(CLIMB_AND_TEST, labels={"s": ["p"]}),
+                                 ["reach", "--target", "q2"],
+                                 "label for unknown state 's'"),
+}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", MALFORMED)
@@ -189,6 +213,16 @@ class TestMalformedInput:
             code = main(["check", str(path), machine])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", BAD_INPUT)
+    def test_bad_input_exits_2_naming_its_fault(self, case, write, tmp_path,
+                                                capsys):
+        machine, (command, *flags), message = BAD_INPUT[case]
+        path = (str(tmp_path / "missing.json") if machine is None
+                else write("m.json", machine))
+        assert main([command, path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestStrictTypes:
@@ -288,8 +322,8 @@ class TestBuchi:
         out = str(tmp_path / "w.json")
         assert main(["buchi", machine, "--accepting", "s1,s2", "--bound", "1",
                      "--cap", "256", "--witness", out]) == 0
-        witness = witness_from_data(json.loads(open(out).read()))
-        assert witness.gamma["x0"] <= 1
+        gamma, _lasso = witness_from_data(json.loads(open(out).read()))
+        assert gamma["x0"] <= 1
         assert main(["check", out, machine]) == 0
 
     def test_reports_the_accepting_state_that_repeats(self, write, tmp_path,
@@ -305,6 +339,20 @@ class TestBuchi:
         assert main(["buchi", machine, "--accepting", "a,b", "--bound", "2",
                      "--json", "--witness", out]) == 0
         assert json.loads(capsys.readouterr().out)["accepting"] == "b"
+        assert main(["check", out, machine]) == 0
+
+    def test_state_named_like_an_update_chain_state(self, write, tmp_path):
+        # The update expansion would name the chain state of +2 u0_1, a
+        # state of this machine: the chain takes a longer prefix instead.
+        data = {"states": ["q", "u0_1"], "initial": "q",
+                "transitions": [{"from": "q", "op": "+2", "to": "u0_1"},
+                                {"from": "u0_1", "op": "-2", "to": "q"}]}
+        expanded, _origin = expand_updates(machine_from_data(data))
+        assert len(expanded.states) == 4
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "u0_1", "--bound", "2",
+                     "--witness", out]) == 0
         assert main(["check", out, machine]) == 0
 
     def test_divergence_loop_above_the_cap(self, write, tmp_path):
@@ -413,7 +461,8 @@ class TestBinaryUpdates:
         code = main([args[0], path, *args[1:], "--json", "--witness", out])
         if code == 0:
             assert main(["check", out, path, *formula]) == 0
-            return witness_from_data(json.loads(pathlib.Path(out).read_text()))
+            return witness_from_data(
+                json.loads(pathlib.Path(out).read_text()))[1]
         assert code == 1
         return None
 
@@ -459,10 +508,9 @@ class TestBinaryUpdates:
             expected = mc_oracle(m, parse(text), max_positions=12,
                                  max_value=3)
             if got is not None and not expected:
-                lasso = got.lasso
-                assert (len(lasso.configs) > 12
-                        or max(c.value for c in lasso.configs) > 3
-                        or (lasso.loop_delta > 0 and tests_a_register))
+                assert (len(got.configs) > 12
+                        or max(c.value for c in got.configs) > 3
+                        or (got.loop_delta > 0 and tests_a_register))
                 outside += 1
             else:
                 assert (got is not None) == expected
@@ -598,6 +646,22 @@ class TestFlags:
         assert exited.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--mode", "foldconst", "--target", "q", "--formula", "G p"],
+         "--target"),
+        (["--mode", "foldconst", "--formula", "G p"], "--formula"),
+        (["--mode", "unary", "--target", "q"], "--target"),
+        (["--mode", "a2a", "--target", "q", "--formula", "p"], "--formula"),
+        (["--mode", "buchi2reach", "--target", "q", "--formula", "p"],
+         "--formula"),
+    ])
+    def test_translate_rejects_a_flag_its_mode_does_not_read(
+            self, argv, flag, write, capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        assert main(["translate", machine, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
     def test_readme_lists_each_commands_flags(self):
         listed = {}
         for line in _readme_section("Command line").splitlines():
@@ -629,7 +693,41 @@ def _readme_section(title: str) -> str:
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
+# A machine with a pumpable and a non-pumpable loop on q, and a way out to
+# r; with x = 5, each lasso below validates as a run, and `check` rejects
+# its loop for the reason given: the steps, the loop start, the reason.
+LASSO_MACHINE = {
+    "states": ["q", "r"], "initial": "q", "params": ["x"],
+    "transitions": [{"from": "q", "op": "+1", "to": "q"},
+                    {"from": "q", "op": "<x:x", "to": "q"},
+                    {"from": "q", "op": "-1", "to": "q"},
+                    {"from": "q", "op": "0", "to": "r"}]}
+BAD_LASSOS = {
+    "no-return": ([3], 0, "loop does not return to its entry state"),
+    "loses-value": ([0, 2], 1, "loop loses counter value"),
+    "non-pumpable": ([0, 1], 0,
+                     "value-gaining loop uses non-pumpable op <x:x"),
+    "empty-loop": ([0], 1, "loop is empty or out of range"),
+    "out-of-range": ([0], 5, "loop is empty or out of range"),
+}
+
+
 class TestCheck:
+    @pytest.mark.parametrize("case", BAD_LASSOS)
+    def test_rejects_a_lasso_with_a_bad_loop(self, case, write, capsys):
+        steps, loop_start, reason = BAD_LASSOS[case]
+        machine = machine_from_data(LASSO_MACHINE)
+        configs = [Config("q", 0)]
+        for step in steps:
+            t = machine.transitions[step]
+            configs.append(Config(t.target, op_value(t.op, configs[-1].value)))
+        lasso = LassoRun(tuple(configs), tuple(steps), loop_start)
+        assert validate_run(machine, {"x": 5}, lasso) is None
+        witness = write("w.json", witness_to_data({"x": 5}, lasso))
+        assert main(["check", witness, write("m.json", LASSO_MACHINE)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid witness: ") and reason in out
+
     def test_corrupted_value_is_invalid(self, write, tmp_path):
         machine_path = write("m.json", CLIMB_AND_TEST)
         machine = machine_from_data(CLIMB_AND_TEST)

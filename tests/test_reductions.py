@@ -440,6 +440,18 @@ REGISTER_PATTERNS = (
 )
 
 
+# Sentences that freeze two registers, most of which test both at one
+# position.
+TWO_REGISTER_PATTERNS = (
+    "F @r. X F @s. ([>r] & p)",
+    "@r. X @s. G F ([=r] | [=s])",
+    "F @r. X F @s. G ([>r] | [<s])",
+    "F @r. F @s. G F ([=r] & [=s])",
+    "F @r. X @s. G F ([=r] & X [=s])",
+    "@r. X F @s. F ([=r] & [<s])",
+)
+
+
 def labelled_machine(rng):
     """A random machine of 3 or 4 states with unary updates and zero tests,
     each state labelled with some of p and q."""
@@ -723,6 +735,42 @@ def mutate_bit(rng, word):
     return LassoWord(prefix, word.loop)
 
 
+def mc_against_the_oracle(tmp_path, patterns, rng, rounds=240):
+    """Run `flatmc mc` on `rounds` labelled machines, each with the next of
+    `patterns`: whenever a short lasso satisfies the sentence, `mc` answers
+    present, and every witness it writes passes `flatmc check` with its
+    formula. Returns the present answers per pattern, the answers the oracle
+    confirms, and the products with a chain of two or more tests."""
+    machine_file = tmp_path / "m.json"
+    witness_file = tmp_path / "w.json"
+    present = dict.fromkeys(patterns, 0)
+    confirmed = chained = 0
+    for i in range(rounds):
+        text = patterns[i % len(patterns)]
+        m = labelled_machine(rng)
+        product = flat_mc_to_buchi(m, parse(text)).instance.machine
+        chained += any(len(tests) >= 2
+                       for _head, tests, _core in chains_of(product))
+        machine_file.write_text(json.dumps(machine_to_data(m)))
+        witness_file.unlink(missing_ok=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["mc", str(machine_file), "--formula", text,
+                         "--bound", "3", "--witness", str(witness_file)])
+        assert code in (0, 1), out.getvalue()
+        if mc_oracle(m, parse(text), max_positions=8):
+            assert code == 0, (text, m)
+            confirmed += 1
+        if code == 0:
+            present[text] += 1
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["check", str(witness_file),
+                             str(machine_file), text]) == 0
+            assert out.getvalue().strip() == "valid"
+    return present, confirmed, chained
+
+
 class TestModelCheck:
     def test_always_p_on_climbing_machine(self):
         m = CounterMachine.build([("q", "+1", "q")], initial="q",
@@ -756,36 +804,18 @@ class TestModelCheck:
         assert witness.lasso.loop_delta > 0
 
     def test_register_patterns_agree_with_the_oracle(self, tmp_path):
-        # Whenever a short lasso satisfies the sentence, `mc` answers
-        # present, and every witness it writes passes `flatmc check` with
-        # its formula.
-        rng = random.Random(1729)
-        machine_file = tmp_path / "m.json"
-        witness_file = tmp_path / "w.json"
-        present = dict.fromkeys(REGISTER_PATTERNS, 0)
-        confirmed = 0
-        for i in range(240):
-            text = REGISTER_PATTERNS[i % len(REGISTER_PATTERNS)]
-            m = labelled_machine(rng)
-            machine_file.write_text(json.dumps(machine_to_data(m)))
-            witness_file.unlink(missing_ok=True)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["mc", str(machine_file), "--formula", text,
-                             "--bound", "3", "--witness", str(witness_file)])
-            assert code in (0, 1), out.getvalue()
-            if mc_oracle(m, parse(text), max_positions=8):
-                assert code == 0, (text, m)
-                confirmed += 1
-            if code == 0:
-                present[text] += 1
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main(["check", str(witness_file),
-                                 str(machine_file), text]) == 0
-                assert out.getvalue().strip() == "valid"
+        present, confirmed, _chained = mc_against_the_oracle(
+            tmp_path, REGISTER_PATTERNS, random.Random(1729))
         assert all(present.values()), present
         assert sum(present.values()) >= 75 and confirmed >= 55
+
+    def test_two_register_patterns_agree_with_the_oracle(self, tmp_path):
+        # Most of these products fire two register tests at one position,
+        # through a chain of two or more tests.
+        present, confirmed, chained = mc_against_the_oracle(
+            tmp_path, TWO_REGISTER_PATTERNS, random.Random(4242))
+        assert all(present.values()), present
+        assert chained >= 180 and confirmed >= 70
 
     def test_witnesses_are_self_certifying(self):
         m = CounterMachine.build(
