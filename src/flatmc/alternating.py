@@ -466,6 +466,7 @@ def validate_run_tree(automaton: A2A, word: ParameterWord,
     drift = _drift_letters(automaton)
 
     def check(node: TreeNode, path: tuple[int, ...]) -> Optional[TreeDefect]:
+        """The first defect of `node` itself, its children's moves too."""
         if node.position < 0:
             return TreeDefect(path, "negative position")
         if node.drift:
@@ -503,13 +504,19 @@ def validate_run_tree(automaton: A2A, word: ParameterWord,
             moves.add((child.state, move))
         if not set(t.formula) <= moves:
             return TreeDefect(path, "children do not satisfy the formula")
-        for k, child in enumerate(node.children):
-            defect = check(child, path + (k,))
-            if defect is not None:
-                return defect
         return None
 
-    return check(root, ())
+    # Preorder with an explicit stack, so the first defect is reported at
+    # any depth.
+    todo = [(root, ())]
+    while todo:
+        node, path = todo.pop()
+        defect = check(node, path)
+        if defect is not None:
+            return defect
+        todo.extend((child, path + (k,)) for k, child
+                    in reversed(list(enumerate(node.children))))
+    return None
 
 
 def _index_by_state_test(automaton: A2A) -> dict[tuple[str, str], int]:

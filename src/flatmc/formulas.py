@@ -335,26 +335,33 @@ def _prec(phi: Formula) -> int:
 
 
 def render(phi: Formula) -> str:
-    """Concrete syntax for `phi`; parse(render(phi)) == phi."""
-    if isinstance(phi, Prop):
-        return phi.name
-    if isinstance(phi, RegTest):
-        return f"[{phi.rel}{phi.reg}]"
-    operands = [_wrap(getattr(phi, name), minimum)
-                for name, minimum in _OPERANDS[type(phi)]]
-    if isinstance(phi, Neg):
-        return f"!{operands[0]}"
-    if isinstance(phi, Next):
-        return f"X {operands[0]}"
-    if isinstance(phi, Freeze):
-        return f"@{phi.reg}. {operands[0]}"
-    left, right = operands
-    return f"{left} {_INFIX[type(phi)]} {right}"
-
-
-def _wrap(phi: Formula, minimum: int) -> str:
-    text = render(phi)
-    return f"({text})" if _prec(phi) < minimum else text
+    """Concrete syntax for `phi`; parse(render(phi)) == phi. Written left to
+    right without recursion, from a stack of formulas and literal text, and
+    joined once, so it takes time linear in its length at any depth."""
+    pieces: list[str] = []
+    todo: list = [phi]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, str):
+            pieces.append(f)
+        elif isinstance(f, Prop):
+            pieces.append(f.name)
+        elif isinstance(f, RegTest):
+            pieces.append(f"[{f.rel}{f.reg}]")
+        else:
+            operands = []
+            for name, minimum in _OPERANDS[type(f)]:
+                child = getattr(f, name)
+                operands.append(("(", child, ")") if _prec(child) < minimum
+                                else (child,))
+            if isinstance(f, Freeze):
+                text = (f"@{f.reg}. ", *operands[0])
+            elif isinstance(f, (Neg, Next)):
+                text = ("!" if isinstance(f, Neg) else "X ", *operands[0])
+            else:
+                text = (*operands[0], f" {_INFIX[type(f)]} ", *operands[1])
+            todo.extend(reversed(text))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

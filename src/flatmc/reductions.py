@@ -103,13 +103,14 @@ class BuchiInstance:
 
 @dataclass(frozen=True)
 class DivergenceContext:
-    """The test-free divergence machine of a machine and its control graph:
-    the strongly connected component (SCC) of each state, the SCCs with a
-    cycle, and each state's incoming edges with their counter effects; and,
-    in `loops`, each state on a cycle of the source's own control graph,
-    tests included, with its SCC there. Built once per machine and reused
-    across accept states. The divergence machine is stripped, so its loops
-    are already in the source's transitions.
+    """The test-free divergence machine of a machine, each state's incoming
+    edges there with their counter effects, and, in `component`, each
+    state's strongly connected component (SCC) in the source's own control
+    graph, tests included, or the empty set if it has no cycle. Built once
+    per machine and reused across accept states. The divergence machine
+    keeps a subset of the source's transitions, between the same states, so
+    a state's SCC there lies inside its SCC in the source: one SCC pass
+    serves the cycle filter, the copies of `buchi_to_reach` and `need`.
 
     A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
     a value at least `need(f)`, the least entry value of a non-empty closed
@@ -118,13 +119,11 @@ class DivergenceContext:
     `plain_rep_lasso`, given `need(f)`, rebuilds a loop witness without one
     either."""
     machine: StrippedMachine
-    component: Mapping[str, int]    # control state -> SCC id
-    cyclic: frozenset[int]          # ids of the SCCs containing a cycle
+    component: Mapping[str, frozenset[str]]  # state -> its cyclic SCC, or {}
     incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
-    loops: Mapping[str, frozenset[str]]  # state on a source cycle -> its SCC
 
     def _credits(self, goal: str, value: int,
-                 scc: Optional[int] = None) -> dict[str, int]:
+                 scc: Optional[frozenset[str]] = None) -> dict[str, int]:
         """For each state that can reach `goal`, the least counter value
         from which it reaches `goal` with a value >= `value`: the least
         fixpoint of credit(p) = min over edges p -d-> r of
@@ -137,7 +136,7 @@ class DivergenceContext:
             here = work.popleft()
             queued.discard(here)
             for back, delta in self.incoming[here]:
-                if scc is not None and self.component[back] != scc:
+                if scc is not None and back not in scc:
                     continue
                 lowered = max(0, credit[here] - delta)
                 if lowered < credit.get(back, lowered + 1):
@@ -151,17 +150,20 @@ class DivergenceContext:
         """The least entry value of a non-empty closed walk through
         `accept_state` with effect >= 0, or None if there is none.
 
-        Such a walk stays inside the state's SCC S, and the value is at most
-        |S| - 1 when it exists. If S has a simple cycle of positive effect,
-        a shortest path to it and its turns need at most that, and enough
-        turns pay for the way back. Otherwise every closed walk has effect
-        <= 0, so the walk splits into simple cycles of effect 0, one of them
-        through the state. The search checks that bound first, then counts
-        up from 0."""
+        Such a walk stays inside the state's SCC S in the divergence
+        machine, and the value is at most |S| - 1 when it exists. If S has a
+        simple cycle of positive effect, a shortest path to it and its turns
+        need at most that, and enough turns pay for the way back. Otherwise
+        every closed walk has effect <= 0, so the walk splits into simple
+        cycles of effect 0, one of them through the state. S lies inside the
+        state's source SCC S', and every walk the credits are read on stays
+        inside S, so they are confined to S'; and a walk that closes from
+        one value closes from every higher one, so the search checks
+        |S'| - 1 first, then counts up from 0."""
         scc = self.component[accept_state]
-        if scc not in self.cyclic:
+        if not scc:
             return None
-        top = sum(1 for c in self.component.values() if c == scc) - 1
+        top = len(scc) - 1
 
         def closes(value: int) -> bool:
             credit = self._credits(accept_state, value, scc)
@@ -199,53 +201,42 @@ class BuchiReduction:
 
 
 def divergence_context(machine: CounterMachine,
-                       loops: Optional[Mapping[str, frozenset[str]]] = None
+                       component: Optional[Mapping[str, frozenset[str]]] = None
                        ) -> DivergenceContext:
     """Build the divergence analysis of `machine`: strip its tests for the
     interval above every parameter, where exactly the greater-than tests
-    hold, and find the SCCs of the stripped control graph. Each accept state
-    is then analyzed on that graph alone, in time polynomial in its size and
-    free of any counter cap (see `DivergenceContext`). `loops` is
-    `_cycle_components(machine)`, computed here if not given."""
+    hold, and index its control graph by incoming edge. Each accept state is
+    then analyzed on that graph, within its SCC in `machine`, in time
+    polynomial in its size and free of any counter cap (see
+    `DivergenceContext`). `component` is `_control_components(machine)`,
+    computed here if not given."""
+    if component is None:
+        component = _control_components(machine)
     stripped = _strip(machine, tuple(rel == ">" for _x, rel
                                      in _param_tests(machine)))
-    component, cyclic = _control_components(stripped)
     incoming: dict[str, list] = {q: [] for q in stripped.states}
     for q in sorted(stripped.states):
         for _i, t in stripped.outgoing(q):
             incoming[t.target].append((q, t.op.delta))
     return DivergenceContext(
-        machine=stripped, component=component, cyclic=frozenset(cyclic),
-        incoming={q: tuple(edges) for q, edges in incoming.items()},
-        loops=_cycle_components(machine) if loops is None else loops)
+        machine=stripped, component=component,
+        incoming={q: tuple(edges) for q, edges in incoming.items()})
 
 
-def _cycle_components(machine: CounterMachine) -> dict[str, frozenset[str]]:
-    """Each state on a cycle of the control graph of `machine`, tests
-    included, mapped to its SCC there: the states that can repeat."""
-    component, cyclic = _control_components(machine)
-    members: dict[int, set] = {c: set() for c in cyclic}
-    for q, c in component.items():
-        if c in cyclic:
-            members[c].add(q)
-    sccs = {c: frozenset(qs) for c, qs in members.items()}
-    return {q: sccs[c] for q, c in component.items() if c in cyclic}
-
-
-def _control_components(machine) -> tuple[dict, set]:
-    """Iterative Tarjan: the strongly connected components of the control
-    graph of `machine`, a counter machine or a stripped one, and the set of
-    component ids containing a cycle."""
+def _control_components(machine: CounterMachine
+                        ) -> dict[str, frozenset[str]]:
+    """Iterative Tarjan: each state of `machine` mapped to its strongly
+    connected component in the control graph, tests included, if that
+    component holds a cycle, and to the empty set otherwise. The states
+    mapped to a non-empty set are those that can repeat."""
     forward = {q: [t.target for _i, t in machine.outgoing(q)]
                for q in machine.states}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    component: dict[str, int] = {}
-    sizes: dict[int, int] = {}
+    component: dict[str, frozenset[str]] = {}
     counter = 0
-    next_component = 0
     for root in forward:
         if root in index:
             continue
@@ -275,21 +266,14 @@ def _control_components(machine) -> tuple[dict, set]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
             if low[node] == index[node]:
-                size = 0
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = next_component
-                    size += 1
-                    if member == node:
-                        break
-                sizes[next_component] = size
-                next_component += 1
-    cyclic = {cid for cid, size in sizes.items() if size > 1}
-    for node, outs in forward.items():
-        if node in outs:
-            cyclic.add(component[node])
-    return component, cyclic
+                members = [stack.pop()]
+                while members[-1] != node:
+                    members.append(stack.pop())
+                on_stack.difference_update(members)
+                cyclic = len(members) > 1 or node in forward[node]
+                scc = frozenset(members) if cyclic else frozenset()
+                component.update(dict.fromkeys(members, scc))
+    return component
 
 
 def buchi_to_reach(machine: CounterMachine, *accepting: str,
@@ -341,7 +325,7 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
 
     # A state on no cycle has no loop: its copy is itself alone.
     hats = {f: {q: fresh(f"{q}_hat")
-                for q in sorted(context.loops.get(f, (f,)))}
+                for q in sorted(context.component[f] or (f,))}
             for f in accepting}
     store_states = {f: fresh("s") for f in accepting}
     target = fresh("s_hat")
@@ -493,11 +477,11 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
         store_bound = ceiling
     # Only states on a cycle of the control graph can repeat; the rest of
     # the divergence analysis is built only if one is accepting.
-    loops = _cycle_components(expanded)
-    candidates = [q for q in accepting if q in loops]
+    component = _control_components(expanded)
+    candidates = [q for q in accepting if component[q]]
     if not candidates:
         return None
-    context = divergence_context(expanded, loops)
+    context = divergence_context(expanded, component)
     reduction = buchi_to_reach(expanded, *candidates, context=context)
     found = parametric_reach(reduction.machine, reduction.target, bound,
                              ranges={**pinned, reduction.y: (0, store_bound)},

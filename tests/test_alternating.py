@@ -26,8 +26,10 @@ from flatmc.alternating import (
 )
 from flatmc.machines import (
     ClassMismatch,
+    Config,
     CounterMachine,
     ParamTest,
+    Run,
     bounded_reach_oracle,
     machine_size,
 )
@@ -310,10 +312,23 @@ class TestRunTrees:
         assert validate_run_tree(ta.automaton, word, tree) is None
         assert extract_run(ta, tree, word) == witness
 
+    def test_deep_tree_validates_without_recursion(self):
+        # 1000 climbs before =x fires: the tree has one level per letter.
+        m = CounterMachine.build([("a", "+1", "a"), ("a", "=x:x", "t")],
+                                 initial="a", params=["x"])
+        x = 1000
+        run = Run(tuple(Config("a", v) for v in range(x + 1))
+                  + (Config("t", x),), (0,) * x + (1,))
+        witness = ReachWitness({"x": x}, run)
+        ta = machine_to_a2a(m, "t")
+        tree = construct_accepting_tree(ta, witness)
+        word = encode_gamma(witness.gamma, order=m.params)
+        assert validate_run_tree(ta.automaton, word, tree) is None
+        assert extract_run(ta, tree, word) == witness
+
     def test_length_zero_witness(self):
         m = climb_and_test()
         ta = machine_to_a2a(m, "q")
-        from flatmc.machines import Config, Run
         witness = ReachWitness({"x": 1}, Run((Config("q", 0),), ()))
         tree = construct_accepting_tree(ta, witness)
         word = encode_gamma({"x": 1}, order=["x"])

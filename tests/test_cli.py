@@ -545,6 +545,22 @@ class TestTranslate:
         assert len(emitted["machine"]["states"]) == 2 + 2 * 3 + 2
         machine_from_data(emitted["machine"])
 
+    @pytest.mark.parametrize("ops", [
+        [f"+{k}" for k in range(2, 202)],
+        [f"+{2 ** 1500}"],
+    ], ids=["200-updates", "2^1500-update"])
+    def test_unary_writes_formulas_deeper_than_the_recursion_limit(
+            self, write, capsys, ops):
+        # The rewritten specification nests a conjunct per update and a
+        # tower of X per bit.
+        machine = write("m.json", {
+            "states": ["q"], "initial": "q",
+            "transitions": [{"from": "q", "op": op, "to": "q"} for op in ops]})
+        assert main(["translate", machine, "--mode", "unary"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        machine_from_data(emitted["machine"])
+        assert emitted["formula"]
+
     def test_a2a_dump_lists_transitions(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)
         assert main(["translate", machine, "--mode", "a2a",

@@ -116,6 +116,20 @@ class TestParser:
         assert outcomes == {"accepted", "rejected"}
 
 
+    def test_render_is_iterative_and_linear(self):
+        # Far deeper than the recursion limit, as the formulas that
+        # `succinct_to_unary` writes are.
+        k = 20_000
+        tower, left, right = Prop("p"), Prop("p"), Prop("p")
+        for _ in range(k):
+            tower = Next(Neg(tower))
+            left = And(left, RegTest("=", "r"))
+            right = Or(Prop("q"), right)
+        assert render(tower) == "X !" * k + "p"
+        assert render(left) == "p" + " & [=r]" * k
+        assert render(right) == "q | (" * (k - 1) + "q | p" + ")" * (k - 1)
+
+
 class TestNnf:
     def test_until_duality(self):
         assert nnf(Neg(Until(Prop("p"), Prop("q")))) == \

@@ -42,6 +42,7 @@ from flatmc.cli import main
 from flatmc.jsonio import machine_to_data
 from flatmc.reach import (
     enumerate_gammas,
+    expand_updates,
     fold_constants,
     parametric_reach,
     plain_rep_lasso,
@@ -331,9 +332,81 @@ def divergence_machine(machine):
         initial=machine.initial, extra_states=machine.states)
 
 
-def scc_size(context, state):
-    return sum(1 for c in context.component.values()
-               if c == context.component[state])
+def stripped_scc(context, state):
+    """The SCC of `state` in the divergence machine itself, which may be
+    smaller than its SCC in the source: the states it reaches there that
+    reach it back."""
+    free = context.machine
+
+    def ahead(start):
+        seen, work = {start}, [start]
+        while work:
+            for _i, t in free.outgoing(work.pop()):
+                if t.target not in seen:
+                    seen.add(t.target)
+                    work.append(t.target)
+        return seen
+
+    return {q for q in ahead(state) if state in ahead(q)}
+
+
+class TestControlComponents:
+    """The one SCC pass of repeated reachability, against mutual
+    reachability on the control graph."""
+
+    def test_matches_mutual_reachability(self):
+        rng = random.Random(1972)
+        self_loops = acyclic = shared = 0
+        for _ in range(100):
+            m = random_machine(rng, max_states=6, max_params=1,
+                               density=rng.choice([1.0, 2.0, 3.0]))
+            component = reductions._control_components(m)
+            assert set(component) == set(m.states)
+            for q in sorted(m.states):
+                scc = {r for r in reachable(m, q) if q in reachable(m, r)}
+                looped = any(t.source == t.target == q for t in m.transitions)
+                if len(scc) > 1 or looped:
+                    assert component[q] == scc, (m, q)
+                else:
+                    assert component[q] == frozenset(), (m, q)
+                self_loops += looped and len(scc) == 1
+                acyclic += not component[q]
+                shared += len(scc) > 1
+        assert self_loops >= 40 and acyclic >= 100 and shared >= 40
+
+    @pytest.mark.parametrize("shape", ["chain", "cycle"])
+    def test_long_graphs_are_linear(self, shape):
+        n = 50_000
+        if shape == "chain":
+            m = CounterMachine.build(
+                [(f"q{i}", "+1", f"q{i + 1}") for i in range(n)],
+                initial="q0")
+        else:
+            m, _origin = expand_updates(CounterMachine.build(
+                [("q", f"+{n}", "q")], initial="q"))
+        started = time.perf_counter()
+        component = reductions._control_components(m)
+        assert time.perf_counter() - started < 1.0
+        assert len(component) == len(m.states)
+        if shape == "chain":
+            assert not any(component.values())
+        else:
+            assert component["q"] == m.states
+
+    def test_one_pass_per_repeated_reach_call(self, monkeypatch):
+        calls = []
+        original = reductions._control_components
+
+        def counted(machine):
+            calls.append(machine)
+            return original(machine)
+
+        monkeypatch.setattr(reductions, "_control_components", counted)
+        m = CounterMachine.build([("q", "+1", "q"), ("q", "=x:x", "r"),
+                                  ("r", "-1", "q")],
+                                 initial="q", params=["x"])
+        assert repeated_reach(m, ["r"], 3) is not None
+        assert len(calls) == 1
 
 
 class TestDivergenceContext:
@@ -364,7 +437,7 @@ class TestDivergenceContext:
                                    initial="f")
         assert divergence_context(dip).need("f") == 2
         rng = random.Random(2024)
-        finite = raised = 0
+        finite = raised = tighter = 0
         for _ in range(60):
             m = random_machine(rng, max_states=6, max_params=1, density=3.0)
             context = divergence_context(m)
@@ -377,10 +450,13 @@ class TestDivergenceContext:
                     continue
                 finite += 1
                 raised += need > 0
-                assert need <= scc_size(context, f) - 1
+                scc = stripped_scc(context, f)
+                assert scc <= context.component[f]
+                tighter += len(scc) < len(context.component[f])
+                assert need <= len(scc) - 1
                 assert closes_from(free, f, need, cap)
                 assert need == 0 or not closes_from(free, f, need - 1, cap)
-        assert finite >= 50 and raised >= 10
+        assert finite >= 50 and raised >= 10 and tighter >= 10
 
     def test_loop_found_exactly_from_the_loop_entries(self):
         rng = random.Random(2024)
