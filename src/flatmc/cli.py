@@ -4,7 +4,8 @@ Commands decide reachability (`reach`), repeated reachability (`buchi`), and
 flat freeze LTL model checking (`mc`) on machines given as JSON files, emit
 the library's constructions (`translate`), and independently re-check emitted
 witnesses (`check`). Exit codes: 0 = property holds and a witness was
-emitted, 1 = no witness up to the bound (the bound is echoed), 2 = bad input.
+emitted, 1 = no witness up to the bound (the bound is echoed), 2 = bad input,
+141 = the reader closed standard output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -301,10 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (InputError, MachineError, ClassMismatch, FormulaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device, so the
+        # interpreter's last flush stays quiet, and exit with 128 + SIGPIPE,
+        # as a shell reports a writer killed by a closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

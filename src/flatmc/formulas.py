@@ -32,22 +32,37 @@ class FormulaSyntaxError(FormulaError):
 
 def _node(cls):
     """Make `cls` a formula node: a frozen dataclass whose hash, the one the
-    dataclass would compute from its fields, is computed once at
-    construction. Formulas are keys of the tableau's sets and of `evaluate`'s
+    dataclass would compute from its fields, is computed on first use and
+    stored. Formulas are keys of the tableau's sets and of `evaluate`'s
     memo, and the generated hash would walk the whole subtree on every
-    lookup. The stored value is no field, so `repr` and `==` ignore it."""
-    names = tuple(cls.__annotations__)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash(tuple(getattr(self, n) for n in names)))
+    lookup; a formula that is only built and rendered is never hashed. The
+    stored value is no field, so `repr` and `==` ignore it."""
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            _store_hashes(self)
+            return self._hash
 
-    cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__  # a hash of its own, which `dataclass` keeps
     return dataclass(frozen=True)(cls)
+
+
+def _store_hashes(phi: Formula) -> None:
+    """Store the hash of every node of `phi` that has none yet, operands
+    before the operator, without recursion, so that any depth hashes."""
+    todo = [phi]
+    while todo:
+        f = todo[-1]
+        fresh = [child for name, _ in _OPERANDS.get(type(f), ())
+                 if "_hash" not in vars(child := getattr(f, name))]
+        if fresh:
+            todo.extend(fresh)
+            continue
+        todo.pop()
+        object.__setattr__(f, "_hash", hash(tuple(
+            getattr(f, name) for name in type(f).__match_args__)))
 
 
 @_node
@@ -139,7 +154,7 @@ _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 # parenthesis and each operand of a unary, U, R or -> operator opens a level)
 # or in the built tree, measured by `_depth`. Deeper formulas would overflow
 # the recursive parser, or the recursive traversals that follow, such as
-# `nnf`, `render` and `evaluate`.
+# `nnf` and `evaluate`.
 MAX_DEPTH = 100
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Callable, Container, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
@@ -446,6 +446,45 @@ def validate_lasso(machine: CounterMachine, gamma: Gamma,
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 
+_Parents = dict[Config, Optional[tuple[Config, int]]]
+
+
+def _oracle_search(machine: CounterMachine, gamma: Gamma, start: Config,
+                   cap: int, goal: Optional[Callable[[Config], bool]] = None,
+                   allowed: Optional[Container[int]] = None
+                   ) -> tuple[_Parents, Optional[Run]]:
+    """Breadth-first search from `start` over configurations with values
+    <= cap, taking transitions in declaration order, and only those whose
+    index `allowed` admits when it is given. Returns the parent map of every
+    configuration reached, `start` mapped to None, and the run to the first
+    configuration satisfying `goal` after at least one step (so a loop back
+    to `start` is found as such), or None."""
+    parents: _Parents = {start: None}
+    queue = deque([start])
+    while queue:
+        here = queue.popleft()
+        for step, there in successors(machine, gamma, here):
+            if there.value > cap or (allowed is not None
+                                     and step not in allowed):
+                continue
+            if goal is not None and goal(there):
+                run = _rebuild_run(parents, here)
+                return parents, Run(run.configs + (there,), run.steps + (step,))
+            if there not in parents:
+                parents[there] = (here, step)
+                queue.append(there)
+    return parents, None
+
+
+def _rebuild_run(parents: _Parents, end: Config) -> Run:
+    """The run that `parents` records from its start to `end`."""
+    configs, steps = [end], []
+    while (link := parents[configs[-1]]) is not None:
+        configs.append(link[0])
+        steps.append(link[1])
+    return Run(tuple(reversed(configs)), tuple(reversed(steps)))
+
+
 def bounded_reach_oracle(machine: CounterMachine, gamma: Gamma, target: str,
                          cap: int) -> Optional[Run]:
     """Breadth-first search for a shortest run from (initial, 0) to `target`,
@@ -458,58 +497,8 @@ def bounded_reach_oracle(machine: CounterMachine, gamma: Gamma, target: str,
     start = Config(machine.initial, 0)
     if start.state == target:
         return Run((start,), ())
-    parents: dict[Config, tuple[Config, int]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        for step, there in successors(machine, gamma, here):
-            if there.value > cap or there in seen:
-                continue
-            seen.add(there)
-            parents[there] = (here, step)
-            if there.state == target:
-                return _rebuild_run(parents, start, there)
-            queue.append(there)
-    return None
-
-
-def _rebuild_run(parents: Mapping[Config, tuple[Config, int]], start: Config,
-                 end: Config) -> Run:
-    configs = [end]
-    steps: list[int] = []
-    while configs[-1] != start:
-        prev, step = parents[configs[-1]]
-        configs.append(prev)
-        steps.append(step)
-    configs.reverse()
-    steps.reverse()
-    return Run(tuple(configs), tuple(steps))
-
-
-def _bfs_path(machine: CounterMachine, gamma: Gamma, start: Config,
-              goal, cap: int, transition_filter=None) -> Optional[Run]:
-    """BFS from `start` to the first configuration satisfying `goal`, always
-    taking at least one step (so a loop back to the start is found as such)."""
-    parents: dict[Config, tuple[Config, int]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        for step, there in successors(machine, gamma, here):
-            if there.value > cap:
-                continue
-            if transition_filter is not None and not transition_filter(step):
-                continue
-            if goal(there):
-                base = _rebuild_run(parents, start, here)
-                return Run(base.configs + (there,), base.steps + (step,))
-            if there in seen:
-                continue
-            seen.add(there)
-            parents[there] = (here, step)
-            queue.append(there)
-    return None
+    return _oracle_search(machine, gamma, start, cap,
+                          lambda c: c.state == target)[1]
 
 
 def rep_reach_oracle(machine: CounterMachine, gamma: Gamma,
@@ -527,35 +516,23 @@ def rep_reach_oracle(machine: CounterMachine, gamma: Gamma,
     for f in accepting:
         if f not in machine.states:
             raise MachineError(f"accepting state {f!r} not in machine")
-    start = Config(machine.initial, 0)
-    parents: dict[Config, tuple[Config, int]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        for step, there in successors(machine, gamma, here):
-            if there.value > cap or there in seen:
-                continue
-            seen.add(there)
-            parents[there] = (here, step)
-            queue.append(there)
+    parents, _ = _oracle_search(machine, gamma, Config(machine.initial, 0),
+                                cap)
     pumpable = {i for i, t in enumerate(machine.transitions)
                 if shift_invariant(t.op)}
     for f in accepting:
-        anchors = sorted(c for c in seen if c.state == f)
-        for anchor in anchors:
-            loop = _bfs_path(machine, gamma, anchor,
-                             lambda c, a=anchor: c == a, cap)
+        for anchor in sorted(c for c in parents if c.state == f):
+            _, loop = _oracle_search(machine, gamma, anchor, cap,
+                                     lambda c: c == anchor)
             if loop is None:
-                loop = _bfs_path(
-                    machine, gamma, anchor,
-                    lambda c, a=anchor: c.state == a.state and c.value > a.value,
-                    cap, transition_filter=lambda i: i in pumpable)
+                _, loop = _oracle_search(
+                    machine, gamma, anchor, cap,
+                    lambda c: c.state == f and c.value > anchor.value,
+                    pumpable)
             if loop is None:
                 continue
-            prefix = (Run((start,), ()) if anchor == start
-                      else _rebuild_run(parents, start, anchor))
-            configs = prefix.configs + loop.configs[1:]
-            steps = prefix.steps + loop.steps
-            return LassoRun(configs, steps, loop_start=len(prefix.configs) - 1)
+            prefix = _rebuild_run(parents, anchor)
+            return LassoRun(prefix.configs + loop.configs[1:],
+                            prefix.steps + loop.steps,
+                            loop_start=len(prefix.configs) - 1)
     return None

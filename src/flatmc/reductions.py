@@ -979,23 +979,29 @@ def model_check(machine: CounterMachine, phi: Formula,
     itself, and `repeated_reach` expands its large updates, so one
     projection maps the product's lasso back. A returned witness has been
     re-validated: the lasso against the machine, and the spelled word
-    against the formula.
+    against the formula. A formula too deep for the recursive walks over it
+    raises FormulaError.
     """
-    mc = flat_mc_to_buchi(machine, phi)
-    ceiling = (bound + headroom(machine, len(machine.states))
-               + 2 * len(mc.instance.machine.params) + 2)
-    # Every derived parameter, the stored value included, is bounded by B.
-    found = repeated_reach(mc.instance.machine, mc.instance.accepting, bound,
-                           ceiling=ceiling, store_bound=bound)
-    if found is None:
-        return None
-    lasso = _project(found.lasso, mc.step_origin, machine)
-    defect = validate_lasso(machine, {}, lasso)
-    if defect is not None:
-        raise AssertionError(
-            f"model_check produced an invalid lasso: {defect.reason}")
-    word = lasso_word(machine, lasso)
-    if not evaluate(word, 0, {}, phi):
-        raise AssertionError("model_check witness fails the formula re-check")
-    return McWitness(lasso=lasso, word=word)
-
+    try:
+        mc = flat_mc_to_buchi(machine, phi)
+        ceiling = (bound + headroom(machine, len(machine.states))
+                   + 2 * len(mc.instance.machine.params) + 2)
+        # Every derived parameter, the stored value included, is at most B.
+        found = repeated_reach(mc.instance.machine, mc.instance.accepting,
+                               bound, ceiling=ceiling, store_bound=bound)
+        if found is None:
+            return None
+        lasso = _project(found.lasso, mc.step_origin, machine)
+        defect = validate_lasso(machine, {}, lasso)
+        if defect is not None:
+            raise AssertionError(
+                f"model_check produced an invalid lasso: {defect.reason}")
+        word = lasso_word(machine, lasso)
+        if not evaluate(word, 0, {}, phi):
+            raise AssertionError(
+                "model_check witness fails the formula re-check")
+        return McWitness(lasso=lasso, word=word)
+    except RecursionError:
+        # `parse` caps the depth of a formula read from text; one built in
+        # code can be deep enough to overflow the recursive walks over it.
+        raise FormulaError("formula nests too deeply to check") from None

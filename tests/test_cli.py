@@ -561,6 +561,25 @@ class TestTranslate:
         machine_from_data(emitted["machine"])
         assert emitted["formula"]
 
+    def test_a_closed_output_pipe_exits_141_quietly(self, write):
+        # The formula is megabytes long, more than a pipe holds, so the
+        # command is still writing when the reader closes its end.
+        machine = write("m.json", {
+            "states": ["q"], "initial": "q",
+            "transitions": [{"from": "q", "op": f"+{k}", "to": "q"}
+                            for k in range(2, 202)]})
+        src = pathlib.Path(flatmc.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flatmc.cli", "translate", machine,
+             "--mode", "unary"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_a2a_dump_lists_transitions(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)
         assert main(["translate", machine, "--mode", "a2a",

@@ -255,6 +255,25 @@ class TestNodeHash:
                               for node in subformulas(f)}
 
 
+    def test_hash_is_computed_on_first_use(self):
+        # A formula that is only built and rendered is never hashed.
+        f = parse("@r. X ([=r] U !p) & q")
+        assert not any("_hash" in vars(node) for node in subformulas(f))
+        assert vars(f).get("_hash") is None
+        value = hash(f)
+        assert all("_hash" in vars(node) for node in subformulas(f))
+        assert vars(f)["_hash"] == value
+
+    def test_trees_deeper_than_the_recursion_limit_hash(self):
+        def tower():
+            f = Prop("p")
+            for _ in range(20000):
+                f = Next(Neg(f))
+            return f
+
+        f, g = tower(), tower()
+        assert hash(f) == hash(g) == hash((f.body,))
+
 class TestLassoWord:
     def test_rejects_empty_loop(self):
         with pytest.raises(FormulaError):

@@ -313,7 +313,7 @@ class TestRepReachOracle:
         # The oracles are the reference the solvers are checked against, in
         # these tests and in the benchmark's verdict gate; a solver that
         # called one would be checked against itself.
-        oracle = re.compile(r"\b(rep_reach_oracle|bounded_reach_oracle|_bfs_path)\b")
+        oracle = re.compile(r"\b(rep_reach_oracle|bounded_reach_oracle|_oracle_search)\b")
         package = pathlib.Path(flatmc.__file__).parent
         modules = sorted(package.glob("*.py"))
         assert package / "machines.py" in modules

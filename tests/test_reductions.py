@@ -879,6 +879,24 @@ class TestModelCheck:
         assert validate_lasso(m, {}, witness.lasso) is None
         assert witness.lasso.loop_delta > 0
 
+    @staticmethod
+    def nexts(n: int):
+        phi = Prop("p")
+        for _ in range(n):
+            phi = Next(phi)
+        return phi
+
+    def test_a_formula_too_deep_to_walk_is_a_formula_error(self):
+        # `parse` caps the depth of text, not of a formula built in code;
+        # a witness is never returned without its re-check.
+        m = CounterMachine.build([("q", "+1", "q")], initial="q",
+                                 labels={"q": ["p"]})
+        with pytest.raises(FormulaError, match="nests too deeply"):
+            model_check(m, self.nexts(5000), 3)
+        witness = model_check(m, self.nexts(200), 3)
+        assert witness is not None
+        assert evaluate(witness.word, 0, {}, self.nexts(200))
+
     def test_register_patterns_agree_with_the_oracle(self, tmp_path):
         present, confirmed, _chained = mc_against_the_oracle(
             tmp_path, REGISTER_PATTERNS, random.Random(1729))
