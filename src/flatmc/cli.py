@@ -96,14 +96,18 @@ def _report(args, verdict: str, bound: Optional[int] = None,
 def _answer(args, bound: int, witness: Optional[dict], **extra) -> int:
     """Report a solver's answer and return its exit code: absent (1) when
     there is no witness, else present (0) once the witness is written to
-    --witness or, without --json, to stdout."""
+    --witness or, without --json, to stdout. A --witness path that cannot
+    be written is bad input."""
     if witness is None:
         _report(args, "absent", bound)
         return 1
     text = json.dumps(witness, indent=2)
     if args.witness:
-        with open(args.witness, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.witness, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as err:
+            raise InputError(f"cannot write {args.witness}: {err}") from err
     elif not args.json:
         print(text)
     _report(args, "present", bound, witness=witness, **extra)
@@ -239,15 +243,23 @@ def cmd_check(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and reused by every later
-    call; parsing leaves it unchanged."""
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each command's own parser, by name, built
+    on first use and reused by every later call; parsing leaves them
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="flatmc",
         description="Reachability, repeated reachability, and flat freeze "
                     "LTL model checking for one-counter machines with "
                     "parameterized tests.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name, text, handler):
+        p = commands[name] = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        return p
 
     def common(p):
         p.add_argument("machine", help="machine JSON file")
@@ -263,45 +275,58 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="counter exploration ceiling override")
 
-    p = sub.add_parser("reach", help="is the target state reachable?")
+    p = command("reach", "is the target state reachable?", cmd_reach)
     common(p)
     cap(p)
     p.add_argument("--target", required=True)
-    p.set_defaults(handler=cmd_reach)
 
-    p = sub.add_parser("buchi", help="can some accepting state repeat forever?")
+    p = command("buchi", "can some accepting state repeat forever?",
+                cmd_buchi)
     common(p)
     cap(p)
     p.add_argument("--accepting", required=True,
                    help="comma-separated accepting states")
-    p.set_defaults(handler=cmd_buchi)
 
-    p = sub.add_parser("mc", help="does some run satisfy the flat sentence?")
+    p = command("mc", "does some run satisfy the flat sentence?", cmd_mc)
     common(p)
     p.add_argument("--formula", required=True, help="formula text")
-    p.set_defaults(handler=cmd_mc)
 
-    p = sub.add_parser("translate", help="emit a construction")
+    p = command("translate", "emit a construction", cmd_translate)
     p.add_argument("machine", help="machine JSON file")
     p.add_argument("--mode", required=True,
                    choices=("a2a", "unary", "buchi2reach", "foldconst"))
     p.add_argument("--target", default=None)
     p.add_argument("--formula", default=None)
-    p.set_defaults(handler=cmd_translate)
 
-    p = sub.add_parser("check", help="re-check a witness file independently")
+    p = command("check", "re-check a witness file independently", cmd_check)
     p.add_argument("witness", help="witness JSON file")
     p.add_argument("machine", help="machine JSON file")
     p.add_argument("formula", nargs="?", default=None,
                    help="optional formula the witness claims to satisfy")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_check)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse the command line in one pass: a command's arguments go straight
+    to its own parser, which the top-level parser would hand them to, and
+    what that parser leaves over is reported as the top-level parser reports
+    it. Anything else, a missing or unknown command or a top-level flag, is
+    the top-level parser's."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -18,6 +18,7 @@ from flatmc.machines import (
     LassoRun,
     MachineError,
     Run,
+    Transition,
     format_op,
     parse_op,
 )
@@ -86,13 +87,13 @@ def machine_from_data(data: Any) -> CounterMachine:
                 raise MachineError(f"transition {i} needs a string {key!r}")
         if not {entry["from"], entry["to"]} <= listed:
             raise MachineError(f"transition {i} has an endpoint not in states")
-        transitions.append((entry["from"], parse_op(entry["op"]), entry["to"]))
-    return CounterMachine.build(
-        transitions,
-        initial=data["initial"],
-        params=_strings(data.get("params", []), "params"),
-        labels=labels or None,
-        extra_states=states)
+        transitions.append(
+            Transition(entry["from"], parse_op(entry["op"]), entry["to"]))
+    # Every endpoint is listed, so the listed states are all the states.
+    return CounterMachine(
+        states=frozenset(listed), initial=data["initial"],
+        params=tuple(_strings(data.get("params", []), "params")),
+        transitions=tuple(transitions), labels=labels)
 
 
 def run_to_data(run: Run) -> list[dict]:

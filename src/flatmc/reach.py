@@ -9,6 +9,11 @@ are (state, level) pairs. Edges within a level are single value-preserving
 steps; edges between levels are runs through the open interval separating
 them, checked on a machine whose tests have been resolved for that interval.
 
+A constant test `<c`, `=c` or `>c`, any but the zero test `=0`, is read in
+place as a test against the one-value range (c, c), the reduction from
+OCA(P,C) to OCA(P) without the second machine it would build: each constant
+is a level of every search and is enumerated after the parameters.
+
 Instantiations share that interval work within one solver call. Inside an
 open interval between two levels, a test against a parameter holds
 throughout or never, depending only on which side of the interval the
@@ -67,14 +72,13 @@ from flatmc.machines import (
     LassoRun,
     MachineClass,
     MachineError,
+    Op,
     ParamTest,
     Run,
     Transition,
     Update,
     classify,
     fresh_name,
-    op_enabled,
-    op_value,
     successors,
     validate_run,
 )
@@ -238,25 +242,36 @@ class StrippedMachine:
         return self._outgoing[state]
 
 
-def _param_tests(machine: CounterMachine) -> tuple[tuple[str, str], ...]:
-    """The parameter and relation of each parameter test of `machine`, in
-    transition order."""
-    return tuple((t.op.param, t.op.rel) for t in machine.transitions
-                 if isinstance(t.op, ParamTest))
+def _test_key(op: Op) -> str | int | None:
+    """The key of a test in a box of ranges: a parameter's name, or the
+    constant c of a constant test other than =0, whose range is (c, c).
+    None for an update or a zero test."""
+    if isinstance(op, ParamTest):
+        return op.param
+    if isinstance(op, ConstTest) and (op.const or op.rel != "="):
+        return op.const
+    return None
 
 
-def _test_pattern(tests: tuple[tuple[str, str], ...],
-                  box: Mapping[str, tuple[int, int]],
+def _param_tests(machine: CounterMachine) -> tuple[tuple[str | int, str], ...]:
+    """The key (see `_test_key`) and relation of each parameter test and
+    each constant test other than =0 of `machine`, in transition order."""
+    return tuple((key, t.op.rel) for t in machine.transitions
+                 if (key := _test_key(t.op)) is not None)
+
+
+def _test_pattern(tests: tuple[tuple[str | int, str], ...],
+                  box: Mapping[str | int, tuple[int, int]],
                   low: int) -> tuple[bool, ...]:
-    """For each of the parameter tests listed by `_param_tests`, whether it
-    holds throughout the open interval between adjacent levels whose lower
-    one is `low`, for some value of its parameter in the inclusive range
-    that `box` gives it. Both ends of every range are levels, so a
-    greater-than test holds there if the lower end lies at or below `low`, a
-    less-than test if the upper end lies above it, and an equality test if
-    the interval lies between the two ends, which a range of one value never
-    allows. These comparisons alone decide which transitions survive
-    stripping."""
+    """For each of the tests listed by `_param_tests`, whether it holds
+    throughout the open interval between adjacent levels whose lower one is
+    `low`, for some value in the inclusive range that `box` gives its key: a
+    parameter's range, or a constant's one value. Both ends of every range
+    are levels, so a greater-than test holds there if the lower end lies at
+    or below `low`, a less-than test if the upper end lies above it, and an
+    equality test if the interval lies between the two ends, which a range
+    of one value never allows. These comparisons alone decide which
+    transitions survive stripping."""
     return tuple(box[x][0] <= low if rel == ">"
                  else box[x][1] > low if rel == "<"
                  else box[x][0] <= low < box[x][1]
@@ -264,19 +279,18 @@ def _test_pattern(tests: tuple[tuple[str, str], ...],
 
 
 def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
-    """The test-free machine selected by a test pattern: updates are kept,
-    parameter tests that hold become 0-updates, and every other test is
-    dropped, since a zero test never fires strictly inside an interval. Each
+    """The test-free machine selected by a test pattern over the tests of
+    `_param_tests`, parameter and constant tests alike: updates are kept,
+    tests that hold become 0-updates, and every other test is dropped, the
+    zero test too, since it never fires strictly inside an interval. Each
     kept transition keeps its index in `machine`."""
     outgoing: dict[str, list] = {q: [] for q in machine.states}
     holds = iter(pattern)
     for i, t in enumerate(machine.transitions):
-        if isinstance(t.op, ParamTest):
-            if not next(holds):
+        if not isinstance(t.op, Update):
+            if _test_key(t.op) is None or not next(holds):
                 continue
             t = Transition(t.source, Update(0), t.target)
-        elif not isinstance(t.op, Update):
-            continue
         outgoing[t.source].append((i, t))
     return StrippedMachine(machine.states,
                            {q: tuple(ts) for q, ts in outgoing.items()})
@@ -289,11 +303,12 @@ def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachin
 def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, int]]:
     """Replace every constant test other than =0 by a test against a fresh
     parameter pinned to that constant, and return the pinned values. The
-    result is of class OCA(P) when the input had unary updates;
-    `parametric_reach` folds its machine this way and searches each pinned
-    parameter at its constant alone."""
-    consts = sorted({t.op.const for t in machine.transitions
-                     if isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0)})
+    result is of class OCA(P) when the input had unary updates. Repeated
+    reachability folds its machine this way, since its certificates name
+    the pinned parameters, and so does `translate`; `parametric_reach` reads
+    the constants in place instead."""
+    consts = sorted({key for key, _rel in _param_tests(machine)
+                     if isinstance(key, int)})
     if not consts:
         return machine, {}
     taken = set(machine.params)
@@ -306,8 +321,8 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
         pinned[name] = c
     triples = []
     for t in machine.transitions:
-        if isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0):
-            triples.append((t.source, ParamTest(t.op.rel, name_of[t.op.const]),
+        if isinstance(key := _test_key(t.op), int):
+            triples.append((t.source, ParamTest(t.op.rel, name_of[key]),
                             t.target))
         else:
             triples.append((t.source, t.op, t.target))
@@ -458,9 +473,11 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     range (lo, hi) that `ranges` gives a parameter. Absence is relative to
     these ranges.
 
-    The machine is taken as written. Its constant tests are folded
-    (`fold_constants`) into parameters whose range is their constant alone,
-    and its large updates are expanded (`expand_updates`). The witness's
+    The machine is taken as written. Each constant c of a test other than
+    =0 is searched in place as a key of its own with the one-value range
+    (c, c), enumerated after the parameters in increasing order, as the
+    pinned parameters of `fold_constants` would be, so no folded machine is
+    built. Large updates are expanded (`expand_updates`). The witness's
     `gamma` names exactly the parameters of `machine`, and its run is
     projected back and validated against `machine`. Counter values are
     explored up to `ceiling`, defaulting to the largest of the bound, the
@@ -524,16 +541,16 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         if not 0 <= lo <= hi:
             raise MachineError(
                 f"range of {x!r} must have 0 <= lo <= hi, got ({lo}, {hi})")
-    folded, constants = fold_constants(machine)
-    expanded, origin = expand_updates(folded)
+    expanded, origin = expand_updates(machine)
+    tests = _param_tests(expanded)
+    constants = sorted({key for key, _rel in tests if isinstance(key, int)})
     ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
-              **{x: (c, c) for x, c in constants.items()}}
+              **{c: (c, c) for c in constants}}
     highest = max([bound, *(hi for _lo, hi in ranges.values())])
     top = (ceiling if ceiling is not None
            else highest + headroom(machine, len(machine.states)))
     top = max(top, highest + 1)
 
-    tests = _param_tests(expanded)
     memo: dict = {}
     # Every search shares a level at the largest end of any range.
     peak = (max(hi for _lo, hi in ranges.values()),) if ranges else ()
@@ -546,7 +563,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     # the slice has a run.
     sliced: Optional[str] = None
     slices: dict[int, bool] = {}
-    for gamma in enumerate_gammas(folded.params, ranges):
+    for gamma in enumerate_gammas((*machine.params, *constants), ranges):
         if sliced is not None:
             v = gamma[sliced]
             if v not in slices:
@@ -571,9 +588,11 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     return None
 
 
-def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
-                  box: Mapping[str, tuple[int, int]], target: str, top: int,
-                  memo: dict, levels: tuple[int, ...]) -> Optional[Run]:
+def _level_search(machine: CounterMachine,
+                  tests: tuple[tuple[str | int, str], ...],
+                  box: Mapping[str | int, tuple[int, int]], target: str,
+                  top: int, memo: dict,
+                  levels: tuple[int, ...]) -> Optional[Run]:
     """Search for a run from (initial, 0) to its first configuration of
     `target`, on a level or inside an interval, whose configurations touch
     the level values at the joints, with excursions strictly between
@@ -582,7 +601,9 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
     `box` maps each parameter to an inclusive range (lo, hi), and a test
     against it fires wherever some value in the range lets it fire (see
     `parametric_reach`); an instantiation is the box whose ranges are single
-    values (v, v), under which each test fires exactly as it reads. The
+    values (v, v), under which each test fires exactly as it reads. It also
+    maps the constant c of each constant test other than =0 to (c, c), and
+    a constant test, the zero test too, reads as a test against (c, c). The
     levels are 0, `top`, both ends of every range and the values in
     `levels`, each below `top`; any such set decides the same reachability
     (see `parametric_reach`).
@@ -618,11 +639,12 @@ def _level_search(machine: CounterMachine, tests: tuple[tuple[str, str], ...],
 
     def stays(op, value: int) -> bool:
         """Whether `op` fires at `value` and keeps it."""
-        if isinstance(op, ParamTest):
-            lo, hi = box[op.param]
-            return (value < hi if op.rel == "<" else value > lo
-                    if op.rel == ">" else lo <= value <= hi)
-        return op_value(op, value) == value and op_enabled(op, value, {})
+        if isinstance(op, Update):
+            return op.delta == 0
+        lo, hi = (box[op.param] if isinstance(op, ParamTest)
+                  else (op.const, op.const))
+        return (value < hi if op.rel == "<" else value > lo
+                if op.rel == ">" else lo <= value <= hi)
 
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the relaxed machine) or traverse one open

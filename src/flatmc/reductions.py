@@ -204,12 +204,12 @@ def divergence_context(machine: CounterMachine,
                        component: Optional[Mapping[str, frozenset[str]]] = None
                        ) -> DivergenceContext:
     """Build the divergence analysis of `machine`: strip its tests for the
-    interval above every parameter, where exactly the greater-than tests
-    hold, and index its control graph by incoming edge. Each accept state is
-    then analyzed on that graph, within its SCC in `machine`, in time
-    polynomial in its size and free of any counter cap (see
-    `DivergenceContext`). `component` is `_control_components(machine)`,
-    computed here if not given."""
+    interval above every parameter and constant, where exactly the
+    greater-than tests hold, and index its control graph by incoming edge.
+    Each accept state is then analyzed on that graph, within its SCC in
+    `machine`, in time polynomial in its size and free of any counter cap
+    (see `DivergenceContext`). `component` is
+    `_control_components(machine)`, computed here if not given."""
     if component is None:
         component = _control_components(machine)
     stripped = _strip(machine, tuple(rel == ">" for _x, rel

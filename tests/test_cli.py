@@ -3,7 +3,6 @@ independence of the witness checker."""
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import os
@@ -663,9 +662,79 @@ class TestTranslate:
         assert "'nowhere'" in capsys.readouterr().err
 
 
+# A machine on which `reach --target r`, `buchi --accepting r` and
+# `mc --formula 'F p'` all answer present.
+LOOP_TO_P = {
+    "states": ["q", "r"],
+    "initial": "q",
+    "labels": {"r": ["p"]},
+    "transitions": [
+        {"from": "q", "op": "+1", "to": "q"},
+        {"from": "q", "op": "0", "to": "r"},
+        {"from": "r", "op": "0", "to": "r"},
+    ],
+}
+
+
+class TestWitnessPath:
+    """A --witness path that cannot be written is bad input, not an absent
+    verdict."""
+
+    @pytest.mark.parametrize("command,flags", [
+        ("reach", ["--target", "r"]), ("buchi", ["--accepting", "r"]),
+        ("mc", ["--formula", "F p"])])
+    @pytest.mark.parametrize("inside", [True, False],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_witness_path_is_input_error(
+            self, command, flags, inside, write, tmp_path, capsys):
+        machine = write("m.json", LOOP_TO_P)
+        path = tmp_path / "missing" / "w.json" if inside else tmp_path
+        assert main([command, machine, *flags, "--bound", "2",
+                     "--witness", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {path}: ")
+
+
+USAGE = "usage: flatmc [-h] {reach,buchi,mc,translate,check} ...\n"
+REACH_USAGE = """\
+usage: flatmc reach [-h] [--bound BOUND] [--json] [--witness FILE] [--cap CAP]
+                    --target TARGET
+                    machine
+"""
+HELP = USAGE + """
+Reachability, repeated reachability, and flat freeze LTL model checking for
+one-counter machines with parameterized tests.
+
+positional arguments:
+  {reach,buchi,mc,translate,check}
+    reach               is the target state reachable?
+    buchi               can some accepting state repeat forever?
+    mc                  does some run satisfy the flat sentence?
+    translate           emit a construction
+    check               re-check a witness file independently
+
+options:
+  -h, --help            show this help message and exit
+"""
+REACH_HELP = REACH_USAGE + """
+positional arguments:
+  machine          machine JSON file
+
+options:
+  -h, --help       show this help message and exit
+  --bound BOUND    parameter value bound (default: derived from the machine
+                   size)
+  --json           machine-readable report on stdout
+  --witness FILE   write the witness to FILE instead of stdout
+  --cap CAP        counter exploration ceiling override
+  --target TARGET
+"""
+
+
 class TestFlags:
     """Each command parses only the flags it reads, and the README lists
-    exactly those."""
+    exactly those. Argument errors and help print byte for byte as the
+    top-level parser prints them."""
 
     @pytest.mark.parametrize("argv", [
         ["mc", "--formula", "G p", "--cap", "3"],
@@ -697,19 +766,63 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize("argv,stderr", [
+        ([], USAGE + "flatmc: error: the following arguments are required: "
+                     "command\n"),
+        (["bogus"], USAGE + "flatmc: error: argument command: invalid "
+                            "choice: 'bogus' (choose from 'reach', 'buchi', "
+                            "'mc', 'translate', 'check')\n"),
+        (["reach", "M", "--bogus"],
+         REACH_USAGE + "flatmc reach: error: the following arguments are "
+                       "required: --target\n"),
+        (["reach", "M", "--target", "q2", "--bogus"],
+         USAGE + "flatmc: error: unrecognized arguments: --bogus\n"),
+        (["reach", "M", "--target", "q2", "extra", "--bogus=3"],
+         USAGE + "flatmc: error: unrecognized arguments: extra --bogus=3\n"),
+        (["reach", "M"],
+         REACH_USAGE + "flatmc reach: error: the following arguments are "
+                       "required: --target\n"),
+        (["reach", "M", "--target", "q2", "--bound", "x"],
+         REACH_USAGE + "flatmc reach: error: argument --bound: invalid int "
+                       "value: 'x'\n"),
+    ])
+    def test_argument_errors_print_as_pinned(self, argv, stderr, write,
+                                             capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        machine = write("m.json", CLIMB_AND_TEST)
+        with pytest.raises(SystemExit) as exited:
+            main([machine if a == "M" else a for a in argv])
+        assert exited.value.code == 2
+        assert capsys.readouterr() == ("", stderr)
+
+    def test_abbreviated_flag_is_the_flag(self, write, capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        assert main(["reach", machine, "--target", "q2", "--bound", "3"]) == 0
+        full = capsys.readouterr()
+        assert main(["reach", machine, "--targ", "q2", "--bound", "3"]) == 0
+        assert capsys.readouterr() == full
+
+    @pytest.mark.parametrize("argv,stdout", [
+        (["--help"], HELP), (["reach", "--help"], REACH_HELP)])
+    def test_help_prints_as_pinned(self, argv, stdout, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr() == (stdout, "")
+
     def test_readme_lists_each_commands_flags(self):
         listed = {}
         for line in _readme_section("Command line").splitlines():
             row = re.match(r"\| `(\w+) ", line)
             if row:
                 listed[row.group(1)] = set(re.findall(r"--\w+", line))
-        commands = next(action for action in build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction))
+        _parser, commands = build_parser()
         assert listed == {
             name: {flag for action in parser._actions
                    for flag in action.option_strings
                    if flag.startswith("--")} - {"--help"}
-            for name, parser in commands.choices.items()}
+            for name, parser in commands.items()}
 
     def test_readme_lists_the_package_exports(self):
         bullets = _readme_section("Library").split("\n- ", 1)[1]

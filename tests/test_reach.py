@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from typing import Optional
 
 import pytest
 
@@ -13,6 +14,7 @@ import flatmc.reach as reach_module
 from flatmc.machines import (
     ClassMismatch,
     Config,
+    ConstTest,
     CounterMachine,
     MachineError,
     ParamTest,
@@ -24,10 +26,12 @@ from flatmc.machines import (
     validate_run,
 )
 from flatmc.reach import (
+    ReachWitness,
     StrippedMachine,
     _interval_reach,
     _level_search,
     _param_tests,
+    _project,
     _segment_exits,
     _strip,
     _test_pattern,
@@ -254,6 +258,83 @@ class TestFoldConstants:
         w = parametric_reach(m, "win", 4)
         assert w is not None and w.gamma == {}
         assert w.run.configs[-1] == Config("win", 2)
+
+
+def _folded_reach(machine: CounterMachine, target: str, bound: int,
+                  ceiling: Optional[int]) -> Optional[ReachWitness]:
+    """`parametric_reach` by way of the folded machine: each constant test
+    other than =0 becomes a test against a parameter pinned to its
+    constant, and the witness is projected back onto `machine`."""
+    folded, pinned = fold_constants(machine)
+    found = parametric_reach(folded, target, bound, ceiling=ceiling,
+                             ranges={x: (c, c) for x, c in pinned.items()})
+    if found is None:
+        return None
+    same = {i: i for i in range(len(machine.transitions))}
+    return ReachWitness({x: found.gamma[x] for x in machine.params},
+                        _project(found.run, same, machine))
+
+
+def _constant_machine(rng: random.Random) -> CounterMachine:
+    """A random OCA(P,C) machine with constants up to 6, some of its zero
+    tests turned into `<c:0` or `>c:0`."""
+    m = random_machine(rng, max_states=4, max_params=2, with_consts=True,
+                       max_const=6)
+    zero = ConstTest("=", 0)
+    return CounterMachine.build(
+        [(t.source, rng.choice(("<c:0", ">c:0", "=0")) if t.op == zero
+          else t.op, t.target) for t in m.transitions],
+        initial=m.initial, params=m.params, extra_states=m.states)
+
+
+class TestConstantsInPlace:
+    """`parametric_reach` reads constant tests as one-value ranges, with no
+    folded machine; it answers as the search of the folded machine did."""
+
+    def test_witness_matches_the_folded_machine_and_the_oracle(self):
+        rng = random.Random(2009)
+        bound = 2
+        found = above_cap = zero_sided = 0
+        for _ in range(120):
+            m = _constant_machine(rng)
+            target = rng.choice(sorted(m.states))
+            # A ceiling of 5 lies at or below the constants 5 and 6, which
+            # then raise the ceiling themselves.
+            ceiling = rng.choice((None, 5))
+            got = parametric_reach(m, target, bound, ceiling=ceiling)
+            assert got == _folded_reach(m, target, bound, ceiling)
+            constants = [t.op.const for t in m.transitions
+                         if isinstance(t.op, ConstTest)]
+            highest = max([bound, *constants])
+            top = max(highest + len(m.states) ** 3 if ceiling is None
+                      else ceiling, highest + 1)
+            expected = any(
+                bounded_reach_oracle(m, gamma, target, top) is not None
+                for gamma in all_gammas(m.params, bound))
+            assert (got is not None) == expected
+            found += got is not None
+            above_cap += ceiling is not None and highest >= ceiling
+            zero_sided += any(isinstance(t.op, ConstTest) and t.op.const == 0
+                              and t.op.rel != "=" for t in m.transitions)
+        assert found >= 30 and above_cap >= 10 and zero_sided >= 10
+
+    def test_constants_build_no_machine(self, monkeypatch):
+        m = CounterMachine.build(
+            [("q", "+1", "q"), ("q", "<c:2", "a"), ("a", ">c:0", "b"),
+             ("b", "+1", "b"), ("b", "=c:3", "c"), ("c", "=x:x", "t")],
+            initial="q", params=["x"])
+        built = []
+        original = CounterMachine.__post_init__
+
+        def counted(machine):
+            built.append(machine)
+            original(machine)
+
+        monkeypatch.setattr(CounterMachine, "__post_init__", counted)
+        w = parametric_reach(m, "t", 4)
+        assert built == []
+        assert w.gamma == {"x": 3}
+        assert w.run.configs[-1] == Config("t", 3)
 
 
 class TestDefaultBound:
