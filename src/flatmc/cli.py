@@ -101,15 +101,14 @@ def _answer(args, bound: int, witness: Optional[dict], **extra) -> int:
     if witness is None:
         _report(args, "absent", bound)
         return 1
-    text = json.dumps(witness, indent=2)
     if args.witness:
         try:
             with open(args.witness, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(json.dumps(witness, indent=2) + "\n")
         except OSError as err:
             raise InputError(f"cannot write {args.witness}: {err}") from err
     elif not args.json:
-        print(text)
+        print(json.dumps(witness, indent=2))
     _report(args, "present", bound, witness=witness, **extra)
     return 0
 
@@ -191,13 +190,11 @@ def cmd_translate(args) -> int:
     elif args.mode == "buchi2reach":
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
-        # Folded and expanded as `buchi` solves it.
-        folded, pinned = fold_constants(machine)
-        reduction = buchi_to_reach(expand_updates(folded)[0], args.target)
+        # Expanded as `buchi` solves it, constant tests in place.
+        reduction = buchi_to_reach(expand_updates(machine)[0], args.target)
         print(json.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,
-            "pinned": pinned,
         }, indent=2))
     else:  # foldconst
         folded, pinned = fold_constants(machine)

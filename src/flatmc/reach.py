@@ -260,6 +260,12 @@ def _param_tests(machine: CounterMachine) -> tuple[tuple[str | int, str], ...]:
                  if (key := _test_key(t.op)) is not None)
 
 
+def _constants(machine: CounterMachine) -> list[int]:
+    """The constants of the tests other than =0, once each, ascending."""
+    return sorted({key for key, _rel in _param_tests(machine)
+                   if isinstance(key, int)})
+
+
 def _test_pattern(tests: tuple[tuple[str | int, str], ...],
                   box: Mapping[str | int, tuple[int, int]],
                   low: int) -> tuple[bool, ...]:
@@ -303,22 +309,17 @@ def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachin
 def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, int]]:
     """Replace every constant test other than =0 by a test against a fresh
     parameter pinned to that constant, and return the pinned values. The
-    result is of class OCA(P) when the input had unary updates. Repeated
-    reachability folds its machine this way, since its certificates name
-    the pinned parameters, and so does `translate`; `parametric_reach` reads
-    the constants in place instead."""
-    consts = sorted({key for key, _rel in _param_tests(machine)
-                     if isinstance(key, int)})
+    result is of class OCA(P) when the input had unary updates. Only
+    `translate` folds a machine this way; every solver reads constant tests
+    in place (see `parametric_reach`)."""
+    consts = _constants(machine)
     if not consts:
         return machine, {}
     taken = set(machine.params)
-    pinned: dict[str, int] = {}
     name_of: dict[int, str] = {}
     for c in consts:
-        name = fresh_name(f"xc{c}", taken)
-        taken.add(name)
-        name_of[c] = name
-        pinned[name] = c
+        name_of[c] = fresh_name(f"xc{c}", taken)
+        taken.add(name_of[c])
     triples = []
     for t in machine.transitions:
         if isinstance(key := _test_key(t.op), int):
@@ -328,9 +329,9 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
             triples.append((t.source, t.op, t.target))
     folded = CounterMachine.build(
         triples, initial=machine.initial,
-        params=tuple(machine.params) + tuple(name_of[c] for c in consts),
+        params=(*machine.params, *name_of.values()),
         labels=machine.labels, extra_states=machine.states)
-    return folded, pinned
+    return folded, {name: c for c, name in name_of.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +544,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
                 f"range of {x!r} must have 0 <= lo <= hi, got ({lo}, {hi})")
     expanded, origin = expand_updates(machine)
     tests = _param_tests(expanded)
-    constants = sorted({key for key, _rel in tests if isinstance(key, int)})
+    constants = _constants(expanded)
     ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
               **{c: (c, c) for c in constants}}
     highest = max([bound, *(hi for _lo, hi in ranges.values())])

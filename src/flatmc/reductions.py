@@ -66,6 +66,7 @@ from flatmc.formulas import (
 from flatmc.machines import (
     ClassMismatch,
     Config,
+    ConstTest,
     CounterMachine,
     LassoRun,
     MachineClass,
@@ -80,11 +81,11 @@ from flatmc.machines import (
 from flatmc.reach import (
     ReachWitness,
     StrippedMachine,
+    _constants,
     _param_tests,
     _project,
     _strip,
     expand_updates,
-    fold_constants,
     headroom,
     parametric_reach,
     plain_rep_lasso,
@@ -287,12 +288,12 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     strongly connected component in the control graph of `machine`, has to
     revisit the copy of f with the same value. A closed walk through f
     stays inside SCC(f), so the smaller copy loses no loop. For runs whose
-    counter diverges, a chain of strict greater-than tests over every
-    parameter lets the target be entered from any state that can loop
-    forever through an accepting state once all tests are dropped; with no
-    parameters the chain is empty and such a state steps straight into the
-    target. `context` is the divergence analysis of `machine`, built here if
-    not given.
+    counter diverges, a chain of strict tests, `>x` per parameter and then
+    `>c` per constant in increasing order, lets the target be entered from
+    any state that can loop forever through an accepting state once all
+    tests are dropped; with neither the chain is empty and such a state
+    steps straight into the target. `context` is the divergence analysis of
+    `machine`, built here if not given.
 
     The source's own transitions come first, as the same objects. Then, for
     each accepting state in sorted order, its store transition, the store
@@ -305,9 +306,9 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     them, and its first witness is the first instantiation under which some
     state repeats.
     """
-    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P):
-        raise ClassMismatch(
-            "buchi_to_reach requires unary updates and zero tests only")
+    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P,
+                                 MachineClass.OCA_PC):
+        raise ClassMismatch("buchi_to_reach requires unary updates")
     for f in accepting:
         if f not in machine.states:
             raise MachineError(f"accepting state {f!r} not in machine")
@@ -330,7 +331,9 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     store_states = {f: fresh("s") for f in accepting}
     target = fresh("s_hat")
     params = machine.params
-    chain = [fresh(f"t{i}") for i in range(1, len(params) + 1)] + [target]
+    guards = ([ParamTest(">", x) for x in params]
+              + [ConstTest(">", c) for c in _constants(machine)])
+    chain = [fresh(f"t{i}") for i in range(1, len(guards) + 1)] + [target]
     y = fresh_name("y", params)
 
     transitions = list(machine.transitions)
@@ -353,8 +356,8 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     entries = set().union(*map(context.loop_entries, accepting))
     transitions.extend(Transition(q, Update(0), chain[0])
                        for q in sorted(entries))
-    transitions.extend(Transition(chain[i], ParamTest(">", x), chain[i + 1])
-                       for i, x in enumerate(params))
+    transitions.extend(Transition(chain[i], guard, chain[i + 1])
+                       for i, guard in enumerate(guards))
 
     built = CounterMachine(
         states=machine.states.union(*(hat.values() for hat in hats.values()),
@@ -395,11 +398,11 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         lasso = _project(LassoRun(run.configs, run.steps, stored),
                          reduction.origin, source)
     else:
-        # Divergence case: the run ends with the free step into the test
-        # chain and one strict test per parameter; splice in a loop of the
-        # test-free machine, shifted up to the chain entry value.
-        chain_len = len(reduction.machine.params)  # chain params plus the 0-step
-        cut = len(run.steps) - chain_len
+        # Divergence case: the run takes source transitions, which come
+        # first, up to its free step into the test chain; splice in a loop
+        # of the test-free machine, shifted up to the chain entry value.
+        cut = next(pos for pos, step in enumerate(run.steps)
+                   if step >= len(source.transitions))
         anchor = run.configs[cut]
         context = reduction.context
         accept_state = next(f for f in reduction.accepting
@@ -440,11 +443,11 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constants are folded and large updates expanded. States on no control
-    cycle are skipped, and with none left the answer is absent before any
-    divergence analysis is built; the others, the candidates, share one
-    divergence analysis and go through one `buchi_to_reach` and one
-    `parametric_reach` call, and the witness is projected back onto
+    Constant tests are read in place and large updates expanded. States on
+    no control cycle are skipped, and with none left the answer is absent
+    before any divergence analysis is built; the others, the candidates,
+    share one divergence analysis and go through one `buchi_to_reach` and
+    one `parametric_reach` call, and the witness is projected back onto
     `machine`. The verdict is exact for each instantiation: under it the
     reduction reaches its target iff the reduction of some one candidate
     does. So the witness is the first instantiation, in `enumerate_gammas`
@@ -453,8 +456,8 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     whose final test ends the run or, in the divergence case, the least
     candidate that loops from the chain entry. Counter values are explored
     up to `ceiling`, by default max(bound, constants) + headroom(machine,
-    |Q'|) for |Q'| = 2|Q| + 2 + |X| over the folded machine, the size of a
-    reduction with a full copy of the machine, whatever the size of the
+    |Q'|) for |Q'| = 2|Q| + 2 + |X| + |C| over the constants C, the size of
+    a reduction with a full copy of the machine, whatever the size of the
     copies built; the stored value y ranges up to `store_bound`, by default
     the ceiling. Negative limits are rejected.
     """
@@ -464,15 +467,14 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     for q in sorted(accepting):
         if q not in machine.states:
             raise MachineError(f"accepting state {q!r} is not a state")
-    folded, constants = fold_constants(machine)
-    expanded, origin = expand_updates(folded)
+    expanded, origin = expand_updates(machine)
     if ceiling is None:
         # Q' holds the states and a full copy, a store and a target state,
-        # and a chain state per parameter.
-        reduced = 2 * len(folded.states) + 2 + len(folded.params)
-        ceiling = max([bound, *constants.values()]) + headroom(folded, reduced)
-    # Each folded constant is a parameter of the reduced machine of one value.
-    pinned = {x: (c, c) for x, c in constants.items()}
+        # and a chain state per parameter and per constant.
+        constants = _constants(machine)
+        reduced = (2 * len(machine.states) + 2 + len(machine.params)
+                   + len(constants))
+        ceiling = max([bound, *constants]) + headroom(machine, reduced)
     if store_bound is None:
         store_bound = ceiling
     # Only states on a cycle of the control graph can repeat; the rest of
@@ -484,7 +486,7 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     context = divergence_context(expanded, component)
     reduction = buchi_to_reach(expanded, *candidates, context=context)
     found = parametric_reach(reduction.machine, reduction.target, bound,
-                             ranges={**pinned, reduction.y: (0, store_bound)},
+                             ranges={reduction.y: (0, store_bound)},
                              ceiling=ceiling)
     if found is None:
         return None

@@ -120,6 +120,26 @@ class TestReach:
         _gamma, run = witness_from_data(json.loads(open(out).read()))
         assert len(run.steps) == 0
 
+    def test_json_report_encodes_the_witness_once(self, write, capsys,
+                                                  monkeypatch):
+        # Under --json without --witness the witness is written only inside
+        # the report, so it is encoded once, with the report.
+        machine = write("m.json", CLIMB_AND_TEST)
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert main(["reach", machine, "--target", "q2", "--bound", "3",
+                     "--json"]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "present"
+        assert report["witness"]["gamma"] == {"x": 0}
+
     def test_absent_up_to_bound(self, write, capsys):
         data = {"states": ["q", "q2"], "initial": "q", "params": ["x"],
                 "transitions": [{"from": "q", "op": ">x:x", "to": "q2"}]}
@@ -353,6 +373,38 @@ class TestBuchi:
         assert main(["buchi", machine, "--accepting", "u0_1", "--bound", "2",
                      "--witness", out]) == 0
         assert main(["check", out, machine]) == 0
+
+    @pytest.mark.parametrize("transitions", [
+        # r is revisited at the value 1, after a climb above 2.
+        [("q", "+1", "q"), ("q", ">c:2", "r"), ("r", "-1", "r"),
+         ("r", "=c:1", "q")],
+        # r repeats only as the counter climbs, through a chain ending >c:2.
+        [("q", "+1", "q"), ("q", ">c:2", "r"), ("r", "+1", "q")],
+    ], ids=["same-value", "divergence"])
+    def test_certificate_is_a_run_of_the_emitted_reduction(
+            self, transitions, write, tmp_path, capsys):
+        # buchi solves the machine that translate --mode buchi2reach emits,
+        # constant tests in place: its certificate is a run of that machine
+        # to the target under the certificate's own gamma.
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": a, "op": op, "to": b}
+                            for a, op, b in transitions]})
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "r", "--bound", "2",
+                     "--json", "--witness", out]) == 0
+        certificate = json.loads(capsys.readouterr().out)["witness"][
+            "certificate"]
+        assert main(["check", out, machine]) == 0
+        capsys.readouterr()
+        assert main(["translate", machine, "--mode", "buchi2reach",
+                     "--target", "r"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        reduced = machine_from_data(emitted["machine"])
+        gamma, run = witness_from_data(certificate)
+        assert set(gamma) == set(reduced.params)
+        assert validate_run(reduced, gamma, run) is None
+        assert run.configs[-1].state == emitted["target"]
 
     def test_divergence_loop_above_the_cap(self, write, tmp_path):
         # The chain is entered at (a, 1), above --cap 0, so the loop is
@@ -612,9 +664,10 @@ class TestTranslate:
         assert emitted["target"] in again.states
         assert "y" in again.params
 
-    def test_buchi2reach_lists_the_pinned_constants(self, write, capsys):
-        # <c:0 never fires, so no run repeats r; its folded parameter must
-        # stay pinned to 0 on the emitted machine, or s_hat becomes reachable.
+    def test_buchi2reach_keeps_constant_tests_in_place(self, write, capsys):
+        # <c:0 never fires, so no run repeats r. The emitted machine keeps
+        # the test as written, so it alone has no run to s_hat: there is no
+        # pinned parameter to hold at 0.
         machine = write("m.json", {
             "states": ["q", "r"], "initial": "q",
             "transitions": [{"from": "q", "op": "<c:0", "to": "r"},
@@ -624,15 +677,15 @@ class TestTranslate:
         assert main(["translate", machine, "--mode", "buchi2reach",
                      "--target", "r"]) == 0
         emitted = json.loads(capsys.readouterr().out)
-        assert emitted["pinned"] == {"xc0": 0}
+        assert set(emitted) == {"machine", "target"}
         reduced = machine_from_data(emitted["machine"])
-        assert parametric_reach(reduced, emitted["target"], 2) is not None
-        assert parametric_reach(reduced, emitted["target"], 2, ranges={
-            x: (c, c) for x, c in emitted["pinned"].items()}) is None
+        assert "<c:0" in {t["op"] for t in emitted["machine"]["transitions"]}
+        assert reduced.params == ("y",)
+        assert parametric_reach(reduced, emitted["target"], 2) is None
 
     def test_buchi2reach_expands_large_updates(self, write, capsys):
         # As `buchi` does, the reduction is built on the machine with its
-        # constants folded and its large updates expanded.
+        # large updates expanded.
         machine = write("m.json", {
             "states": ["q", "r"], "initial": "q",
             "transitions": [{"from": "q", "op": "+2", "to": "r"},

@@ -29,6 +29,7 @@ from flatmc.formulas import (
 from flatmc.machines import (
     ClassMismatch,
     Config,
+    ConstTest,
     CounterMachine,
     MachineError,
     ParamTest,
@@ -43,7 +44,6 @@ from flatmc.jsonio import machine_to_data
 from flatmc.reach import (
     enumerate_gammas,
     expand_updates,
-    fold_constants,
     parametric_reach,
     plain_rep_lasso,
 )
@@ -87,6 +87,14 @@ def reachable(machine, state):
     return seen
 
 
+def constants_of(machine):
+    """The constants of the tests of `machine` other than =0, in increasing
+    order."""
+    return sorted({t.op.const for t in machine.transitions
+                   if isinstance(t.op, ConstTest)
+                   and t.op != ConstTest("=", 0)})
+
+
 class TestBuchiToReach:
     def test_reachable_self_loop(self):
         m = CounterMachine.build(
@@ -121,10 +129,41 @@ class TestBuchiToReach:
         assert validate_lasso(m, gamma, lasso) is None
         assert lasso.loop_delta > 0
 
-    def test_rejects_constants(self):
-        m = CounterMachine.build([("q", "=c:2", "q")], initial="q")
-        with pytest.raises(ClassMismatch):
-            buchi_to_reach(m, "q")
+    def test_accepts_constants_and_agrees_with_the_oracle(self):
+        # Constant tests stay in place, in the copy and, after the
+        # parameters, in the divergence chain as >c in increasing order; the
+        # verdict equals the oracle's on the machine as written.
+        rng = random.Random(1618)
+        present = chained = climbing = 0
+        for _ in range(300):
+            m = random_machine(rng, max_states=4, max_params=2,
+                               with_consts=True, max_const=4)
+            accept = rng.choice(sorted(m.states))
+            cap = 3 + len(m.states) ** 3
+            red = buchi_to_reach(m, accept)
+            constants = constants_of(m)
+            guards = ([ParamTest(">", x) for x in m.params]
+                      + [ConstTest(">", c) for c in constants])
+            ts = red.machine.transitions
+            chain = ts[len(ts) - len(guards):]
+            assert [t.op for t in chain] == guards
+            assert not chain or chain[-1].target == red.target
+            assert red.machine.params == (*m.params, red.y)
+            chained += bool(constants)
+            witness = parametric_reach(
+                red.machine, red.target, 3 + len(m.states),
+                ranges={x: (0, 2) for x in m.params}, ceiling=cap)
+            expected = rep_reach_exists(m, [accept], gamma_bound=2, cap=cap)
+            assert (witness is not None) == expected, (m, accept)
+            if witness is not None:
+                present += 1
+                last = red.machine.transitions[witness.run.steps[-1]]
+                climbing += (bool(constants)
+                             and last.op != ParamTest("=", red.y))
+                gamma, lasso = buchi_witness_to_lasso(red, witness)
+                assert validate_lasso(m, gamma, lasso) is None
+                assert lasso.configs[lasso.loop_start].state == accept
+        assert present >= 60 and chained >= 200 and climbing >= 4
 
     def test_equivalence_random(self):
         # The copy holds SCC(accept) alone, the states the accept state
@@ -206,10 +245,49 @@ class TestRepeatedReach:
             assert lasso.configs[lasso.loop_start].state == found.accept_state
         assert present >= 120 and several >= 25
 
+    def test_agrees_with_the_oracle_on_constant_machines(self, monkeypatch):
+        # Constant tests are read in place on the whole path: the verdict
+        # equals the oracle's on the machine as written, both when a value
+        # is revisited and when the counter diverges through a chain whose
+        # last tests are >c, and the certificate names no pinned parameter.
+        built = []
+        original = reductions.buchi_to_reach
+
+        def spy(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(reductions, "buchi_to_reach", spy)
+        rng = random.Random(3141)
+        present = diverging = chained = 0
+        for _ in range(300):
+            m = random_machine(rng, max_states=4, max_params=2,
+                               with_consts=True, max_const=4)
+            accepting = rng.sample(sorted(m.states), min(2, len(m.states)))
+            cap = 3 + len(m.states) ** 3
+            built.clear()
+            found = repeated_reach(m, accepting, 2, ceiling=cap)
+            expected = rep_reach_exists(m, accepting, gamma_bound=2, cap=cap)
+            assert (found is not None) == expected, (m, accepting)
+            if found is None:
+                continue
+            present += 1
+            (red,) = built
+            last = red.machine.transitions[found.certificate.run.steps[-1]]
+            if last.op != ParamTest("=", red.y):
+                diverging += 1
+                chained += bool(constants_of(m))
+            assert set(found.certificate.gamma) == {*m.params, red.y}
+            assert validate_lasso(m, found.gamma, found.lasso) is None
+            lasso = found.lasso
+            assert lasso.configs[lasso.loop_start].state == found.accept_state
+        assert present >= 90 and diverging >= 20 and chained >= 8
+
     def test_default_ceiling_counts_reduced_states(self, monkeypatch):
-        # The default ceiling is headroom over the 2|Q| + 2 + |X| states of
-        # a reduction with a full copy of the folded machine, whatever the
-        # size of the copies the reduction builds.
+        # The default ceiling is headroom over the 2|Q| + 2 + |X| + |C|
+        # states of a reduction with a full copy of the machine, whatever
+        # the size of the copies the reduction builds: |C| constants stand
+        # in the divergence chain as the parameters do.
         seen = []
         original = reductions.parametric_reach
 
@@ -223,18 +301,17 @@ class TestRepeatedReach:
         for _ in range(10):
             m = random_machine(rng, max_states=3, max_params=1,
                                with_consts=True)
-            folded, _constants = fold_constants(m)
-            states = 2 * len(folded.states) + 2 + len(folded.params)
+            constants = constants_of(m)
+            states = (2 * len(m.states) + 2 + len(m.params)
+                      + len(constants))
             seen.clear()
             repeated_reach(m, sorted(m.states), 2)
             for bound, kwargs in seen:
-                # The folded constants range over one value each, y over
-                # more.
-                pinned = [lo for lo, hi in kwargs["ranges"].values()
-                          if lo == hi]
-                highest = max([bound, *pinned])
-                assert kwargs["ceiling"] == highest + states ** 3
-                checked += 1
+                # Only the stored value y has a range; no constant does.
+                assert list(kwargs["ranges"]) == ["y"]
+                assert kwargs["ceiling"] == \
+                    max([bound, *constants]) + states ** 3
+                checked += constants != []
         assert checked
 
     def test_store_bound_limits_the_stored_value(self):
