@@ -5,14 +5,15 @@ counter value in a fresh parameter (or, for runs whose counter diverges,
 jumping to a state from which the test-stripped machine loops forever);
 `repeated_reach` runs that reduction over a set of accepting states and is
 the one repeated-reachability entry point, used by `model_check` and by the
-command line. One reduction serves every accepting state, so one search
-decides them all: each state f gets its own store state and its own copy,
-of SCC(f) alone, f's strongly connected component in the control graph,
-since a closed walk through f never leaves it; all share one test chain. A
-run to the target enters one copy and never leaves it, so under each
-instantiation the target is reachable iff it is for some one state, and
-the first witness is the first instantiation under which some state
-repeats, with that state at its loop start.
+command line. One reduction serves every accepting state on a cycle of the
+control graph, the only ones that can repeat, so one search decides them
+all: each such state f gets its own store state and its own copy, of SCC(f)
+alone, f's strongly connected component in the control graph, since a
+closed walk through f never leaves it; all share one test chain. A run to
+the target enters one copy and never leaves it, so under each instantiation
+the target is reachable iff it is for some one state, and the first witness
+is the first instantiation under which some state repeats, with that state
+at its loop start.
 The test-stripped machine is a one-dimensional vector addition system with
 states, so the states that loop forever through an accepting state f are
 found on its control graph, with no counter cap: f needs an entry value,
@@ -190,14 +191,15 @@ class DivergenceContext:
 class BuchiReduction:
     """The reachability instance equivalent to repeating some state of
     `accepting`, plus the provenance to translate a reachability witness
-    back into a lasso."""
+    back into a lasso. A run stores y at its first `=y` step, taken at the
+    accepting state it serves; the chain is entered from the loop entries."""
     machine: CounterMachine
     target: str
     source: CounterMachine
-    accepting: tuple[str, ...]      # sorted
+    accepting: tuple[str, ...]      # sorted, each on a control cycle
     y: str
     origin: Mapping[int, int]       # new machine transition -> source transition
-    stores: Mapping[int, str]       # index of each (f, =y, store) transition -> f
+    entries: Mapping[str, frozenset[str]]  # f -> the loop entries of f
     context: DivergenceContext
 
 
@@ -277,45 +279,50 @@ def _control_components(machine: CounterMachine
     return component
 
 
+def _require_accepting(machine: CounterMachine, accepting) -> None:
+    for f in sorted(set(accepting)):
+        if f not in machine.states:
+            raise MachineError(f"accepting state {f!r} not in machine")
+
+
 def buchi_to_reach(machine: CounterMachine, *accepting: str,
                    context: Optional[DivergenceContext] = None) -> BuchiReduction:
     """Build a machine with a distinguished target state that is reachable
     under an instantiation of the parameters iff some state of `accepting`
     can be visited infinitely often in `machine` under it.
 
-    A fresh parameter y stores a counter value at a visit of an accepting
-    state f, in a store state of f's own; from there a copy of SCC(f), f's
-    strongly connected component in the control graph of `machine`, has to
-    revisit the copy of f with the same value. A closed walk through f
-    stays inside SCC(f), so the smaller copy loses no loop. For runs whose
-    counter diverges, a chain of strict tests, `>x` per parameter and then
-    `>c` per constant in increasing order, lets the target be entered from
-    any state that can loop forever through an accepting state once all
-    tests are dropped; with neither the chain is empty and such a state
-    steps straight into the target. `context` is the divergence analysis of
-    `machine`, built here if not given.
+    Only the accepting states on a cycle of the control graph can repeat;
+    the others are dropped, and get no store, copy or `=y` test. A fresh
+    parameter y stores a counter value at a visit of a kept state f, in a
+    store state of f's own; from there a copy of SCC(f), f's strongly
+    connected component in the control graph of `machine`, has to revisit
+    the copy of f with the same value. A closed walk through f stays inside
+    SCC(f), so the smaller copy loses no loop. For runs whose counter
+    diverges, a chain of strict tests, `>x` per parameter and then `>c` per
+    constant in increasing order, lets the target be entered from the loop
+    entries of each kept state, the states that can loop forever through it
+    once all tests are dropped; with neither the chain is empty and such a
+    state steps straight into the target. `context` is the divergence
+    analysis of `machine`, built here if not given.
 
     The source's own transitions come first, as the same objects. Then, for
-    each accepting state in sorted order, its store transition, the store
+    each kept state in sorted order, its store transition, the store
     state's copies of its transitions into the copy, the copy, and the
     final `=y` test into the target; then the one chain, entered from the
-    loop entries of every accepting state. A run into a copy never leaves
-    it, so a run to the target is a run of the reduction of exactly one
-    accepting state, and under each instantiation the target is reachable
-    iff it is in the reduction of some one state: one search decides all of
-    them, and its first witness is the first instantiation under which some
-    state repeats.
+    loop entries of every kept state. A run into a copy never leaves it, so
+    a run to the target is a run of the reduction of exactly one kept
+    state, and under each instantiation the target is reachable iff it is
+    in the reduction of some one state: one search decides all of them, and
+    its first witness is the first instantiation under which some state
+    repeats.
     """
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P,
                                  MachineClass.OCA_PC):
         raise ClassMismatch("buchi_to_reach requires unary updates")
-    for f in accepting:
-        if f not in machine.states:
-            raise MachineError(f"accepting state {f!r} not in machine")
-    accepting = tuple(sorted(set(accepting)))
-
+    _require_accepting(machine, accepting)
     if context is None:
         context = divergence_context(machine)
+    accepting = tuple(sorted({f for f in accepting if context.component[f]}))
 
     taken = set(machine.states)
 
@@ -324,9 +331,7 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
         taken.add(name)
         return name
 
-    # A state on no cycle has no loop: its copy is itself alone.
-    hats = {f: {q: fresh(f"{q}_hat")
-                for q in sorted(context.component[f] or (f,))}
+    hats = {f: {q: fresh(f"{q}_hat") for q in sorted(context.component[f])}
             for f in accepting}
     store_states = {f: fresh("s") for f in accepting}
     target = fresh("s_hat")
@@ -338,10 +343,8 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
 
     transitions = list(machine.transitions)
     origin = {i: i for i in range(len(transitions))}
-    stores = {}
     for f in accepting:
         hat, store = hats[f], store_states[f]
-        stores[len(transitions)] = f
         transitions.append(Transition(f, ParamTest("=", y), store))
         for i, t in enumerate(machine.transitions):
             if t.source == f and t.target in hat:
@@ -353,9 +356,9 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
                 transitions.append(
                     Transition(hat[t.source], t.op, hat[t.target]))
         transitions.append(Transition(hat[f], ParamTest("=", y), target))
-    entries = set().union(*map(context.loop_entries, accepting))
+    entries = {f: context.loop_entries(f) for f in accepting}
     transitions.extend(Transition(q, Update(0), chain[0])
-                       for q in sorted(entries))
+                       for q in sorted(set().union(*entries.values())))
     transitions.extend(Transition(chain[i], guard, chain[i + 1])
                        for i, guard in enumerate(guards))
 
@@ -366,35 +369,34 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
         transitions=tuple(transitions), labels=machine.labels)
     return BuchiReduction(machine=built, target=target, source=machine,
                           accepting=accepting, y=y, origin=origin,
-                          stores=stores, context=context)
+                          entries=entries, context=context)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
                            witness: ReachWitness) -> tuple[dict, LassoRun]:
     """Translate a reachability witness for the reduced machine into an
     instantiation of the source parameters and a lasso of the source machine
-    whose loop starts at an accepting state: the one whose final test ends
-    the run or, in the divergence case, the least one whose loop entries
-    contain the chain entry.
+    whose loop starts at an accepting state: the one at the run's store
+    step, its first `=y` test, or, in the divergence case, the least one
+    whose recorded loop entries contain the chain entry.
 
     In the divergence case the loop comes from `plain_rep_lasso` on the
-    test-free machine, given that state's `need`: the chain entry is one of
-    its loop entries, so the search finds a loop from it with no counter
-    cap."""
+    test-free machine, given that state's `need`, computed once here: the
+    chain entry is one of its loop entries, so the search finds a loop from
+    it with no counter cap."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
     if not run.steps:
         raise MachineError("a run reaching the fresh target cannot be empty")
-    last = reduction.machine.transitions[run.steps[-1]]
-    if last.op == ParamTest("=", reduction.y):
+    ops = [reduction.machine.transitions[step].op for step in run.steps]
+    if ops[-1] == ParamTest("=", reduction.y):
         # Same-value case: the run stored a counter value at an accepting
-        # state, in its one store step, and revisited it in that state's
+        # state, in its first `=y` step, and revisited it in that state's
         # copy. The store and the final test vanish in the source; the loop
         # starts where the value was stored.
-        stored = next(pos for pos, step in enumerate(run.steps)
-                      if step in reduction.stores)
-        accept_state = reduction.stores[run.steps[stored]]
+        stored = ops.index(ParamTest("=", reduction.y))
+        accept_state = run.configs[stored].state
         lasso = _project(LassoRun(run.configs, run.steps, stored),
                          reduction.origin, source)
     else:
@@ -406,7 +408,7 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         anchor = run.configs[cut]
         context = reduction.context
         accept_state = next(f for f in reduction.accepting
-                            if anchor.state in context.loop_entries(f))
+                            if anchor.state in reduction.entries[f])
         base = plain_rep_lasso(context.machine, anchor.state, accept_state,
                                context.need(accept_state))
         if base is None:
@@ -443,30 +445,28 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constant tests are read in place and large updates expanded. States on
-    no control cycle are skipped, and with none left the answer is absent
-    before any divergence analysis is built; the others, the candidates,
-    share one divergence analysis and go through one `buchi_to_reach` and
-    one `parametric_reach` call, and the witness is projected back onto
-    `machine`. The verdict is exact for each instantiation: under it the
-    reduction reaches its target iff the reduction of some one candidate
-    does. So the witness is the first instantiation, in `enumerate_gammas`
-    order over the parameters and y, under which some candidate repeats,
-    and its accepting state is the state at the loop start: the candidate
-    whose final test ends the run or, in the divergence case, the least
-    candidate that loops from the chain entry. Counter values are explored
-    up to `ceiling`, by default max(bound, constants) + headroom(machine,
-    |Q'|) for |Q'| = 2|Q| + 2 + |X| + |C| over the constants C, the size of
-    a reduction with a full copy of the machine, whatever the size of the
-    copies built; the stored value y ranges up to `store_bound`, by default
-    the ceiling. Negative limits are rejected.
+    Constant tests are read in place and large updates expanded. If no
+    accepting state lies on a control cycle the answer is absent before any
+    divergence analysis is built. Otherwise one `buchi_to_reach` keeps those
+    on a cycle, the candidates, one `parametric_reach` call decides them
+    all, and the witness is projected back onto `machine`. The verdict is
+    exact for each instantiation: under it the reduction reaches its target
+    iff the reduction of some one candidate does. So the witness is the
+    first instantiation, in `enumerate_gammas` order over the parameters and
+    y, under which some candidate repeats, and its accepting state is the
+    state at the loop start: the candidate whose value the run stores or, in
+    the divergence case, the least candidate that loops from the chain
+    entry. Counter values are explored up to `ceiling`, by default
+    max(bound, constants) + headroom(machine, |Q'|) for |Q'| = 2|Q| + 2 +
+    |X| + |C| over the constants C, the size of a reduction with a full copy
+    of the machine, whatever the size of the copies built; the stored value
+    y ranges up to `store_bound`, by default the ceiling. Negative limits
+    are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
     accepting = set(accepting)
-    for q in sorted(accepting):
-        if q not in machine.states:
-            raise MachineError(f"accepting state {q!r} is not a state")
+    _require_accepting(machine, accepting)
     expanded, origin = expand_updates(machine)
     if ceiling is None:
         # Q' holds the states and a full copy, a store and a target state,
@@ -480,23 +480,21 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     # Only states on a cycle of the control graph can repeat; the rest of
     # the divergence analysis is built only if one is accepting.
     component = _control_components(expanded)
-    candidates = [q for q in accepting if component[q]]
-    if not candidates:
+    if not any(component[q] for q in accepting):
         return None
     context = divergence_context(expanded, component)
-    reduction = buchi_to_reach(expanded, *candidates, context=context)
+    reduction = buchi_to_reach(expanded, *accepting, context=context)
     found = parametric_reach(reduction.machine, reduction.target, bound,
                              ranges={reduction.y: (0, store_bound)},
                              ceiling=ceiling)
     if found is None:
         return None
     gamma, lasso = buchi_witness_to_lasso(reduction, found)
-    own = {x: v for x, v in gamma.items() if x in machine.params}
     lasso = _project(lasso, origin, machine)
-    defect = validate_lasso(machine, own, lasso)
+    defect = validate_lasso(machine, gamma, lasso)
     if defect is not None:
         raise AssertionError(f"expansion projection broke: {defect.reason}")
-    return BuchiWitness(lasso.configs[lasso.loop_start].state, own, lasso,
+    return BuchiWitness(lasso.configs[lasso.loop_start].state, gamma, lasso,
                         found)
 
 

@@ -708,6 +708,32 @@ class TestTranslate:
                      "--target", "r"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_buchi2reach_off_cycle_target_gets_no_copy(self, write, capsys):
+        # r lies on no cycle, so it can never repeat: the emitted machine is
+        # the source and the target, with no store state, no copy and no
+        # =x:y test.
+        machine = write("m.json", {
+            "states": ["q", "r"], "initial": "q",
+            "transitions": [{"from": "q", "op": "+1", "to": "q"},
+                            {"from": "q", "op": "0", "to": "r"}]})
+        assert main(["translate", machine, "--mode", "buchi2reach",
+                     "--target", "r"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        reduced = emitted["machine"]
+        assert set(reduced["states"]) == {"q", "r", emitted["target"]}
+        assert "=x:y" not in {t["op"] for t in reduced["transitions"]}
+        assert len(reduced["transitions"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["buchi", "--accepting", "nowhere"],
+        ["translate", "--mode", "buchi2reach", "--target", "nowhere"]])
+    def test_unknown_accepting_state_has_one_error_text(self, args, write,
+                                                        capsys):
+        machine = write("m.json", CLIMB_AND_TEST)
+        assert main([args[0], machine, *args[1:]]) == 2
+        assert capsys.readouterr().err == \
+            "error: accepting state 'nowhere' not in machine\n"
+
     def test_buchi2reach_unknown_target_is_input_error(self, write, capsys):
         machine = write("m.json", CLIMB_AND_TEST)
         assert main(["translate", machine, "--mode", "buchi2reach",

@@ -167,10 +167,11 @@ class TestBuchiToReach:
 
     def test_equivalence_random(self):
         # The copy holds SCC(accept) alone, the states the accept state
-        # reaches and is reached from; on the machines where that is fewer
-        # than all states the verdict still equals the oracle's.
+        # reaches and is reached from, and exists only if the accept state
+        # lies on a control cycle; on the machines where that is fewer than
+        # all states the verdict still equals the oracle's.
         rng = random.Random(4711)
-        smaller = 0
+        smaller = off_cycle = 0
         for _ in range(40):
             m = random_machine(rng, max_states=4, max_params=2)
             accept = rng.choice(sorted(m.states))
@@ -178,10 +179,16 @@ class TestBuchiToReach:
             red = buchi_to_reach(m, accept)
             scc = reachable(m, accept) & {
                 q for q in m.states if accept in reachable(m, q)}
-            # The source, the copy, a store, a chain state per parameter and
-            # the target.
-            assert len(red.machine.states) == \
-                len(m.states) + len(scc) + 2 + len(m.params)
+            cyclic = any(t.source == accept
+                         and accept in reachable(m, t.target)
+                         for t in m.transitions)
+            # The source, the copy and a store if the accept state lies on a
+            # cycle, a chain state per parameter and the target.
+            assert len(red.machine.states) == (
+                len(m.states) + (len(scc) + 1 if cyclic else 0)
+                + len(m.params) + 1)
+            assert red.accepting == ((accept,) if cyclic else ())
+            off_cycle += not cyclic
             smaller += len(scc) < len(m.states)
             bound = 3 + len(m.states)
             witness = parametric_reach(
@@ -193,13 +200,13 @@ class TestBuchiToReach:
                 gamma, lasso = buchi_witness_to_lasso(red, witness)
                 assert validate_lasso(m, gamma, lasso) is None
                 assert all(gamma[x] <= 3 for x in m.params)
-        assert smaller >= 20
+        assert smaller >= 20 and off_cycle >= 10
 
 
 def per_state_witnesses(machine, accepting, bound, ceiling):
     """Reference for repeated_reach: reduce and solve every accepting state
-    on its own, off-cycle states included, and keep the witness each finds
-    first."""
+    on its own, and keep the witness each finds first. The reduction of a
+    state on no control cycle has no way to its target."""
     found = {}
     for accept in sorted(accepting):
         red = buchi_to_reach(machine, accept)
@@ -366,6 +373,41 @@ class TestRepeatedReach:
         assert calls == []
         assert repeated_reach(m, ["c"], 3) is not None
         assert len(calls) == 1
+
+    def test_loop_entries_and_need_computed_once(self, monkeypatch):
+        # Both accepting states lie on cycles that only climb, so the answer
+        # comes through the divergence chain. The reduction finds each
+        # state's loop entries once; the witness translation reads them
+        # back and asks for one more `need`, that of the state it reports.
+        entries, needs = [], []
+        context_type = reductions.DivergenceContext
+        loop_entries, need = context_type.loop_entries, context_type.need
+
+        def counted_entries(self, f):
+            entries.append(f)
+            return loop_entries(self, f)
+
+        def counted_need(self, f):
+            needs.append(f)
+            return need(self, f)
+
+        monkeypatch.setattr(context_type, "loop_entries", counted_entries)
+        monkeypatch.setattr(context_type, "need", counted_need)
+        m = CounterMachine.build([("a", "+1", "a"), ("a", "0", "b"),
+                                  ("b", "+1", "b")], initial="a")
+        found = repeated_reach(m, ["a", "b"], 2)
+        assert found is not None and found.lasso.loop_delta > 0
+        assert sorted(entries) == ["a", "b"]
+        assert len(needs) == len(entries) + 1
+        assert needs[-1] == found.accept_state
+
+    def test_one_error_text_for_an_unknown_accepting_state(self):
+        m = CounterMachine.build([("q", "+1", "q")], initial="q")
+        text = "accepting state 'nowhere' not in machine"
+        with pytest.raises(MachineError, match=text):
+            repeated_reach(m, ["q", "nowhere"], 2)
+        with pytest.raises(MachineError, match=text):
+            buchi_to_reach(m, "q", "nowhere")
 
     def test_divergence_machine_keeps_updates_and_greater_tests(self):
         m = CounterMachine.build(
