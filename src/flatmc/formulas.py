@@ -10,6 +10,7 @@ relative to until/release and negation; see flat_violation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -33,10 +34,13 @@ class FormulaSyntaxError(FormulaError):
 def _node(cls):
     """Make `cls` a formula node: a frozen dataclass whose hash, the one the
     dataclass would compute from its fields, is computed on first use and
-    stored. Formulas are keys of the tableau's sets and of `evaluate`'s
-    memo, and the generated hash would walk the whole subtree on every
-    lookup; a formula that is only built and rendered is never hashed. The
-    stored value is no field, so `repr` and `==` ignore it."""
+    stored. Formulas are keys of the tableau's sets, of `evaluate`'s memo
+    and of the caches of `parse` and the tableau, and the generated hash
+    would walk the whole subtree on every lookup; a formula that is only
+    built and rendered is never hashed. The stored value is no field, so
+    `repr` and `==` ignore it. Equality is the dataclass's, field by field
+    between nodes of one class, but walked without recursion (`_equal`),
+    so that trees of any depth compare."""
 
     def __hash__(self):
         try:
@@ -45,8 +49,36 @@ def _node(cls):
             _store_hashes(self)
             return self._hash
 
-    cls.__hash__ = __hash__  # a hash of its own, which `dataclass` keeps
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _equal(self, other)
+
+    # Methods of its own, which `dataclass` keeps.
+    cls.__hash__ = __hash__
+    cls.__eq__ = __eq__
     return dataclass(frozen=True)(cls)
+
+
+def _equal(phi: Formula, psi: Formula) -> bool:
+    """Whether two nodes of one class have equal fields, compared without
+    recursion: operands pairwise on an explicit stack, where a shared
+    subtree is equal at once."""
+    todo = [(phi, psi)]
+    while todo:
+        f, g = todo.pop()
+        if f is g:
+            continue
+        if f.__class__ is not g.__class__:
+            return False
+        operands = [name for name, _ in _OPERANDS.get(type(f), ())]
+        for name in type(f).__match_args__:
+            left, right = getattr(f, name), getattr(g, name)
+            if name in operands:
+                todo.append((left, right))
+            elif left != right:
+                return False
+    return True
 
 
 def _store_hashes(phi: Formula) -> None:
@@ -156,6 +188,9 @@ _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 # the recursive parser, or the recursive traversals that follow, such as
 # `nnf` and `evaluate`.
 MAX_DEPTH = 100
+
+# How many formulas `parse` keeps, by text, for the texts it reads again.
+_PARSE_CACHE_SIZE = 128
 
 
 class _Parser:
@@ -296,9 +331,12 @@ class _Parser:
         raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse(text: str) -> Formula:
     """The formula written in `text`; a FormulaError if it is malformed or
-    nests deeper than MAX_DEPTH."""
+    nests deeper than MAX_DEPTH. The most recently parsed texts keep their
+    formulas, which are immutable, and a text read again gets the same
+    one; an error is raised anew on every call."""
     parser = _Parser(text)
     result = parser.formula()
     if parser.peek() is not None:

@@ -36,9 +36,10 @@ reduced problem back into a self-certifying witness of the original one.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from flatmc.formulas import (
@@ -613,6 +614,64 @@ def _obligations(atom) -> Optional[tuple[ParamTest, ...]]:
     return tuple(ParamTest(relation[reg], reg) for reg in sorted(relation))
 
 
+# How many sentences keep their tableau (`_tableau`).
+_TABLEAU_CACHE_SIZE = 128
+
+
+@dataclass(frozen=True)
+class _Tableau:
+    """The half of the tableau product that depends only on the sentence:
+    its renamed normal form, its untils in a fixed order (one Buechi set
+    each), its registers (the product's parameters), the propositions it
+    reads, and the signatures of its positions, each computed when first
+    asked for."""
+    formula: Formula
+    untils: tuple[Until, ...]
+    registers: tuple[str, ...]
+    props: frozenset[str]
+    signatures: dict = field(init=False, compare=False, repr=False,
+                             default_factory=dict)
+
+    def expansions(self, requirements: frozenset,
+                   labels: frozenset) -> tuple[tuple, ...]:
+        """Deduplicated (forwarded obligations, tests) signatures of the
+        saturated extensions of `requirements` at a position carrying
+        `labels`, without the atoms whose tests can never fire. `labels`
+        holds only propositions of `props`, the only ones an atom reads, so
+        the signatures kept grow with the sentence, not with the machines
+        checked against it."""
+        key = (requirements, labels)
+        got = self.signatures.get(key)
+        if got is None:
+            found: dict = {}
+            for atom in _saturate(requirements, labels):
+                tests = _obligations(atom)
+                if tests is not None:
+                    found.setdefault((_next_requirements(atom), tests))
+            got = self.signatures[key] = tuple(found)
+        return got
+
+
+@functools.lru_cache(maxsize=_TABLEAU_CACHE_SIZE)
+def _tableau(phi: Formula) -> _Tableau:
+    """The tableau of the flat sentence `phi`, built once for each of the
+    most recently checked sentences and shared by every product with it; a
+    FormulaError, raised anew on every call, if `phi` is not one."""
+    _require_flat_sentence(phi)
+    renamed = rename_registers(nnf(phi))
+    untils: dict = {}
+    registers, props = set(), set()
+    for f in subformulas(renamed):
+        if isinstance(f, Until):
+            untils.setdefault(f)
+        elif isinstance(f, Freeze):
+            registers.add(f.reg)
+        elif isinstance(f, Prop):
+            props.add(f.name)
+    return _Tableau(renamed, tuple(untils), tuple(sorted(registers)),
+                    frozenset(props))
+
+
 def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
     """Product construction: machine states paired with tableau positions of
     the sentence, each position's parameter tests (the frozen registers and
@@ -643,39 +702,19 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
     Registers are renamed apart first; flatness guarantees each is frozen at
     most once along a run, so a register is faithfully represented by one
     parameter.
+
+    The sentence's half is shared: `_tableau` checks the sentence, renames
+    it, lists its untils and registers, and keeps each position's
+    signatures, for every machine checked against an equal sentence. Only
+    the product with `machine` is built here, on every call.
     """
-    _require_flat_sentence(phi)
+    tableau = _tableau(phi)
     if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_S):
         raise ClassMismatch("flat_mc_to_buchi requires a parameterless "
                             "machine with zero tests only")
-    renamed = rename_registers(nnf(phi))
-    untils = []
-    for f in subformulas(renamed):
-        if isinstance(f, Until) and f not in untils:
-            untils.append(f)
+    untils, expansions = tableau.untils, tableau.expansions
     k = len(untils)
-
-    signatures: dict = {}
-
-    def expansions(requirements: frozenset, labels: frozenset) -> list[tuple]:
-        """Deduplicated (forwarded obligations, tests) signatures of the
-        saturated extensions of `requirements` at a position carrying
-        `labels`, without the atoms whose tests can never fire."""
-        key = (requirements, labels)
-        got = signatures.get(key)
-        if got is None:
-            got = []
-            seen = set()
-            for atom in _saturate(requirements, labels):
-                tests = _obligations(atom)
-                if tests is None:
-                    continue
-                sig = (_next_requirements(atom), tests)
-                if sig not in seen:
-                    seen.add(sig)
-                    got.append(sig)
-            signatures[key] = got
-        return got
+    labels = {q: names & tableau.props for q, names in machine.labels.items()}
 
     def advance(owed: frozenset, index: int) -> int:
         if k == 0:
@@ -714,8 +753,8 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
 
     initial = "mcinit"
     start_index = 1 if k else 0
-    for sig in expansions(frozenset((renamed,)),
-                          machine.labels[machine.initial]):
+    for sig in expansions(frozenset((tableau.formula,)),
+                          labels[machine.initial]):
         head = entry_state(machine.initial, sig, start_index)
         triples.append((initial, Update(0), head))
 
@@ -724,19 +763,17 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
         q, owed, index = key
         nxt_index = advance(owed, index)
         for i, t in machine.outgoing(q):
-            for sig in expansions(owed, machine.labels[t.target]):
+            for sig in expansions(owed, labels[t.target]):
                 head = entry_state(t.target, sig, nxt_index)
                 step_origin[len(triples)] = i
                 triples.append((cores[key], t.op, head))
 
-    registers = sorted({f.reg for f in subformulas(renamed)
-                        if isinstance(f, Freeze)})
     product = CounterMachine.build(triples, initial=initial,
-                                   params=tuple(registers),
+                                   params=tableau.registers,
                                    extra_states=(initial,))
     return McReduction(
         instance=BuchiInstance(product, frozenset(accepting)),
-        formula=renamed, step_origin=step_origin)
+        formula=tableau.formula, step_origin=step_origin)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,24 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse("[r]")
 
+    def test_a_text_read_again_gets_the_same_formula(self):
+        text = "@r. X ([=r] U !p) & q"
+        assert parse(text) is parse(text)
+        assert parse(text) == parse(" " + text)
+
+    def test_a_bad_text_fails_alike_on_every_call(self):
+        # The cache keeps no error: each call raises its own, the same one.
+        for text, position in (("p U (q &", 8), ("p # q", 2),
+                               ("(" * 101 + "p" + ")" * 101, 101)):
+            raised = []
+            for _ in range(3):
+                with pytest.raises(FormulaSyntaxError) as info:
+                    parse(text)
+                raised.append(info.value)
+            assert [(str(e), e.position) for e in raised] == \
+                [(str(raised[0]), position)] * 3
+            assert len({id(e) for e in raised}) == 3
+
     def test_round_trip_random(self):
         rng = random.Random(42)
         for _ in range(200):
@@ -240,7 +258,10 @@ class TestNodeHash:
         assert repr(f) == (
             "Freeze(reg='r', body=Next(body=Until(left=RegTest(rel='=', "
             "reg='r'), right=Neg(body=Prop(name='p')))))")
-        g = parse("@r. X ([=r] U !p)")
+        # A tree of its own, outside parse's cache, which the wrong stored
+        # hash below must not reach.
+        g = parse.__wrapped__("@r. X ([=r] U !p)")
+        assert g is not f
         object.__setattr__(g, "_hash", hash(f) + 1)
         assert f == g
 
@@ -256,8 +277,9 @@ class TestNodeHash:
 
 
     def test_hash_is_computed_on_first_use(self):
-        # A formula that is only built and rendered is never hashed.
-        f = parse("@r. X ([=r] U !p) & q")
+        # A formula that is only built and rendered is never hashed. It is
+        # built outside parse's cache, which another test may have hashed.
+        f = parse.__wrapped__("@r. X ([=r] U !p) & q")
         assert not any("_hash" in vars(node) for node in subformulas(f))
         assert vars(f).get("_hash") is None
         value = hash(f)
@@ -273,6 +295,54 @@ class TestNodeHash:
 
         f, g = tower(), tower()
         assert hash(f) == hash(g) == hash((f.body,))
+
+
+class TestNodeEquality:
+    @staticmethod
+    def tower(leaf, top=Next):
+        f = leaf
+        for _ in range(20000):
+            f = Next(Neg(f))
+        return top(f)
+
+    def test_trees_deeper_than_the_recursion_limit_compare(self):
+        f, g = self.tower(Prop("p")), self.tower(Prop("p"))
+        assert f is not g and f == g and not f != g
+        # A different leaf, of the same class or of another.
+        assert f != self.tower(Prop("q"))
+        assert f != self.tower(RegTest("=", "r"))
+        assert f != self.tower(Prop("p"), top=Neg)
+        hash(f), hash(g)  # stored hashes do not change the answer
+        assert f == g and f != self.tower(Prop("q"))
+
+    def test_same_class_only(self):
+        # As the dataclass's `==`: a node never equals a node of another
+        # class with equal fields, nor a tuple of its fields.
+        assert Next(Prop("p")) != Neg(Prop("p"))
+        assert Prop("p") != ("p",)
+        assert And(Prop("p"), Prop("q")) != Or(Prop("p"), Prop("q"))
+        assert Prop("p").__eq__(Neg(Prop("p"))) is NotImplemented
+        assert Freeze("r", Prop("p")) != Freeze("s", Prop("p"))
+        assert RegTest("<", "r") != RegTest("=", "r")
+
+    def test_agrees_with_the_field_tuples(self):
+        rng = random.Random(53)
+        pairs = []
+        for i in range(300):
+            state = rng.getstate()
+            f = random_formula(rng, depth=3)
+            if i % 2:  # the same draw again, built separately
+                rng.setstate(state)
+            pairs.append((f, random_formula(rng, depth=3)))
+        for f, g in pairs:
+            def fields_of(node):
+                # The dataclass's comparison: the tuple of fields, operands
+                # compared the same way.
+                return (type(node).__name__,) + tuple(
+                    fields_of(v) if hasattr(v, "__match_args__") else v
+                    for v in (getattr(node, x.name) for x in fields(node)))
+            assert (f == g) == (fields_of(f) == fields_of(g))
+        assert 150 <= sum(f == g for f, g in pairs) < 300
 
 class TestLassoWord:
     def test_rejects_empty_loop(self):

@@ -3,7 +3,8 @@ and witness files of a seeded list of `reach`, `buchi` and `mc` queries.
 
 A change that keeps every verdict and every witness leaves the digest as it
 is. A change that means to alter an output must say which outputs changed
-and why, and only then update DIGEST.
+and why, and only then update DIGEST. The outputs of `mc` must also be the
+same whatever order its queries run in.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import random
 
+from flatmc import formulas, reductions
 from flatmc.cli import main
 from flatmc.jsonio import machine_to_data
 from tests.gen import random_machine
@@ -47,26 +49,61 @@ def queries(seed: int = SEED) -> list[tuple[list[str], dict]]:
     return listed
 
 
+def run_query(workdir: str, args: list[str], data: dict) -> bytes:
+    """Run one query through `main` in `workdir` with `--json --witness`:
+    its arguments, exit code and stdout, then the witness file if any."""
+    machine = os.path.join(workdir, "machine.json")
+    witness = os.path.join(workdir, "witness.json")
+    with open(machine, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(witness)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([args[0], machine, *args[1:], "--json",
+                     "--witness", witness])
+    result = f"{args}\n{code}\n{out.getvalue()}\n".encode()
+    if os.path.exists(witness):
+        with open(witness, "rb") as handle:
+            result += handle.read()
+    return result
+
+
 def outputs_digest(workdir: str) -> str:
     """Run every query through `main` in `workdir` and hash what it left."""
     digest = hashlib.sha256()
-    machine = os.path.join(workdir, "machine.json")
-    witness = os.path.join(workdir, "witness.json")
     for args, data in queries():
-        with open(machine, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(witness)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main([args[0], machine, *args[1:], "--json",
-                         "--witness", witness])
-        digest.update(f"{args}\n{code}\n{out.getvalue()}\n".encode())
-        if os.path.exists(witness):
-            with open(witness, "rb") as handle:
-                digest.update(handle.read())
+        digest.update(run_query(workdir, args, data))
     return digest.hexdigest()[:16]
 
 
 def test_outputs_are_pinned(tmp_path):
     assert outputs_digest(str(tmp_path)) == DIGEST
+
+
+def test_mc_outputs_do_not_depend_on_query_order(tmp_path):
+    # `parse` and the tableau are cached per process, and the order in which
+    # a frozenset iterates can follow how it was built, so this is checked:
+    # run forward, backward, and with both caches emptied before each query,
+    # every `mc` query prints and writes the same bytes.
+    rng = random.Random(SEED + 1)
+    listed = []
+    for i in range(160):
+        m = random_machine(rng, max_states=4, max_params=0, with_labels=True)
+        text = FORMULAS[i % len(FORMULAS)]
+        if i % 3 == 0:
+            text = f"{text} & {FORMULAS[(i // 3) % len(FORMULAS)]}"
+        listed.append((["mc", "--formula", text, "--bound", "2"],
+                       machine_to_data(m)))
+    workdir = str(tmp_path)
+
+    def cleared(args, data):
+        formulas.parse.cache_clear()
+        reductions._tableau.cache_clear()
+        return run_query(workdir, args, data)
+
+    forward = [run_query(workdir, *query) for query in listed]
+    backward = [run_query(workdir, *query) for query in reversed(listed)]
+    assert forward == backward[::-1]
+    assert forward == [cleared(*query) for query in listed]
+    assert 25 <= sum(b"formula_holds" in out for out in forward) <= 135

@@ -698,6 +698,63 @@ class TestFlatMcToBuchi:
         product = flat_mc_to_buchi(m, parse("true")).instance.machine
         assert Update(3) in {t.op for t in product.transitions}
 
+    def test_formula_errors_come_first_on_every_call(self):
+        # The sentence is checked before the machine, and a cached tableau
+        # keeps no error: each call reports the formula again.
+        m = CounterMachine.build([("q", "=x:x", "q")], initial="q",
+                                 params=["x"])
+        for text, reason in (("G @r.(req -> F(serve & [=r]))", "not flat"),
+                             ("F [=r]", "not a sentence")):
+            for _ in range(2):
+                with pytest.raises(FormulaError, match=reason):
+                    flat_mc_to_buchi(m, parse(text))
+                with pytest.raises(FormulaError, match=reason):
+                    model_check(m, parse(text), 3)
+        with pytest.raises(ClassMismatch):
+            flat_mc_to_buchi(m, parse("F p"))
+
+    def test_one_tableau_serves_every_machine(self, monkeypatch):
+        # The sentence's half of the product is built once: a second check
+        # of the sentence, on another machine, saturates no requirement set
+        # it saturated before, and its product is the one a fresh tableau
+        # gives.
+        calls = []
+        saturate = reductions._saturate
+
+        def counted(requirements, labels):
+            calls.append((requirements, labels))
+            return saturate(requirements, labels)
+
+        monkeypatch.setattr(reductions, "_saturate", counted)
+        reductions._tableau.cache_clear()  # whatever other tests checked
+        rng = random.Random(61)
+        phi = parse("F @r. G(p -> [>r] | [=r]) & G F q")
+        machines = [labelled_machine(rng) for _ in range(2)]
+        first = [flat_mc_to_buchi(m, phi) for m in machines]
+        again = [flat_mc_to_buchi(m, parse("F @r. G(p -> [>r] | [=r]) "
+                                           "& G F q"))
+                 for m in machines]
+        assert len(calls) == len(set(calls)) > 0
+        seen = len(calls)
+        assert model_check(machines[0], phi, 2) == \
+            model_check(machines[0], phi, 2)
+        assert len(calls) == seen
+        assert first == again
+
+    def test_labels_the_sentence_does_not_read_add_no_signatures(self):
+        # The shared table is keyed by the sentence's own propositions, so
+        # it stays as large however many other labels the machines carry.
+        phi = parse("G F p & F @r. X [>r]")
+        sizes = set()
+        for i in range(30):
+            m = CounterMachine.build([("a", "+1", "b"), ("b", "0", "a")],
+                                     initial="a",
+                                     labels={"a": ["p", f"z{i}"],
+                                             "b": [f"y{i}"]})
+            assert model_check(m, phi, 2) is not None
+            sizes.add(len(reductions._tableau(phi).signatures))
+        assert len(sizes) == 1
+
     def test_true_product_accepts_any_infinite_run(self):
         m = CounterMachine.build([("q", "+1", "q")], initial="q")
         mc = flat_mc_to_buchi(m, parse("true"))
@@ -1015,6 +1072,34 @@ class TestModelCheck:
         witness = model_check(m, self.nexts(200), 3)
         assert witness is not None
         assert evaluate(witness.word, 0, {}, self.nexts(200))
+
+    def test_deep_sentences_built_apart_answer_alike(self):
+        # The second sentence finds the first's tableau by equality, which
+        # compares the two towers without recursion.
+        m = CounterMachine.build([("q", "+1", "q")], initial="q",
+                                 labels={"q": ["p"]})
+        first, second = self.nexts(450), self.nexts(450)
+        assert first is not second
+        assert model_check(m, first, 3) is not None
+        assert model_check(m, second, 3) is not None
+
+    def test_a_second_check_saturates_nothing(self, monkeypatch):
+        calls = []
+        saturate = reductions._saturate
+
+        def counted(requirements, labels):
+            calls.append(requirements)
+            return saturate(requirements, labels)
+
+        monkeypatch.setattr(reductions, "_saturate", counted)
+        m = CounterMachine.build(
+            [("a", "+1", "b"), ("b", "-1", "a"), ("a", "=0", "a")],
+            initial="a", labels={"a": ["p"], "b": ["q"]})
+        text = "F @r. G([<r] | [=r]) & G F q"
+        witness = model_check(m, parse(text), 3)
+        calls.clear()
+        assert model_check(m, parse(text), 3) == witness
+        assert calls == []
 
     def test_register_patterns_agree_with_the_oracle(self, tmp_path):
         present, confirmed, _chained = mc_against_the_oracle(
