@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from flatmc.machines import NAME_RE
+
 
 class FormulaError(ValueError):
     """A formula failed a structural requirement (sentence, flatness, ...)."""
@@ -236,7 +238,7 @@ class _Parser:
     def ident(self, what: str) -> str:
         at = self.here()
         tok = self.take()
-        if not re.fullmatch(r"[A-Za-z0-9_]+", tok) or tok in _KEYWORDS:
+        if not NAME_RE.match(tok) or tok in _KEYWORDS:
             raise FormulaSyntaxError(f"expected {what}", at)
         return tok
 
@@ -326,7 +328,7 @@ class _Parser:
             reg = self.ident("register name")
             self.expect("]")
             return RegTest(rel, reg)
-        if re.fullmatch(r"[A-Za-z0-9_]+", tok) and tok not in _KEYWORDS:
+        if NAME_RE.match(tok) and tok not in _KEYWORDS:
             return Prop(tok)
         raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
 
@@ -594,13 +596,6 @@ class LassoWord:
         for props, value in (*self.prefix, *self.loop):
             if value < 0:
                 raise FormulaError("counter values must be non-negative")
-
-    def norm(self, i: int) -> int:
-        """Canonical representative of position i: positions beyond the
-        prefix collapse modulo the loop length."""
-        if i < len(self.prefix):
-            return i
-        return len(self.prefix) + (i - len(self.prefix)) % len(self.loop)
 
     def at(self, i: int) -> tuple[frozenset[str], int]:
         if i < len(self.prefix):

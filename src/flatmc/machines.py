@@ -147,9 +147,10 @@ class CounterMachine:
         if self.initial not in self.states:
             raise MachineError(f"initial state {self.initial!r} not in states")
         declared = set(self.params)
-        for t in self.transitions:
+        for i, t in enumerate(self.transitions):
             if t.source not in self.states or t.target not in self.states:
-                raise MachineError(f"transition endpoint outside states: {t}")
+                raise MachineError(
+                    f"transition {i} has an endpoint not in states")
             if isinstance(t.op, ParamTest):
                 if t.op.rel not in RELATIONS:
                     raise MachineError(f"bad relation in {t}")
@@ -206,16 +207,16 @@ class CounterMachine:
         return self._outgoing[state]
 
 
-def fresh_name(base: str, taken: Container[str]) -> str:
-    """A name built from `base` that avoids every name in `taken`, which is
-    only read, not copied: a caller naming many states passes one set and
-    adds each name it takes."""
-    if base not in taken:
-        return base
-    n = 0
-    while f"{base}_{n}" in taken:
+def fresh_name(base: str, taken: set[str]) -> str:
+    """`base` if it is not in `taken`, else the first of `base_0`,
+    `base_1`, ... that is not; the name is added to `taken`, so a caller
+    naming many states or parameters passes one set to every call."""
+    name, n = base, 0
+    while name in taken:
+        name = f"{base}_{n}"
         n += 1
-    return f"{base}_{n}"
+    taken.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,7 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
     if not consts:
         return machine, {}
     taken = set(machine.params)
-    name_of: dict[int, str] = {}
-    for c in consts:
-        name_of[c] = fresh_name(f"xc{c}", taken)
-        taken.add(name_of[c])
+    name_of = {c: fresh_name(f"xc{c}", taken) for c in consts}
     triples = []
     for t in machine.transitions:
         if isinstance(key := _test_key(t.op), int):
@@ -340,7 +337,9 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
 
 def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, int]]:
     """Replace each update +k or -k with k >= 2 by k unary steps through
-    fresh states; a machine with unary updates is returned itself. `origin`
+    fresh states; a machine with unary updates is returned itself. The j-th
+    chain state of transition i is `fresh_name(f"u{i}_{j}", ...)` against
+    the machine's states, so it gets a suffix only on a clash. `origin`
     maps each kept transition, and the last step of each chain, to the
     source transition; `_project` drops the other chain steps. Every verdict
     is exact: chain states carry no label and no test, and a chain for -k
@@ -357,14 +356,13 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
         raise MachineError(
             f"expanding the large updates would take {size} states, more "
             f"than the limit of {MAX_EXPANDED_STATES}")
-    prefix = "u"  # no state name starts with it, so chain states are fresh
-    while any(q.startswith(prefix) for q in machine.states):
-        prefix += "u"
+    taken = set(machine.states)
     triples: list = []
     origin: dict[int, int] = {}
     for i, (t, k) in enumerate(zip(machine.transitions, sizes)):
         op = Update(t.op.delta // k) if k >= 2 else t.op
-        chain = [t.source, *(f"{prefix}{i}_{j}" for j in range(1, k)), t.target]
+        chain = [t.source, *(fresh_name(f"u{i}_{j}", taken)
+                             for j in range(1, k)), t.target]
         origin[len(triples) + len(chain) - 2] = i
         triples.extend((a, op, b) for a, b in zip(chain, chain[1:]))
     return CounterMachine.build(

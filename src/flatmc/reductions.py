@@ -326,21 +326,17 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     accepting = tuple(sorted({f for f in accepting if context.component[f]}))
 
     taken = set(machine.states)
-
-    def fresh(base: str) -> str:
-        name = fresh_name(base, taken)
-        taken.add(name)
-        return name
-
-    hats = {f: {q: fresh(f"{q}_hat") for q in sorted(context.component[f])}
+    hats = {f: {q: fresh_name(f"{q}_hat", taken)
+                for q in sorted(context.component[f])}
             for f in accepting}
-    store_states = {f: fresh("s") for f in accepting}
-    target = fresh("s_hat")
+    store_states = {f: fresh_name("s", taken) for f in accepting}
+    target = fresh_name("s_hat", taken)
     params = machine.params
     guards = ([ParamTest(">", x) for x in params]
               + [ConstTest(">", c) for c in _constants(machine)])
-    chain = [fresh(f"t{i}") for i in range(1, len(guards) + 1)] + [target]
-    y = fresh_name("y", params)
+    chain = [fresh_name(f"t{i}", taken)
+             for i in range(1, len(guards) + 1)] + [target]
+    y = fresh_name("y", set(params))
 
     transitions = list(machine.transitions)
     origin = {i: i for i in range(len(transitions))}
@@ -769,8 +765,7 @@ def flat_mc_to_buchi(machine: CounterMachine, phi: Formula) -> McReduction:
                 triples.append((cores[key], t.op, head))
 
     product = CounterMachine.build(triples, initial=initial,
-                                   params=tableau.registers,
-                                   extra_states=(initial,))
+                                   params=tableau.registers)
     return McReduction(
         instance=BuchiInstance(product, frozenset(accepting)),
         formula=tableau.formula, step_origin=step_origin)
@@ -928,14 +923,9 @@ def succinct_to_unary(machine: CounterMachine,
     used_props = set().union(*machine.labels.values()) if machine.labels else set()
     used_props |= {f.name for f in subformulas(phi) if isinstance(f, Prop)}
     bit_zero = fresh_name("0", used_props)
-    used_props.add(bit_zero)
     bit_one = fresh_name("1", used_props)
-    used_props.add(bit_one)
-    seps = {}
-    for z in large:
-        name = f"sep{z}" if z > 0 else f"sepm{-z}"
-        seps[z] = fresh_name(name, used_props)
-        used_props.add(seps[z])
+    seps = {z: fresh_name(f"sep{z}" if z > 0 else f"sepm{-z}", used_props)
+            for z in large}
     lambda_props = frozenset((bit_zero, bit_one, *seps.values()))
 
     taken = set(machine.states)
@@ -945,7 +935,6 @@ def succinct_to_unary(machine: CounterMachine,
 
     def fresh_state(base: str, props) -> str:
         name = fresh_name(base, taken)
-        taken.add(name)
         labels[name] = set(props)
         return name
 

@@ -61,13 +61,68 @@ def write(tmp_path):
     return _write
 
 
-# Machine files that name a state outside their `states` list, or list one
-# twice: each field to replace, the target to query, and the message.
-UNLISTED = {
-    "duplicate": ({"states": ["q", "q2", "q"]}, "q2", "a name twice"),
-    "initial": ({"initial": "b"}, "q2", "'b' not in states"),
-    "endpoint": ({"transitions": [{"from": "q", "op": "+1", "to": "typo"}]},
-                 "typo", "transition 0 has an endpoint not in states"),
+def _with_transition(**entry) -> dict:
+    """CLIMB_AND_TEST with the one transition `entry` (defaults q +1 q)."""
+    return dict(CLIMB_AND_TEST,
+                transitions=[{"from": "q", "op": "+1", "to": "q", **entry}])
+
+
+_NO_LABELS = "labels must map states to lists of propositions"
+
+# Every check a machine file meets, one fault a file: the file's data (or
+# text) and the whole message `flatmc` prints after the file's path. The
+# shape checks come from `machine_from_data`, the op checks from `parse_op`,
+# and the name checks from `CounterMachine` itself.
+MACHINE_FAULTS = {
+    "not-an-object": ("[]", "machine file must be a JSON object"),
+    "unknown-key": (dict(CLIMB_AND_TEST, extra=1),
+                    "unknown machine file keys: ['extra']"),
+    "no-initial": ({k: v for k, v in CLIMB_AND_TEST.items() if k != "initial"},
+                   "machine file misses 'initial'"),
+    "initial-not-a-string": (dict(CLIMB_AND_TEST, initial=0),
+                             "initial must be a string"),
+    "states-not-a-list": (dict(CLIMB_AND_TEST, states="q"),
+                          "states must be a list of strings"),
+    "duplicate": (dict(CLIMB_AND_TEST, states=["q", "q2", "q"]),
+                  "states lists a name twice"),
+    "labels-empty-list": (dict(CLIMB_AND_TEST, labels=[]), _NO_LABELS),
+    "labels-false": (dict(CLIMB_AND_TEST, labels=False), _NO_LABELS),
+    "labels-zero": (dict(CLIMB_AND_TEST, labels=0), _NO_LABELS),
+    "labels-empty-string": (dict(CLIMB_AND_TEST, labels=""), _NO_LABELS),
+    "labels-null": (dict(CLIMB_AND_TEST, labels=None), _NO_LABELS),
+    "labels-of-a-state": (dict(CLIMB_AND_TEST, labels={"q": "p"}),
+                          "labels of 'q' must be a list of strings"),
+    "transitions-not-a-list": (dict(CLIMB_AND_TEST, transitions={}),
+                               "transitions must be a list"),
+    "transition-key": (_with_transition(via=0),
+                       "malformed transition object at index 0"),
+    "transition-without-to": (_with_transition(to=None),
+                              "transition 0 needs a string 'to'"),
+    "unknown-op": (_with_transition(op="*2"), "unknown op: '*2'"),
+    "malformed-update": (_with_transition(op="+a"),
+                         "malformed update op: '+a'"),
+    "malformed-constant": (_with_transition(op=">c:a"),
+                           "malformed constant in op: '>c:a'"),
+    "malformed-parameter-op": (_with_transition(op=">x:a-b"),
+                               "malformed parameter name in op: '>x:a-b'"),
+    "params-not-a-list": (dict(CLIMB_AND_TEST, params="x"),
+                          "params must be a list of strings"),
+    "bad-state-name": (dict(CLIMB_AND_TEST, states=["q", "q2", "a b"]),
+                       "bad state name: 'a b'"),
+    "bad-parameter-name": (dict(CLIMB_AND_TEST, params=["x", "y z"]),
+                           "bad parameter name: 'y z'"),
+    "parameter-twice": (dict(CLIMB_AND_TEST, params=["x", "x"]),
+                        "duplicate parameter names"),
+    "initial": (dict(CLIMB_AND_TEST, initial="b"),
+                "initial state 'b' not in states"),
+    "endpoint": (_with_transition(to="typo"),
+                 "transition 0 has an endpoint not in states"),
+    "undeclared-parameter": (_with_transition(op="=x:z"),
+                             "undeclared parameter 'z'"),
+    "label-for-unlisted-state": (dict(CLIMB_AND_TEST, labels={"s": ["p"]}),
+                                 "label for unknown state 's'"),
+    "bad-proposition-name": (dict(CLIMB_AND_TEST, labels={"q": ["p q"]}),
+                             "bad proposition name: 'p q'"),
 }
 
 
@@ -93,14 +148,12 @@ class TestMachineFormat:
         with pytest.raises(MachineError):
             machine_from_data(data)
 
-    @pytest.mark.parametrize("case", UNLISTED)
-    def test_unlisted_or_repeated_state_is_input_error(self, case, write,
-                                                       capsys):
-        fields, target, message = UNLISTED[case]
-        machine = write("m.json", dict(CLIMB_AND_TEST, **fields))
-        assert main(["reach", machine, "--target", target]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+    @pytest.mark.parametrize("case", MACHINE_FAULTS)
+    def test_fault_exits_2_with_its_message(self, case, write, capsys):
+        data, message = MACHINE_FAULTS[case]
+        machine = write("m.json", data)
+        assert main(["reach", machine, "--target", "q2"]) == 2
+        assert capsys.readouterr().err == f"error: {machine}: {message}\n"
 
 
 class TestReach:
@@ -197,8 +250,9 @@ MALFORMED = {
     "not-utf-8": ("machine", b"\xff{}"),
 }
 
-# Bad input on the command line or in the machine file: the machine file (None
-# for a missing one), the command and its flags, and the message.
+# Bad input on the command line or a machine file that cannot be read: the
+# machine file (None for a missing one), the command and its flags, and the
+# message.
 BAD_INPUT = {
     "missing-file": (None, ["reach", "--target", "q2"], "cannot read"),
     "not-json": ('{"states": [', ["reach", "--target", "q2"],
@@ -210,12 +264,6 @@ BAD_INPUT = {
     "buchi2reach-without-target": (
         CLIMB_AND_TEST, ["translate", "--mode", "buchi2reach"],
         "--mode buchi2reach needs --target"),
-    "parameter-twice": (dict(CLIMB_AND_TEST, params=["x", "x"]),
-                        ["reach", "--target", "q2"],
-                        "duplicate parameter names"),
-    "label-for-unlisted-state": (dict(CLIMB_AND_TEST, labels={"s": ["p"]}),
-                                 ["reach", "--target", "q2"],
-                                 "label for unknown state 's'"),
 }
 
 
@@ -360,19 +408,32 @@ class TestBuchi:
         assert json.loads(capsys.readouterr().out)["accepting"] == "b"
         assert main(["check", out, machine]) == 0
 
-    def test_state_named_like_an_update_chain_state(self, write, tmp_path):
+    def test_state_named_like_an_update_chain_state(self, write, tmp_path,
+                                                    capsys):
         # The update expansion would name the chain state of +2 u0_1, a
-        # state of this machine: the chain takes a longer prefix instead.
+        # state of this machine: that chain state is u0_1_0 instead.
         data = {"states": ["q", "u0_1"], "initial": "q",
                 "transitions": [{"from": "q", "op": "+2", "to": "u0_1"},
                                 {"from": "u0_1", "op": "-2", "to": "q"}]}
         expanded, _origin = expand_updates(machine_from_data(data))
-        assert len(expanded.states) == 4
+        assert expanded.states == {"q", "u0_1", "u0_1_0", "u1_1"}
         machine = write("m.json", data)
         out = str(tmp_path / "w.json")
         assert main(["buchi", machine, "--accepting", "u0_1", "--bound", "2",
                      "--witness", out]) == 0
         assert main(["check", out, machine]) == 0
+        # A state that only starts with u leaves the chain names as they
+        # are, and the reduction of the expansion is a loadable machine.
+        data = {"states": ["q", "up"], "initial": "q",
+                "transitions": [{"from": "q", "op": "+2", "to": "up"},
+                                {"from": "up", "op": "-2", "to": "q"}]}
+        expanded, _origin = expand_updates(machine_from_data(data))
+        assert expanded.states == {"q", "up", "u0_1", "u1_1"}
+        capsys.readouterr()
+        assert main(["translate", write("up.json", data), "--mode",
+                     "buchi2reach", "--target", "up"]) == 0
+        emitted = json.loads(capsys.readouterr().out)["machine"]
+        assert {"u0_1", "u1_1"} <= machine_from_data(emitted).states
 
     @pytest.mark.parametrize("transitions", [
         # r is revisited at the value 1, after a climb above 2.

@@ -353,7 +353,6 @@ class TestLassoWord:
         w = LassoWord(((frozenset("p"), 1),),
                       ((frozenset(), 2), (frozenset("q"), 3)))
         assert w.at(1) == w.at(3) == w.at(5)
-        assert w.norm(4) == 2
 
     def test_rejects_negative_gain(self):
         with pytest.raises(FormulaError):

@@ -17,9 +17,11 @@ from flatmc.machines import (
     MachineError,
     ParamTest,
     Run,
+    Transition,
     Update,
     bounded_reach_oracle,
     classify,
+    fresh_name,
     machine_size,
     parse_op,
     format_op,
@@ -82,6 +84,23 @@ class TestConstruction:
         m = CounterMachine.build([("a", "+1", "b")], initial="a")
         assert m.labels["a"] == frozenset()
         assert m.labels["b"] == frozenset()
+
+    def test_rejects_unlisted_endpoint_by_index(self):
+        transitions = (Transition("a", Update(1), "a"),
+                       Transition("a", Update(1), "b"))
+        with pytest.raises(MachineError) as err:
+            CounterMachine(states=frozenset({"a"}), initial="a", params=(),
+                           transitions=transitions, labels={})
+        assert str(err.value) == "transition 1 has an endpoint not in states"
+
+    def test_fresh_name_takes_base_then_the_first_free_suffix(self):
+        taken = {"a", "c_0"}
+        assert fresh_name("b", taken) == "b"
+        assert fresh_name("a", taken) == "a_0"
+        assert fresh_name("a", taken) == "a_1"
+        assert fresh_name("c", taken) == "c"
+        assert fresh_name("c", taken) == "c_1"
+        assert taken == {"a", "a_0", "a_1", "b", "c", "c_0", "c_1"}
 
 
 class TestSuccessors:
