@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from flatmc import formulas, jsonio
 from flatmc.formulas import FormulaError, evaluate
@@ -305,17 +305,111 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     return parser, commands
 
 
+class _Plain(NamedTuple):
+    """What a plain command line may give one command: its flags, each with
+    its store or store_true action, its positionals in order, the flags it
+    requires, and the values every namespace starts from."""
+    flags: dict[str, argparse.Action]
+    positionals: tuple[argparse.Action, ...]
+    required: frozenset[argparse.Action]
+    defaults: dict[str, object]
+
+
+class _Decline(Exception):
+    """A command line that `_read_plain` leaves to argparse."""
+
+
+@functools.cache
+def _plain(command: argparse.ArgumentParser) -> Optional[_Plain]:
+    """The table `_read_plain` reads `command`'s lines with, derived once
+    from the parser's own actions and defaults. None, so that argparse
+    parses every line of the command, if an action is other than help, a
+    store action of one value or store_true, or has a string default, which
+    argparse would convert."""
+    flags, positionals, required = {}, [], set()
+    defaults = {}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        one_value = (type(action) is argparse._StoreAction
+                     and action.nargs is None)
+        if (not (one_value or type(action) is argparse._StoreTrueAction)
+                or isinstance(action.default, str)):
+            return None
+        defaults.setdefault(action.dest, action.default)
+        if not action.option_strings:
+            positionals.append(action)
+            continue
+        flags.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.add(action)
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return _Plain(flags, tuple(positionals), frozenset(required), defaults)
+
+
+def _plain_value(action: argparse.Action, token: Optional[str]):
+    """The value argparse stores for `action` given `token`."""
+    if token is None or token.startswith("-"):
+        raise _Decline
+    try:
+        value = token if action.type is None else action.type(token)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise _Decline from None
+    if action.choices is not None and value not in action.choices:
+        raise _Decline
+    return value
+
+
+def _read_plain(command: argparse.ArgumentParser,
+                tokens: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace `command` parses `tokens` into, if they form a plain
+    line: exact flags, one value after each store flag, and as many
+    positionals as the command has. None, and argparse parses as it always
+    did, for any other line, such as one with an abbreviated flag, a
+    `--flag=value`, `--`, `-h`, a value starting with `-`, a value that its
+    flag's type or choices reject, or a required flag left out."""
+    plain = _plain(command)
+    if plain is None:
+        return None
+    values = dict(plain.defaults)
+    given, seen = [], set()
+    rest = iter(tokens)
+    try:
+        for token in rest:
+            if not token.startswith("-"):
+                given.append(token)
+                continue
+            action = plain.flags.get(token)
+            if action is None:
+                raise _Decline
+            values[action.dest] = (action.const if action.nargs == 0
+                                   else _plain_value(action, next(rest, None)))
+            seen.add(action)
+        if len(given) != len(plain.positionals) or not plain.required <= seen:
+            raise _Decline
+        for action, token in zip(plain.positionals, given):
+            values[action.dest] = _plain_value(action, token)
+    except _Decline:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """Parse the command line in one pass: a command's arguments go straight
-    to its own parser, which the top-level parser would hand them to, and
-    what that parser leaves over is reported as the top-level parser reports
-    it. Anything else, a missing or unknown command or a top-level flag, is
-    the top-level parser's."""
+    """Parse the command line in one pass: a plain line is read from its
+    command's table, and any other line of a command goes straight to the
+    command's own parser, which the top-level parser would hand it to; what
+    that parser leaves over is reported as the top-level parser reports it.
+    Anything else, a missing or unknown command or a top-level flag, is the
+    top-level parser's."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_plain(command, argv[1:])
+    if args is not None:
+        return args
     args, extra = command.parse_known_args(argv[1:])
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -80,13 +80,16 @@ def machine_from_data(data: Any) -> CounterMachine:
         raise MachineError("transitions must be a list")
     transitions = []
     for i, entry in enumerate(data["transitions"]):
-        if not isinstance(entry, dict) or set(entry) - _TRANSITION_KEYS:
+        if not isinstance(entry, dict) or not entry.keys() <= _TRANSITION_KEYS:
             raise MachineError(f"malformed transition object at index {i}")
-        for key in _TRANSITION_KEYS:
-            if not isinstance(entry.get(key), str):
+        source, op, target = (entry.get("from"), entry.get("op"),
+                              entry.get("to"))
+        # In a fixed order, so a transition missing two keys is reported
+        # alike whatever the string hash seed.
+        for key, value in (("from", source), ("op", op), ("to", target)):
+            if not isinstance(value, str):
                 raise MachineError(f"transition {i} needs a string {key!r}")
-        transitions.append(
-            Transition(entry["from"], parse_op(entry["op"]), entry["to"]))
+        transitions.append(Transition(source, parse_op(op), target))
     return CounterMachine(
         states=listed, initial=data["initial"],
         params=tuple(_strings(data.get("params", []), "params")),

@@ -9,6 +9,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from collections.abc import Callable, Container, Iterable, Mapping
@@ -18,6 +19,9 @@ from typing import NamedTuple, Optional, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 RELATIONS = ("<", "=", ">")
+
+# How many ops `parse_op` keeps, by text, for the texts it reads again.
+_OP_CACHE_SIZE = 1024
 
 
 class MachineError(ValueError):
@@ -65,11 +69,14 @@ def _digits(text: str, complaint: str) -> int:
         raise MachineError(f"{complaint}: {err}") from err
 
 
+@functools.lru_cache(maxsize=_OP_CACHE_SIZE)
 def parse_op(text: str) -> Op:
     """Parse the textual operation format used in machine files and tests.
 
     Updates: "+3", "-1", "0".  Constant tests: "=0", "=c:5", "<c:5", ">c:5".
     Parameter tests: "=x:name", "<x:name", ">x:name".
+    The most recently read texts keep their ops, which are immutable, and a
+    text read again gets the same one; an error is raised anew on every call.
     """
     if text == "0":
         return Update(0)

@@ -3,6 +3,8 @@ independence of the witness checker."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import copy
 import json
 import os
@@ -17,7 +19,7 @@ import types
 import pytest
 
 import flatmc
-from flatmc import reductions
+from flatmc import cli, reductions
 from flatmc.cli import build_parser, main
 from flatmc.formulas import FormulaError, RegTest, parse, subformulas
 from flatmc.jsonio import (
@@ -98,6 +100,9 @@ MACHINE_FAULTS = {
                        "malformed transition object at index 0"),
     "transition-without-to": (_with_transition(to=None),
                               "transition 0 needs a string 'to'"),
+    "transition-without-from-and-to": (
+        {"states": ["q"], "initial": "q", "transitions": [{"op": "+1"}]},
+        "transition 0 needs a string 'from'"),
     "unknown-op": (_with_transition(op="*2"), "unknown op: '*2'"),
     "malformed-update": (_with_transition(op="+a"),
                          "malformed update op: '+a'"),
@@ -154,6 +159,38 @@ class TestMachineFormat:
         machine = write("m.json", data)
         assert main(["reach", machine, "--target", "q2"]) == 2
         assert capsys.readouterr().err == f"error: {machine}: {message}\n"
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_a_missing_key_is_reported_alike_under_any_hash_seed(
+            self, seed, write):
+        data, message = MACHINE_FAULTS["transition-without-from-and-to"]
+        machine = write("m.json", data)
+        src = pathlib.Path(flatmc.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatmc.cli", "reach", machine,
+             "--target", "q"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: {machine}: {message}\n")
+
+    @pytest.mark.parametrize("encoded,message", [
+        ('\ufeff{"states": ["q"]}'.encode("utf-8"),
+         " is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+         ": line 1 column 1 (char 0)"),
+        ('{"states": ["q"]}'.encode("utf-16"),
+         ": 'utf-8' codec can't decode byte 0xff in position 0: invalid "
+         "start byte"),
+        # Read as text, a CRLF line end counts as one character.
+        (b'{\r\n  "states": [\r\n  x',
+         " is not valid JSON: Expecting value: line 3 column 3 (char 18)"),
+    ], ids=["utf-8-bom", "utf-16", "crlf"])
+    def test_a_machine_file_is_read_as_utf_8_text(self, encoded, message,
+                                                   tmp_path, capsys):
+        machine = tmp_path / "m.json"
+        machine.write_bytes(encoded)
+        assert main(["reach", str(machine), "--target", "q"]) == 2
+        assert capsys.readouterr().err == f"error: {machine}{message}\n"
 
 
 class TestReach:
@@ -973,6 +1010,182 @@ class TestFlags:
                   if not name.startswith("_")
                   and not isinstance(value, types.ModuleType)}
         assert public == set(flatmc.__all__)
+
+
+# Command lines for `main`, with M, L, V and W standing for the paths of
+# CLIMB_AND_TEST, of LOOP_TO_P, of a witness of `F p` on LOOP_TO_P, and of a
+# witness file to write: every TestFlags argv, the lines the benchmark runs,
+# and mutations of them that a plain line reader must leave to argparse.
+PLAIN_LINES = {
+    "reach": ["reach", "L", "--target", "r", "--bound", "12", "--cap", "24",
+              "--json", "--witness", "W"],
+    "buchi": ["buchi", "L", "--accepting", "q,r", "--bound", "1", "--cap",
+              "256", "--json", "--witness", "W"],
+    "mc": ["mc", "L", "--formula", "F p", "--bound", "3", "--json",
+           "--witness", "W"],
+}
+DECLINED_LINES = [
+    *([argv[0], "M", *argv[1:]] for argv in [
+        ["mc", "--formula", "G p", "--cap", "3"],
+        ["translate", "--mode", "foldconst", "--bound", "3"],
+        ["translate", "--mode", "foldconst", "--cap", "3"],
+        ["translate", "--mode", "foldconst", "--json"],
+        ["translate", "--mode", "foldconst", "--witness", "W"]]),
+    [], ["bogus"], ["--help"], ["--json"], ["reach", "--help"],
+    ["reach", "M", "--bogus"], ["reach", "M", "--target", "q2", "--bogus"],
+    ["reach", "M", "--target", "q2", "extra", "--bogus=3"], ["reach", "M"],
+    ["reach", "M", "--target", "q2", "--bound", "x"],
+    ["reach", "M", "--targ", "q2", "--bound", "3"],
+    # Abbreviated flags and --flag=value.
+    ["reach", "L", "--targ", "r", "--bound", "12", "--json"],
+    ["buchi", "L", "--acc", "r"], ["mc", "L", "--form", "F p", "--wit", "W"],
+    ["reach", "L", "--target=r", "--bound=12"], ["mc", "L", "--formula=F p"],
+    # --, -h and negative values.
+    ["reach", "--target", "r", "--", "L"],
+    ["reach", "L", "--target", "r", "--"],
+    ["reach", "L", "-h"], ["mc", "-h"], ["reach", "L", "--help"],
+    ["reach", "L", "--target", "r", "--bound", "-3"],
+    ["reach", "L", "--target", "r", "--cap", "-1"],
+    ["buchi", "L", "--accepting", "-r"], ["reach", "-1", "--target", "r"],
+    ["reach", "-q", "--target", "r"],
+    # A flag without its value, or with a flag for one.
+    ["reach", "L", "--target"], ["reach", "L", "--target", "--json"],
+    # Repeated flags, the first or the last one bad.
+    ["reach", "L", "--target", "r", "--bound", "x", "--bound", "3"],
+    ["reach", "L", "--target", "r", "--bound", "3", "--bound", "x"],
+    # A missing required flag, an extra positional, a bad int.
+    ["buchi", "L", "--bound", "1"], ["mc", "L", "--json"],
+    ["reach", "L", "L", "--target", "r"],
+    ["reach", "L", "--target", "r", "--cap", "1.5"],
+    ["reach", "L", "--target", "r", "--bound", ""],
+    ["translate", "M", "--mode", "bogus"],
+    ["check", "V", "L"], ["check", "V", "L", "F p"],
+    ["check", "V", "L", "G p", "--json"],
+]
+# Plain lines besides the benchmark's: the reader takes them itself.
+READ_LINES = [
+    *([argv[0], "M", *argv[1:]] for argv in [
+        ["mc", "--formula", "G p"],
+        ["translate", "--mode", "foldconst", "--target", "q", "--formula",
+         "G p"],
+        ["translate", "--mode", "foldconst", "--formula", "G p"],
+        ["translate", "--mode", "unary", "--target", "q"],
+        ["translate", "--mode", "a2a", "--target", "q", "--formula", "p"],
+        ["translate", "--mode", "buchi2reach", "--target", "q", "--formula",
+         "p"],
+        ["translate", "--mode", "foldconst"],
+        ["reach", "--target", "q2", "--bound", "3"]]),
+    ["reach", "--target", "q", "--target", "r", "L", "--json", "--json"],
+    ["reach", "L", "--target", "", "--bound", " 3"],
+    ["reach", "", "--target", "r"],
+    ["mc", "L", "--formula", "F  p", "--witness", "W"],
+]
+
+
+class TestPlainLines:
+    """`_parse` reads a plain command line from each command parser's own
+    table, and leaves any other line to argparse; either way `main` does
+    what argparse alone makes it do."""
+
+    @pytest.fixture
+    def line(self, write, tmp_path, capsys, monkeypatch):
+        """Puts the paths in a command line."""
+        monkeypatch.setenv("COLUMNS", "80")
+        paths = {"M": write("m.json", CLIMB_AND_TEST),
+                 "L": write("l.json", LOOP_TO_P),
+                 "V": str(tmp_path / "v.json"),
+                 "W": str(tmp_path / "w.json")}
+        assert main(["mc", paths["L"], "--formula", "F p",
+                     "--witness", paths["V"]]) == 0
+        capsys.readouterr()
+        return lambda argv: [paths.get(a, a) for a in argv]
+
+    @staticmethod
+    def _outcome(argv, capsys) -> tuple:
+        """What `main(argv)` returns or exits with, prints, and writes to
+        the witness file the line names, if any."""
+        written = argv[argv.index("--witness") + 1] if (
+            "--witness" in argv[:-1]) else None
+        if written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(written)
+        try:
+            code = main(argv)
+        except SystemExit as exited:
+            code = ("exit", exited.code)
+        witness = (pathlib.Path(written).read_text()
+                   if written and os.path.exists(written) else None)
+        return code, capsys.readouterr(), witness
+
+    @pytest.mark.parametrize("argv", [*PLAIN_LINES.values(), *READ_LINES,
+                                      *DECLINED_LINES])
+    def test_main_does_what_argparse_alone_does(self, argv, line, capsys,
+                                                monkeypatch):
+        argv = line(argv)
+        read = self._outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_read_plain", lambda command, tokens: None)
+        assert read == self._outcome(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [*PLAIN_LINES.values(), *READ_LINES])
+    def test_a_plain_line_gets_argparses_namespace(self, argv, line):
+        argv = line(argv)
+        command = build_parser()[1][argv[0]]
+        read = cli._read_plain(command, argv[1:])
+        assert read is not None
+        assert command.parse_known_args(argv[1:]) == (read, [])
+
+    @pytest.mark.parametrize("argv", DECLINED_LINES)
+    def test_any_other_line_is_left_to_argparse(self, argv, line):
+        argv = line(argv)
+        command = build_parser()[1].get(argv[0]) if argv else None
+        assert command is None or cli._read_plain(command, argv[1:]) is None
+
+    def test_random_lines_read_as_argparse_reads_them(self):
+        # Plain lines with random optional flags, half of them mutated by
+        # one token: whatever the reader takes, argparse takes alike.
+        rng = random.Random(11)
+        words = ["m.json", "r", "3", "-3", "x", "", "--", "-h", "--help",
+                 "--json", "--targ", "--bound=3", "--cap", "--target",
+                 "--formula", "--mode", "foldconst", "bogus", "1.5"]
+        _parser, commands = build_parser()
+        read = 0
+        for _ in range(2000):
+            name = rng.choice(["reach", "buchi", "mc", "translate"])
+            command = commands[name]
+            flags = [a for a in command._actions if a.option_strings
+                     and a.dest != "help"]
+            groups = [["m.json"]]
+            for action in rng.sample(flags, rng.randrange(len(flags) + 1)):
+                groups.append([action.option_strings[0]])
+                if action.nargs != 0:
+                    groups[-1] += [rng.choice(action.choices or
+                                              ["r", "3", "F p"])]
+            rng.shuffle(groups)
+            tokens = [token for group in groups for token in group]
+            if rng.random() < 0.5:
+                at = rng.randrange(len(tokens) + 1)
+                tokens[at:at + rng.randrange(2)] = [rng.choice(words)]
+            args = cli._read_plain(command, tokens)
+            if args is not None:
+                read += 1
+                assert command.parse_known_args(tokens) == (args, [])
+        assert read >= 200
+
+    @pytest.mark.parametrize("name", PLAIN_LINES)
+    def test_the_benchmarks_lines_skip_argparse(self, name, line, capsys,
+                                                monkeypatch):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counted)
+        assert main(line(PLAIN_LINES[name])) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "present"
+        assert calls == []
 
 
 def _readme_section(title: str) -> str:

@@ -70,6 +70,24 @@ class TestOpFormat:
             with pytest.raises(MachineError):
                 parse_op(text)
 
+    def test_a_text_read_again_gets_the_same_op(self):
+        for text in ["+3", "-1", "0", "=0", "=c:5", "<x:b_1"]:
+            # Built apart, so only an equal text is shared, not the object.
+            again = "".join(list(text))
+            assert parse_op(text) is parse_op(again)
+        assert parse_op("+01") == parse_op("+1")
+
+    def test_a_bad_text_fails_alike_on_every_call(self):
+        for text in ["+a", ">c:a", ">x:a-b", "*2"]:
+            errors = []
+            for _ in range(3):
+                with pytest.raises(MachineError) as raised:
+                    parse_op(text)
+                errors.append(raised.value)
+            # Raised anew each time, with the same message.
+            assert len({id(err) for err in errors}) == 3
+            assert len({str(err) for err in errors}) == 1
+
 
 class TestConstruction:
     def test_rejects_undeclared_param(self):
