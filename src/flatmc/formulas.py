@@ -181,7 +181,8 @@ def implies(left: Formula, right: Formula) -> Formula:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(->|[()&|!@.\[\]<=>]|[A-Za-z0-9_]+)")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"->|[()&|!@.\[\]<=>]|[A-Za-z0-9_]+")
 _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 
 # `parse` rejects formulas nested deeper than this, in the text (each
@@ -199,16 +200,14 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
+        pos = _SPACE.match(text).end()
         while pos < len(text):
-            if not text[pos:].strip():
-                break
             m = _TOKEN.match(text, pos)
             if m is None:
-                at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
+                raise FormulaSyntaxError(
+                    f"unexpected character {text[pos]!r}", pos)
+            self.tokens.append((m.group(), pos))
+            pos = _SPACE.match(text, m.end()).end()
         self.index = 0
         self.depth = 0
 

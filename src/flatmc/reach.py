@@ -62,7 +62,7 @@ import itertools
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from flatmc.machines import (
     ClassMismatch,
@@ -82,6 +82,9 @@ from flatmc.machines import (
     successors,
     validate_run,
 )
+
+if TYPE_CHECKING:  # only for annotations: reductions imports this module
+    from flatmc.reductions import DivergenceContext
 
 # Scales `default_bound`, the parameter bound used when none is given.
 DEFAULT_MULTIPLIER = 8
@@ -481,8 +484,10 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     projected back and validated against `machine`. Counter values are
     explored up to `ceiling`, defaulting to the largest of the bound, the
     range ends and the constants, plus headroom(machine, |Q|); below that
-    ceiling reachability is decided exactly. A negative limit, a range with
-    lo > hi, or one naming no parameter of `machine` is rejected.
+    ceiling reachability is decided exactly. A given ceiling at or below
+    that largest value is silently raised to one above it, so that every
+    value at which a test changes is explored. A negative limit, a range
+    with lo > hi, or one naming no parameter of `machine` is rejected.
 
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
@@ -542,7 +547,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
                 f"range of {x!r} must have 0 <= lo <= hi, got ({lo}, {hi})")
     expanded, origin = expand_updates(machine)
     tests = _param_tests(expanded)
-    constants = _constants(expanded)
+    constants = sorted({key for key, _rel in tests if isinstance(key, int)})
     ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
               **{c: (c, c) for c in constants}}
     highest = max([bound, *(hi for _lo, hi in ranges.values())])
@@ -680,40 +685,38 @@ def _level_search(machine: CounterMachine,
 # Repeated reachability for test-free machines
 # ---------------------------------------------------------------------------
 
-def plain_rep_lasso(machine: CounterMachine | StrippedMachine, start: str,
-                    good: str, need: int) -> Optional[LassoRun]:
+def plain_rep_lasso(context: DivergenceContext, start: str,
+                    good: str) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
-    infinitely often, for machines without any tests, a stripped machine
-    among them; its steps are the indices `outgoing` lists. `need` is the
-    least value from which a non-empty closed walk through `good` ends no
-    lower than it started (`DivergenceContext.need`). None if there is no
-    such lasso.
+    infinitely often, on the test-free machine of the divergence analysis
+    `context`; its steps are the indices `outgoing` lists. None if there is
+    no such lasso, at once if `context.need(good)` is None.
 
     The prefix is the first path of the search from (start, 0) to `good`
-    with a value of at least `need`; from there the closed walk, shifted up,
-    is a loop. The loop is the first path back to `good` with at least the
-    anchor's value, which pumps since every transition is an update. Paths
-    are tried with transitions in declaration order.
+    with a value of at least `need`, the least value from which a non-empty
+    closed walk through `good` ends no lower than it started; from there the
+    closed walk, shifted up, is a loop. The loop is the first path back to
+    `good` with at least the anchor's value, which pumps since every
+    transition is an update. Paths are tried with transitions in declaration
+    order.
 
-    Both searches enter only states from which `good` is reachable in the
-    control graph, each by a path of fewer than |Q| steps that lowers the
-    value by at most |Q| - 1 times the largest update K. So a search whose
-    end needs a value of at least v has an end within reach of every
-    configuration above v + (|Q| - 1) K. Either it finds an end, after
+    Both searches enter only states from which `good` is reachable on the
+    incoming edges of `context`, each by a path of fewer than |Q| steps that
+    lowers the value by at most |Q| - 1 times the largest update K. So a
+    search whose end needs a value of at least v has an end within reach of
+    every configuration above v + (|Q| - 1) K. Either it finds an end, after
     finitely many configurations, or it only meets values at most that high
     and stops."""
-    if any(not isinstance(t.op, Update) for q in machine.states
-           for _i, t in machine.outgoing(q)):
-        raise ClassMismatch("plain_rep_lasso requires a test-free machine")
+    machine = context.machine
     if start not in machine.states or good not in machine.states:
         raise MachineError("unknown state")
+    need = context.need(good)
+    if need is None:
+        return None
 
-    incoming: dict[str, list] = {q: [] for q in machine.states}
-    for q in machine.states:
-        for _i, t in machine.outgoing(q):
-            incoming[t.target].append((None, q))
     reaches: dict = {}
-    for _ in _bfs(good, incoming.__getitem__, lambda q: False, reaches):
+    for _ in _bfs(good, lambda q: [(None, p) for p, _d in context.incoming[q]],
+                  lambda q: False, reaches):
         pass  # with no ends, the search only fills `reaches`
 
     def steps(here: Config) -> list:

@@ -110,17 +110,18 @@ class DivergenceContext:
     edges there with their counter effects, and, in `component`, each
     state's strongly connected component (SCC) in the source's own control
     graph, tests included, or the empty set if it has no cycle. Built once
-    per machine and reused across accept states. The divergence machine
-    keeps a subset of the source's transitions, between the same states, so
-    a state's SCC there lies inside its SCC in the source: one SCC pass
-    serves the cycle filter, the copies of `buchi_to_reach` and `need`.
+    per machine, by `divergence_context` alone, and read by every divergence
+    question. The divergence machine keeps a subset of the source's
+    transitions, between the same states, so a state's SCC there lies inside
+    its SCC in the source: one SCC pass serves the cycle filter, the copies
+    of `buchi_to_reach` and `need`.
 
     A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
     a value at least `need(f)`, the least entry value of a non-empty closed
     walk through f with effect >= 0. Both are decided on the control graph
     by least-credit fixpoints (`_credits`), with no cap on counter values;
-    `plain_rep_lasso`, given `need(f)`, rebuilds a loop witness without one
-    either."""
+    `plain_rep_lasso` reads `need(f)` and the incoming edges here and
+    rebuilds a loop witness without one either."""
     machine: StrippedMachine
     component: Mapping[str, frozenset[str]]  # state -> its cyclic SCC, or {}
     incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
@@ -204,18 +205,15 @@ class BuchiReduction:
     context: DivergenceContext
 
 
-def divergence_context(machine: CounterMachine,
-                       component: Optional[Mapping[str, frozenset[str]]] = None
-                       ) -> DivergenceContext:
-    """Build the divergence analysis of `machine`: strip its tests for the
-    interval above every parameter and constant, where exactly the
-    greater-than tests hold, and index its control graph by incoming edge.
-    Each accept state is then analyzed on that graph, within its SCC in
-    `machine`, in time polynomial in its size and free of any counter cap
-    (see `DivergenceContext`). `component` is
-    `_control_components(machine)`, computed here if not given."""
-    if component is None:
-        component = _control_components(machine)
+def divergence_context(machine: CounterMachine) -> DivergenceContext:
+    """Build the divergence analysis of `machine` from the machine alone:
+    its control components, and its tests stripped for the interval above
+    every parameter and constant, where exactly the greater-than tests hold,
+    with the control graph indexed by incoming edge. Each accept state is
+    then analyzed on that graph, within its SCC in `machine`, in time
+    polynomial in its size and free of any counter cap (see
+    `DivergenceContext`)."""
+    component = _control_components(machine)
     stripped = _strip(machine, tuple(rel == ">" for _x, rel
                                      in _param_tests(machine)))
     incoming: dict[str, list] = {q: [] for q in stripped.states}
@@ -378,9 +376,9 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
     whose recorded loop entries contain the chain entry.
 
     In the divergence case the loop comes from `plain_rep_lasso` on the
-    test-free machine, given that state's `need`, computed once here: the
-    chain entry is one of its loop entries, so the search finds a loop from
-    it with no counter cap."""
+    reduction's divergence analysis, which reads that state's `need` once:
+    the chain entry is one of its loop entries, so the search finds a loop
+    from it with no counter cap."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
@@ -403,11 +401,9 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         cut = next(pos for pos, step in enumerate(run.steps)
                    if step >= len(source.transitions))
         anchor = run.configs[cut]
-        context = reduction.context
         accept_state = next(f for f in reduction.accepting
                             if anchor.state in reduction.entries[f])
-        base = plain_rep_lasso(context.machine, anchor.state, accept_state,
-                               context.need(accept_state))
+        base = plain_rep_lasso(reduction.context, anchor.state, accept_state)
         if base is None:
             raise AssertionError(
                 f"no divergence loop from {anchor.state!r} despite chain entry")
@@ -442,11 +438,12 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     """Decide whether some run of `machine` visits a state of `accepting`
     infinitely often under an instantiation of its parameters <= bound.
 
-    Constant tests are read in place and large updates expanded. If no
-    accepting state lies on a control cycle the answer is absent before any
-    divergence analysis is built. Otherwise one `buchi_to_reach` keeps those
-    on a cycle, the candidates, one `parametric_reach` call decides them
-    all, and the witness is projected back onto `machine`. The verdict is
+    Constant tests are read in place and large updates expanded. If the
+    divergence analysis, built first, puts no accepting state on a control
+    cycle, the answer is absent before the reduction is built. Otherwise one
+    `buchi_to_reach` on that analysis keeps those on a cycle, the
+    candidates, one `parametric_reach` call decides them all, and the
+    witness is projected back onto `machine`. The verdict is
     exact for each instantiation: under it the reduction reaches its target
     iff the reduction of some one candidate does. So the witness is the
     first instantiation, in `enumerate_gammas` order over the parameters and
@@ -457,8 +454,10 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
     max(bound, constants) + headroom(machine, |Q'|) for |Q'| = 2|Q| + 2 +
     |X| + |C| over the constants C, the size of a reduction with a full copy
     of the machine, whatever the size of the copies built; the stored value
-    y ranges up to `store_bound`, by default the ceiling. Negative limits
-    are rejected.
+    y ranges up to `store_bound`, by default the ceiling. `parametric_reach`
+    silently raises the ceiling to one above the largest of the bound, the
+    constants and `store_bound`, so by default it explores one value more.
+    Negative limits are rejected.
     """
     if min(bound, ceiling or 0, store_bound or 0) < 0:
         raise MachineError("bound, ceiling and store bound must be >= 0")
@@ -474,12 +473,11 @@ def repeated_reach(machine: CounterMachine, accepting, bound: int,
         ceiling = max([bound, *constants]) + headroom(machine, reduced)
     if store_bound is None:
         store_bound = ceiling
-    # Only states on a cycle of the control graph can repeat; the rest of
-    # the divergence analysis is built only if one is accepting.
-    component = _control_components(expanded)
-    if not any(component[q] for q in accepting):
+    # Only states on a cycle of the control graph can repeat; the reduction
+    # is built only if one is accepting.
+    context = divergence_context(expanded)
+    if not any(context.component[q] for q in accepting):
         return None
-    context = divergence_context(expanded, component)
     reduction = buchi_to_reach(expanded, *accepting, context=context)
     found = parametric_reach(reduction.machine, reduction.target, bound,
                              ranges={reduction.y: (0, store_bound)},

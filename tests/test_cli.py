@@ -253,6 +253,21 @@ class TestReach:
                      "--cap", "-5"]) == 2
         assert "--cap must be non-negative" in capsys.readouterr().err
 
+    def test_cap_below_the_bound_is_raised(self, write, tmp_path):
+        # The ceiling is raised to one above the largest of the bound, the
+        # range ends and the constants: under --cap 2 the run still climbs
+        # to 5, the bound, and passes >c:4 there.
+        data = {"states": ["a", "b"], "initial": "a",
+                "transitions": [{"from": "a", "op": "+1", "to": "a"},
+                                {"from": "a", "op": ">c:4", "to": "b"}]}
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        assert main(["reach", machine, "--target", "b", "--bound", "5",
+                     "--cap", "2", "--witness", out]) == 0
+        _gamma, run = witness_from_data(json.loads(open(out).read()))
+        assert run.configs[-2:] == (Config("a", 5), Config("b", 5))
+        assert main(["check", out, machine]) == 0
+
 
 MISTYPED = {
     "from": {"transitions": [{"from": 3, "op": "+1", "to": "q"}]},
@@ -503,6 +518,25 @@ class TestBuchi:
         assert set(gamma) == set(reduced.params)
         assert validate_run(reduced, gamma, run) is None
         assert run.configs[-1].state == emitted["target"]
+
+    def test_cap_at_the_end_of_the_stored_range_is_raised(self, write,
+                                                            tmp_path):
+        # The stored value y ranges up to the ceiling, 3, so the ceiling is
+        # raised to 4, one above that range's end and the constant of
+        # >c:3: the lasso climbs to 4 under --cap 3.
+        data = {"states": ["a", "f"], "initial": "a",
+                "transitions": [{"from": "a", "op": "+1", "to": "a"},
+                                {"from": "a", "op": ">c:3", "to": "f"},
+                                {"from": "f", "op": "0", "to": "f"}]}
+        machine = write("m.json", data)
+        out = str(tmp_path / "w.json")
+        assert main(["buchi", machine, "--accepting", "f", "--bound", "0",
+                     "--cap", "3", "--witness", out]) == 0
+        lasso = json.loads(open(out).read())
+        assert [(c["state"], c["value"]) for c in lasso["run"][-3:]] == \
+            [("a", 4), ("f", 4), ("f", 4)]
+        assert lasso["loop_start"] == 5
+        assert main(["check", out, machine]) == 0
 
     def test_divergence_loop_above_the_cap(self, write, tmp_path):
         # The chain is entered at (a, 1), above --cap 0, so the loop is

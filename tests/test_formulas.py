@@ -78,6 +78,34 @@ class TestParser:
             parse("p # q")
         assert info.value.position == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("p &  ", "unexpected end of formula (at 5)"),
+        ("p &\t\n", "unexpected end of formula (at 5)"),
+        ("p & \n\t \r\n", "unexpected end of formula (at 9)"),
+        ("p\xa0&\xa0", "unexpected end of formula (at 4)"),
+        ("  \t\n", "unexpected end of formula (at 4)"),
+        ("\xa0#", "unexpected character '#' (at 1)"),
+        ("p &\xa0 #", "unexpected character '#' (at 5)"),
+    ])
+    def test_whitespace_before_an_error(self, text, message):
+        # Any Unicode whitespace is skipped, U+00A0 too: the end of the
+        # formula is the end of the text, and a bad character is named at
+        # its own position, past the whitespace before it.
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_a_long_chain_is_read_in_linear_time(self):
+        # 520 KB of `p & p & ...`: reading it once sliced the rest of the
+        # text at every token, which took 4.6 s. CPU time of this process,
+        # so that the load of other processes does not count.
+        text = " & ".join(["p"] * 130_000)
+        started = time.process_time()
+        with pytest.raises(FormulaError,
+                           match="^formula nests deeper than 100 levels$"):
+            parse(text)
+        assert time.process_time() - started < 1.0
+
     def test_register_test_needs_relation(self):
         with pytest.raises(FormulaSyntaxError):
             parse("[r]")
@@ -85,7 +113,7 @@ class TestParser:
     def test_a_text_read_again_gets_the_same_formula(self):
         text = "@r. X ([=r] U !p) & q"
         assert parse(text) is parse(text)
-        assert parse(text) == parse(" " + text)
+        assert parse(text) == parse(" " + text) == parse(text + " \t\n\xa0")
 
     def test_a_bad_text_fails_alike_on_every_call(self):
         # The cache keeps no error: each call raises its own, the same one.

@@ -949,22 +949,19 @@ def _count_level_searches(monkeypatch) -> list:
 class TestPlainRepReach:
     def test_zero_loop(self):
         m = CounterMachine.build([("good", "0", "good")], initial="good")
-        assert plain_rep_lasso(m, "good", "good", 0) is not None
+        assert plain_rep_lasso(divergence_context(m), "good",
+                               "good") is not None
 
     def test_decrement_only(self):
         m = CounterMachine.build([("t", "-1", "t")], initial="t")
-        assert plain_rep_lasso(m, "t", "t", 0) is None
+        assert plain_rep_lasso(divergence_context(m), "t", "t") is None
 
     def test_round_trip_loop(self):
         m = CounterMachine.build(
             [("t", "+1", "t"), ("t", "0", "good"), ("good", "0", "t")],
             initial="t")
-        assert plain_rep_lasso(m, "t", "good", 0) is not None
-
-    def test_rejects_tests(self):
-        m = CounterMachine.build([("t", "=0", "t")], initial="t")
-        with pytest.raises(ClassMismatch):
-            plain_rep_lasso(m, "t", "t", 0)
+        assert plain_rep_lasso(divergence_context(m), "t",
+                               "good") is not None
 
     def test_search_with_no_end_stops(self, monkeypatch):
         # `a` climbs forever and never reaches `g`; the search must not
@@ -980,7 +977,7 @@ class TestPlainRepReach:
             return successors(*args)
 
         monkeypatch.setattr(reach_module, "successors", budgeted)
-        assert plain_rep_lasso(m, "a", "g", 0) is None
+        assert plain_rep_lasso(divergence_context(m), "a", "g") is None
 
     def test_agrees_with_core_oracle(self):
         # A lasso exactly when the brute-force oracle, which searches the
@@ -1001,10 +998,11 @@ class TestPlainRepReach:
             good = rng.choice(states)
             rebased = CounterMachine.build(triples, initial=start,
                                            extra_states=states)
-            need = divergence_context(m).need(good)
+            context = divergence_context(m)
+            need = context.need(good)
             cap = (need or 0) + 4 * len(states) + 1
             expected = rep_reach_oracle(rebased, {}, [good], cap)
-            got = plain_rep_lasso(m, start, good, need or 0)
+            got = plain_rep_lasso(context, start, good)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert validate_lasso(rebased, {}, got) is None

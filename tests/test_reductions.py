@@ -356,17 +356,17 @@ class TestRepeatedReach:
             repeated_reach(plain, ["r", "nowhere"], 3)
         assert repeated_reach(plain, ["r"], 3) is None
 
-    def test_no_divergence_analysis_without_a_candidate(self, monkeypatch):
+    def test_no_reduction_without_a_candidate(self, monkeypatch):
         # Neither accepting state lies on a cycle: the answer is absent
-        # before the divergence analysis is built.
+        # before the reduction is built.
         calls = []
-        original = reductions.divergence_context
+        original = reductions.buchi_to_reach
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(reductions, "divergence_context", counted)
+        monkeypatch.setattr(reductions, "buchi_to_reach", counted)
         m = CounterMachine.build([("a", "+1", "b"), ("b", "-1", "c"),
                                   ("c", "0", "c")], initial="a")
         assert repeated_reach(m, ["a", "b"], 3) is None
@@ -585,11 +585,9 @@ class TestDivergenceContext:
             context = divergence_context(m)
             free = context.machine
             for f in sorted(free.states):
-                need = context.need(f)
                 entries = context.loop_entries(f)
                 for q in sorted(free.states):
-                    lasso = plain_rep_lasso(free, q, f,
-                                            0 if need is None else need)
+                    lasso = plain_rep_lasso(context, q, f)
                     assert (lasso is not None) == (q in entries), (m, f, q)
                     if lasso is None:
                         continue
