@@ -30,6 +30,12 @@ them and its exits are searched once. Instantiations are still tried one at
 a time in the documented order, so the first witness is the same as without
 sharing.
 
+A target that the control graph does not reach from the initial state is
+absent before anything is expanded or searched. An interval of width 1 has
+no interior value, so its exits are those of its +1 and -1 steps alone,
+the same under every test pattern: it is searched on one pattern, shared
+by all.
+
 Before any instantiation is tried, one search decides the whole box of
 parameter ranges at once, on a relaxed machine in which a parameter test
 fires wherever some value in the parameter's range lets it fire. The relaxed
@@ -489,6 +495,10 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     value at which a test changes is explored. A negative limit, a range
     with lo > hi, or one naming no parameter of `machine` is rejected.
 
+    A target that no path of the control graph reaches from the initial
+    state is absent before any search, and before updates are expanded:
+    every run is such a path, and a present answer ends at the target.
+
     When the ranges hold more than one instantiation, one level search on
     the whole box of ranges runs first, and if it finds no run, the answer
     is absent. Otherwise the instantiations are tried in the order of
@@ -545,6 +555,16 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         if not 0 <= lo <= hi:
             raise MachineError(
                 f"range of {x!r} must have 0 <= lo <= hi, got ({lo}, {hi})")
+    # Every run is a path of the control graph.
+    reached = {machine.initial}
+    work = [machine.initial]
+    while work and target not in reached:
+        for _i, t in machine.outgoing(work.pop()):
+            if t.target not in reached:
+                reached.add(t.target)
+                work.append(t.target)
+    if target not in reached:
+        return None
     expanded, origin = expand_updates(machine)
     tests = _param_tests(expanded)
     constants = sorted({key for key, _rel in tests if isinstance(key, int)})
@@ -617,15 +637,25 @@ def _level_search(machine: CounterMachine,
     keyed by start state, start side and interval width. An exit is stored
     relative to the lower end of its interval; its steps are transitions of
     `machine`, since a stripped machine keeps their indices. Exits stop at
-    `target`, so one memo serves one target."""
+    `target`, so one memo serves one target.
+
+    An interval of width 1 is searched on the all-False pattern, whatever
+    its tests read: it has no interior value, so from its lower end only a
+    +1 step exits and from its upper end only a -1 step, and a test or a
+    0-update stays on the start's own value, which `_segment_exits` never
+    counts as an exit. Its exits, and their order, are the same under every
+    pattern, and every unit interval shares one strip and one memo entry."""
     level_values = sorted({0, top, *levels, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
     entries: dict[int, tuple[StrippedMachine, dict]] = {}
+    unit = (False,) * len(tests)
 
     def exits_from(here: Config, segment: int) -> list:
         if segment not in entries:
-            pattern = _test_pattern(tests, box, level_values[segment])
+            low = level_values[segment]
+            pattern = (unit if level_values[segment + 1] - low == 1
+                       else _test_pattern(tests, box, low))
             entry = memo.get(pattern)
             if entry is None:
                 entry = memo[pattern] = (_strip(machine, pattern), {})

@@ -121,10 +121,30 @@ class DivergenceContext:
     walk through f with effect >= 0. Both are decided on the control graph
     by least-credit fixpoints (`_credits`), with no cap on counter values;
     `plain_rep_lasso` reads `need(f)` and the incoming edges here and
-    rebuilds a loop witness without one either."""
-    machine: StrippedMachine
+    rebuilds a loop witness without one either.
+
+    Only `component` is built at once: the divergence machine and its
+    incoming edges are built from `source` when first read, so a machine
+    with no accepting state on a cycle strips nothing."""
+    source: CounterMachine
     component: Mapping[str, frozenset[str]]  # state -> its cyclic SCC, or {}
-    incoming: Mapping[str, tuple[tuple[str, int], ...]]  # (source, effect)
+
+    @functools.cached_property
+    def machine(self) -> StrippedMachine:
+        """The source's tests stripped for the interval above every
+        parameter and constant, where exactly the greater-than tests
+        hold."""
+        return _strip(self.source, tuple(rel == ">" for _x, rel
+                                         in _param_tests(self.source)))
+
+    @functools.cached_property
+    def incoming(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
+        """Each state's incoming edges in `machine`, as (source, effect)."""
+        incoming: dict[str, list] = {q: [] for q in self.machine.states}
+        for q in sorted(self.machine.states):
+            for _i, t in self.machine.outgoing(q):
+                incoming[t.target].append((q, t.op.delta))
+        return {q: tuple(edges) for q, edges in incoming.items()}
 
     def _credits(self, goal: str, value: int,
                  scc: Optional[frozenset[str]] = None) -> dict[str, int]:
@@ -207,22 +227,14 @@ class BuchiReduction:
 
 def divergence_context(machine: CounterMachine) -> DivergenceContext:
     """Build the divergence analysis of `machine` from the machine alone:
-    its control components, and its tests stripped for the interval above
-    every parameter and constant, where exactly the greater-than tests hold,
-    with the control graph indexed by incoming edge. Each accept state is
-    then analyzed on that graph, within its SCC in `machine`, in time
-    polynomial in its size and free of any counter cap (see
-    `DivergenceContext`)."""
-    component = _control_components(machine)
-    stripped = _strip(machine, tuple(rel == ">" for _x, rel
-                                     in _param_tests(machine)))
-    incoming: dict[str, list] = {q: [] for q in stripped.states}
-    for q in sorted(stripped.states):
-        for _i, t in stripped.outgoing(q):
-            incoming[t.target].append((q, t.op.delta))
-    return DivergenceContext(
-        machine=stripped, component=component,
-        incoming={q: tuple(edges) for q, edges in incoming.items()})
+    its control components now, and on first read its tests stripped for
+    the interval above every parameter and constant, where exactly the
+    greater-than tests hold, with the control graph indexed by incoming
+    edge. Each accept state is then analyzed on that graph, within its SCC
+    in `machine`, in time polynomial in its size and free of any counter
+    cap (see `DivergenceContext`)."""
+    return DivergenceContext(source=machine,
+                             component=_control_components(machine))
 
 
 def _control_components(machine: CounterMachine

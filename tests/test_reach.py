@@ -803,7 +803,7 @@ class TestSliceRefinement:
                            for xs in fixed)
                 dead += sum(len(xs) == 1 and run is None
                             for xs, (_box, run) in zip(fixed, searches))
-                if searches[0][1] is not None:
+                if searches and searches[0][1] is not None:
                     skipped += tried - fixed.count(list(ranges))
         assert compared >= 1200 and hits >= 300
         assert dead >= 20 and skipped >= 150
@@ -931,6 +931,89 @@ class TestExtraLevels:
         monkeypatch.setattr(reach_module, "_level_search", counted)
         assert parametric_reach(m, "b", 3) is not None
         assert calls == [()]
+
+
+def _control_reach(machine: CounterMachine) -> set[str]:
+    """The states some path of the control graph reaches from the initial
+    state, tests and counter ignored."""
+    seen = {machine.initial}
+    todo = [machine.initial]
+    while todo:
+        here = todo.pop()
+        for t in machine.transitions:
+            if t.source == here and t.target not in seen:
+                seen.add(t.target)
+                todo.append(t.target)
+    return seen
+
+
+class TestControlGraph:
+    def test_unreachable_target_needs_no_search(self, monkeypatch):
+        # t is entered only from u, which no transition enters. Nothing is
+        # searched, and nothing is expanded either: the update of a billion
+        # would be refused by the expansion limit.
+        m = CounterMachine.build(
+            [("q", "+1", "q"), ("q", "=x:x", "q"), ("u", "=x:x", "t"),
+             ("u", "+1000000000", "t")], initial="q", params=["x"])
+        boxes = _count_level_searches(monkeypatch)
+        assert parametric_reach(m, "t", 12) is None
+        assert boxes == []
+
+    def test_verdicts_match_the_oracle(self):
+        # Whether the target is reached in the control graph or not, the
+        # verdict is the brute-force search's under some instantiation, at
+        # the ceiling the solver explores.
+        rng = random.Random(3030)
+        bound = 2
+        unreachable = present = 0
+        for _ in range(200):
+            m = random_machine(rng, max_states=5, max_params=2, density=1.5,
+                               with_consts=True)
+            target = rng.choice(sorted(m.states))
+            ceiling = rng.choice((None, 6))
+            got = parametric_reach(m, target, bound, ceiling=ceiling)
+            constants = [t.op.const for t in m.transitions
+                         if isinstance(t.op, ConstTest)]
+            highest = max([bound, *constants])
+            top = max(highest + len(m.states) ** 3 if ceiling is None
+                      else ceiling, highest + 1)
+            expected = any(
+                bounded_reach_oracle(m, gamma, target, top) is not None
+                for gamma in all_gammas(m.params, bound))
+            assert (got is not None) == expected, (m, target)
+            unreachable += target not in _control_reach(m)
+            present += got is not None
+        assert unreachable >= 60 and present >= 80
+
+
+class TestUnitIntervals:
+    def test_exits_are_those_of_the_all_false_pattern(self):
+        # An interval of width 1 has no interior value, so its exits, and
+        # their order, do not depend on which tests hold: from either end,
+        # with or without a target. At width 2 the interior value lets a
+        # holding test matter, so there they do.
+        rng = random.Random(4040)
+        compared = to_target = differ_at_two = 0
+        for _ in range(150):
+            m = random_machine(rng, max_states=4, max_params=2, density=2.5,
+                               with_consts=True)
+            tests = _param_tests(m)
+            none = _strip(m, (False,) * len(tests))
+            for _ in range(3):
+                strip = _strip(m, tuple(rng.random() < 0.5 for _ in tests))
+                for q, side, target in itertools.product(
+                        sorted(m.states), (0, 1), (None, *sorted(m.states))):
+                    got = _segment_exits(strip, Config(q, side), 0, 1, target)
+                    want = _segment_exits(none, Config(q, side), 0, 1, target)
+                    assert list(got.items()) == list(want.items())
+                    compared += 1
+                    to_target += any(c.state == target for c in got)
+                    differ_at_two += (
+                        list(_segment_exits(strip, Config(q, 2 * side), 0, 2,
+                                            target).items())
+                        != list(_segment_exits(none, Config(q, 2 * side), 0,
+                                               2, target).items()))
+        assert compared >= 8000 and to_target >= 300 and differ_at_two >= 150
 
 
 def _count_level_searches(monkeypatch) -> list:
