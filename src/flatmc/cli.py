@@ -48,9 +48,15 @@ class InputError(Exception):
 
 
 def _load_json(path: str):
+    """The JSON value of the file at `path`, read as text mode reads it:
+    its bytes, read at once, are decoded as UTF-8, and CRLF and CR line
+    ends become LF, so an error's position is the one text mode gives."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:

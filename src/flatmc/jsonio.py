@@ -56,6 +56,18 @@ def _strings(value: Any, what: str) -> list[str]:
     return value
 
 
+def _transition_fault(i: int, entry: Any) -> str:
+    """What is wrong with transition `i`, an `entry` that is not an object
+    of the three strings "from", "op" and "to"."""
+    if not isinstance(entry, dict) or not entry.keys() <= _TRANSITION_KEYS:
+        return f"malformed transition object at index {i}"
+    # In a fixed order, so a transition missing two keys is reported alike
+    # whatever the string hash seed.
+    key = next(key for key in ("from", "op", "to")
+               if not isinstance(entry.get(key), str))
+    return f"transition {i} needs a string {key!r}"
+
+
 def machine_from_data(data: Any) -> CounterMachine:
     if not isinstance(data, dict):
         raise MachineError("machine file must be a JSON object")
@@ -80,15 +92,12 @@ def machine_from_data(data: Any) -> CounterMachine:
         raise MachineError("transitions must be a list")
     transitions = []
     for i, entry in enumerate(data["transitions"]):
-        if not isinstance(entry, dict) or not entry.keys() <= _TRANSITION_KEYS:
-            raise MachineError(f"malformed transition object at index {i}")
-        source, op, target = (entry.get("from"), entry.get("op"),
-                              entry.get("to"))
-        # In a fixed order, so a transition missing two keys is reported
-        # alike whatever the string hash seed.
-        for key, value in (("from", source), ("op", op), ("to", target)):
-            if not isinstance(value, str):
-                raise MachineError(f"transition {i} needs a string {key!r}")
+        # Three keys, each of them one of the three strings.
+        if not (isinstance(entry, dict) and len(entry) == 3
+                and isinstance(source := entry.get("from"), str)
+                and isinstance(op := entry.get("op"), str)
+                and isinstance(target := entry.get("to"), str)):
+            raise MachineError(_transition_fault(i, entry))
         transitions.append(Transition(source, parse_op(op), target))
     return CounterMachine(
         states=listed, initial=data["initial"],

@@ -109,6 +109,17 @@ def format_op(op: Op) -> str:
     return f"{op.rel}x:{op.param}"
 
 
+def _test_key(op: Op) -> str | int | None:
+    """The key of a test in a box of ranges: a parameter's name, or the
+    constant c of a constant test other than =0, whose range is (c, c).
+    None for an update or a zero test."""
+    if isinstance(op, ParamTest):
+        return op.param
+    if isinstance(op, ConstTest) and (op.const or op.rel != "="):
+        return op.const
+    return None
+
+
 @dataclass(frozen=True)
 class Transition:
     source: str
@@ -125,13 +136,32 @@ class Config(NamedTuple):
 Gamma = Mapping[str, int]
 
 
+class MachineClass(Enum):
+    OCA = "OCA"
+    OCA_S = "OCA(S)"
+    OCA_P = "OCA(P)"
+    OCA_PC = "OCA(P,C)"
+    OCA_SP = "OCA(S,P)"
+    OCA_SPC = "OCA(S,P,C)"
+
+
+# The classes whose updates are all in {-1, 0, +1}.
+UNARY_CLASSES = frozenset({MachineClass.OCA, MachineClass.OCA_P,
+                           MachineClass.OCA_PC})
+
+
 @dataclass(frozen=True)
 class CounterMachine:
     """An immutable one-counter machine with parameterized and constant tests.
 
     `params` is ordered; `labels` maps every state to a finite set of
     propositions (defaulting to the empty set). Invariants are checked once at
-    construction time.
+    construction time, in the one pass over the transitions that also
+    records what later questions read of them: each state's outgoing
+    transitions (`outgoing`), the machine's class (`classify`), and its
+    tests, the key (see `_test_key`) and relation of each parameter test
+    and each constant test other than =0, in transition order
+    (`_param_tests`).
     """
 
     states: frozenset[str]
@@ -140,6 +170,10 @@ class CounterMachine:
     transitions: tuple[Transition, ...]
     labels: Mapping[str, frozenset[str]]
     _outgoing: Mapping[str, tuple[tuple[int, Transition], ...]] = field(
+        init=False, repr=False, compare=False, hash=False)
+    _class: MachineClass = field(
+        init=False, repr=False, compare=False, hash=False)
+    _tests: tuple[tuple[str | int, str], ...] = field(
         init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -154,22 +188,34 @@ class CounterMachine:
         if self.initial not in self.states:
             raise MachineError(f"initial state {self.initial!r} not in states")
         declared = set(self.params)
+        outgoing: dict[str, list[tuple[int, Transition]]] = {
+            q: [] for q in self.states}
+        tests = []
+        unary, constants = True, False
         for i, t in enumerate(self.transitions):
             if t.source not in self.states or t.target not in self.states:
                 raise MachineError(
                     f"transition {i} has an endpoint not in states")
-            if isinstance(t.op, ParamTest):
-                if t.op.rel not in RELATIONS:
+            op = t.op
+            if isinstance(op, Update):
+                unary = unary and -1 <= op.delta <= 1
+            elif isinstance(op, ParamTest):
+                if op.rel not in RELATIONS:
                     raise MachineError(f"bad relation in {t}")
-                if t.op.param not in declared:
-                    raise MachineError(f"undeclared parameter {t.op.param!r}")
-            elif isinstance(t.op, ConstTest):
-                if t.op.rel not in RELATIONS:
+                if op.param not in declared:
+                    raise MachineError(f"undeclared parameter {op.param!r}")
+                tests.append((op.param, op.rel))
+            elif isinstance(op, ConstTest):
+                if op.rel not in RELATIONS:
                     raise MachineError(f"bad relation in {t}")
-                if t.op.const < 0:
+                if op.const < 0:
                     raise MachineError(f"negative constant in {t}")
-            elif not isinstance(t.op, Update):
+                if _test_key(op) is not None:
+                    tests.append((op.const, op.rel))
+                    constants = True
+            else:
                 raise MachineError(f"unknown op in {t}")
+            outgoing[t.source].append((i, t))
         normalized = {}
         for q, props in self.labels.items():
             if q not in self.states:
@@ -182,11 +228,16 @@ class CounterMachine:
         for q in self.states:
             normalized.setdefault(q, frozenset())
         object.__setattr__(self, "labels", normalized)
-        outgoing: dict[str, list[tuple[int, Transition]]] = {q: [] for q in self.states}
-        for i, t in enumerate(self.transitions):
-            outgoing[t.source].append((i, t))
         object.__setattr__(
             self, "_outgoing", {q: tuple(ts) for q, ts in outgoing.items()})
+        object.__setattr__(self, "_tests", tuple(tests))
+        if constants:
+            kind = MachineClass.OCA_PC if unary else MachineClass.OCA_SPC
+        elif self.params:
+            kind = MachineClass.OCA_P if unary else MachineClass.OCA_SP
+        else:
+            kind = MachineClass.OCA if unary else MachineClass.OCA_S
+        object.__setattr__(self, "_class", kind)
 
     @classmethod
     def build(cls, transitions: Iterable[tuple[str, Union[str, Op], str]],
@@ -230,31 +281,21 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # Classification and size
 # ---------------------------------------------------------------------------
 
-class MachineClass(Enum):
-    OCA = "OCA"
-    OCA_S = "OCA(S)"
-    OCA_P = "OCA(P)"
-    OCA_PC = "OCA(P,C)"
-    OCA_SP = "OCA(S,P)"
-    OCA_SPC = "OCA(S,P,C)"
+def _param_tests(machine: CounterMachine) -> tuple[tuple[str | int, str], ...]:
+    """The key (see `_test_key`) and relation of each parameter test and
+    each constant test other than =0 of `machine`, in transition order, as
+    the constructor records them."""
+    return machine._tests
 
 
 def classify(machine: CounterMachine) -> MachineClass:
-    """The tightest machine class: unary iff all updates are in {-1, 0, +1},
-    zero-test-only iff every constant test is exactly =0, parameterless iff no
-    parameters are declared. There is no class with constants but without
-    parameters, so constant tests force the (P,C) classes.
+    """The tightest machine class, as the constructor records it: unary iff
+    all updates are in {-1, 0, +1}, zero-test-only iff every constant test
+    is exactly =0, parameterless iff no parameters are declared. There is no
+    class with constants but without parameters, so constant tests force
+    the (P,C) classes.
     """
-    unary = all(abs(t.op.delta) <= 1 for t in machine.transitions
-                if isinstance(t.op, Update))
-    zero_only = all(t.op == ConstTest("=", 0) for t in machine.transitions
-                    if isinstance(t.op, ConstTest))
-    has_params = bool(machine.params)
-    if zero_only:
-        if not has_params:
-            return MachineClass.OCA if unary else MachineClass.OCA_S
-        return MachineClass.OCA_P if unary else MachineClass.OCA_SP
-    return MachineClass.OCA_PC if unary else MachineClass.OCA_SPC
+    return machine._class
 
 
 def _ceil_log2(n: int) -> int:

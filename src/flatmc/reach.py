@@ -71,18 +71,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from flatmc.machines import (
+    UNARY_CLASSES,
     ClassMismatch,
     Config,
-    ConstTest,
     CounterMachine,
     LassoRun,
     MachineClass,
     MachineError,
-    Op,
     ParamTest,
     Run,
     Transition,
     Update,
+    _param_tests,
+    _test_key,
     classify,
     fresh_name,
     successors,
@@ -251,24 +252,6 @@ class StrippedMachine:
         return self._outgoing[state]
 
 
-def _test_key(op: Op) -> str | int | None:
-    """The key of a test in a box of ranges: a parameter's name, or the
-    constant c of a constant test other than =0, whose range is (c, c).
-    None for an update or a zero test."""
-    if isinstance(op, ParamTest):
-        return op.param
-    if isinstance(op, ConstTest) and (op.const or op.rel != "="):
-        return op.const
-    return None
-
-
-def _param_tests(machine: CounterMachine) -> tuple[tuple[str | int, str], ...]:
-    """The key (see `_test_key`) and relation of each parameter test and
-    each constant test other than =0 of `machine`, in transition order."""
-    return tuple((key, t.op.rel) for t in machine.transitions
-                 if (key := _test_key(t.op)) is not None)
-
-
 def _constants(machine: CounterMachine) -> list[int]:
     """The constants of the tests other than =0, once each, ascending."""
     return sorted({key for key, _rel in _param_tests(machine)
@@ -356,10 +339,10 @@ def expand_updates(machine: CounterMachine) -> tuple[CounterMachine, dict[int, i
     source step does. An update of k adds k - 1 states: pseudo-polynomial,
     so an expansion of more than MAX_EXPANDED_STATES states is refused
     before it is built."""
+    if classify(machine) in UNARY_CLASSES:
+        return machine, {i: i for i in range(len(machine.transitions))}
     sizes = [abs(t.op.delta) if isinstance(t.op, Update) else 0
              for t in machine.transitions]
-    if max(sizes, default=0) <= 1:
-        return machine, {i: i for i in range(len(sizes))}
     size = len(machine.states) + sum(k - 1 for k in sizes if k >= 2)
     if size > MAX_EXPANDED_STATES:
         raise MachineError(
@@ -398,11 +381,11 @@ def headroom(machine: CounterMachine, states: int) -> int:
     downward crossing; a run ending above both drops its tail the same way
     by its upward label alone. So some run to the target ends at most
     H + k + u and peaks at most u * d above that."""
+    if classify(machine) in UNARY_CLASSES:
+        return states ** 3
     deltas = [t.op.delta for t in machine.transitions
               if isinstance(t.op, Update)]
-    k = max(map(abs, deltas), default=0)
-    if k <= 1:
-        return states ** 3
+    k = max(map(abs, deltas))
     up = min(k * states, sum(delta for delta in deltas if delta > 0))
     down = min(k * states, -sum(delta for delta in deltas if delta < 0))
     return max(k * states ** 3, k + up + up * down)
@@ -567,7 +550,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
         return None
     expanded, origin = expand_updates(machine)
     tests = _param_tests(expanded)
-    constants = sorted({key for key, _rel in tests if isinstance(key, int)})
+    constants = _constants(expanded)
     ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
               **{c: (c, c) for c in constants}}
     highest = max([bound, *(hi for _lo, hi in ranges.values())])
@@ -644,7 +627,13 @@ def _level_search(machine: CounterMachine,
     +1 step exits and from its upper end only a -1 step, and a test or a
     0-update stays on the start's own value, which `_segment_exits` never
     counts as an exit. Its exits, and their order, are the same under every
-    pattern, and every unit interval shares one strip and one memo entry."""
+    pattern, and every unit interval shares one strip and one memo entry.
+
+    A start on the lower end with no +1 step in its strip, or on the upper
+    end with no -1 step, has no exit and is not searched. Only such a step
+    reaches an interior value or the opposite end: from the start, a
+    0-update stays on its value, which never counts as an exit, and the
+    other unit step leaves [lo, hi]."""
     level_values = sorted({0, top, *levels, *itertools.chain(*box.values())})
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
@@ -665,10 +654,15 @@ def _level_search(machine: CounterMachine,
         from_lo = here.value == level_values[segment]
         key = (here.state, from_lo, width)
         if key not in exits:
-            start = Config(here.state, 0 if from_lo else width)
-            exits[key] = [(end, run.configs[1:], run.steps) for end, run
-                          in _segment_exits(strip, start, 0, width,
-                                            target).items()]
+            inward = 1 if from_lo else -1
+            if not any(t.op.delta * inward > 0
+                       for _i, t in strip.outgoing(here.state)):
+                exits[key] = []
+            else:
+                start = Config(here.state, 0 if from_lo else width)
+                exits[key] = [(end, run.configs[1:], run.steps) for end, run
+                              in _segment_exits(strip, start, 0, width,
+                                                target).items()]
         return exits[key]
 
     def stays(op, value: int) -> bool:

@@ -66,6 +66,7 @@ from flatmc.formulas import (
     true_formula,
 )
 from flatmc.machines import (
+    UNARY_CLASSES,
     ClassMismatch,
     Config,
     ConstTest,
@@ -76,6 +77,7 @@ from flatmc.machines import (
     ParamTest,
     Transition,
     Update,
+    _param_tests,
     classify,
     fresh_name,
     validate_lasso,
@@ -84,7 +86,6 @@ from flatmc.reach import (
     ReachWitness,
     StrippedMachine,
     _constants,
-    _param_tests,
     _project,
     _strip,
     expand_updates,
@@ -327,8 +328,7 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
     its first witness is the first instantiation under which some state
     repeats.
     """
-    if classify(machine) not in (MachineClass.OCA, MachineClass.OCA_P,
-                                 MachineClass.OCA_PC):
+    if classify(machine) not in UNARY_CLASSES:
         raise ClassMismatch("buchi_to_reach requires unary updates")
     _require_accepting(machine, accepting)
     if context is None:

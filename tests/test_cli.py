@@ -193,6 +193,44 @@ class TestMachineFormat:
         assert capsys.readouterr().err == f"error: {machine}{message}\n"
 
 
+class TestMachineLoader:
+    """A machine file is read as UTF-8 text with universal newlines, as
+    `open(path, encoding="utf-8")` reads it, and a bad op in it fails on
+    every load."""
+
+    @pytest.mark.parametrize("encoded,message", [
+        # A lone CR ends a line, as CRLF does.
+        (b'{\r  "states": [\r  x',
+         " is not valid JSON: Expecting value: line 3 column 3 (char 18)"),
+        # CR CR LF is two line ends: a lone CR, then a CRLF.
+        (b'{\r\r\n  "states": [\r\r\n  x',
+         " is not valid JSON: Expecting value: line 5 column 3 (char 20)"),
+        # A position past the first 8 KB counts from the start of the file.
+        (b'{"states": ["' + b"a" * 9000 + b'\xff"]}',
+         ": 'utf-8' codec can't decode byte 0xff in position 9013: invalid "
+         "start byte"),
+        (b'{"states": ["' + b"a" * 8178 + b'\xe2\x82x"]}',
+         ": 'utf-8' codec can't decode bytes in position 8191-8192: invalid "
+         "continuation byte"),
+    ], ids=["lone-cr", "cr-crlf", "past-8-kb", "across-8-kb"])
+    def test_error_positions_are_those_of_text_mode(self, encoded, message,
+                                                    tmp_path, capsys):
+        machine = tmp_path / "m.json"
+        machine.write_bytes(encoded)
+        assert main(["reach", str(machine), "--target", "q"]) == 2
+        assert capsys.readouterr().err == f"error: {machine}{message}\n"
+
+    def test_a_bad_op_fails_on_every_load(self, write, capsys):
+        machine = write("m.json", _with_transition(op="+a"))
+        for _ in range(3):
+            assert main(["reach", machine, "--target", "q"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {machine}: malformed update op: '+a'\n")
+            data = json.loads(pathlib.Path(machine).read_text())
+            with pytest.raises(MachineError, match="malformed update op"):
+                machine_from_data(data)
+
+
 class TestReach:
     def test_present_with_minimal_gamma(self, write, tmp_path):
         machine = write("m.json", CLIMB_AND_TEST)

@@ -9,6 +9,8 @@ import re
 import pytest
 
 import flatmc
+from flatmc.formulas import nnf, parse
+from flatmc.jsonio import machine_from_data, machine_to_data
 from flatmc.machines import (
     Config,
     ConstTest,
@@ -30,7 +32,48 @@ from flatmc.machines import (
     validate_lasso,
     validate_run,
 )
+from flatmc.reach import (
+    _constants,
+    _param_tests,
+    expand_updates,
+    fold_constants,
+)
+from flatmc.reductions import (
+    buchi_to_reach,
+    flat_mc_to_buchi,
+    succinct_to_unary,
+)
 from tests.gen import random_machine
+
+# Flat sentences, with and without registers, for the tableau product and
+# the unary reduction.
+MC_FORMULAS = ("G F p", "p U q", "F @r. G(p -> [>r] | [=r])",
+               "@r. G F [=r]", "G(p -> F q)")
+
+
+def _class_of(machine: CounterMachine) -> MachineClass:
+    """The class of `machine`, read off its transitions."""
+    unary = all(abs(t.op.delta) <= 1 for t in machine.transitions
+                if isinstance(t.op, Update))
+    zero_only = all(t.op == ConstTest("=", 0) for t in machine.transitions
+                    if isinstance(t.op, ConstTest))
+    if not zero_only:
+        return MachineClass.OCA_PC if unary else MachineClass.OCA_SPC
+    if machine.params:
+        return MachineClass.OCA_P if unary else MachineClass.OCA_SP
+    return MachineClass.OCA if unary else MachineClass.OCA_S
+
+
+def _tests_of(machine: CounterMachine) -> tuple:
+    """The (key, relation) of each parameter test and each constant test
+    other than =0, in transition order, read off the transitions."""
+    tests = []
+    for t in machine.transitions:
+        if isinstance(t.op, ParamTest):
+            tests.append((t.op.param, t.op.rel))
+        elif isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0):
+            tests.append((t.op.const, t.op.rel))
+    return tuple(tests)
 
 
 # Independent per-kind guard evaluators, used to re-check successors
@@ -247,6 +290,52 @@ class TestClassify:
                 extra_states=m.states)
             after = CLASS_FLAGS[classify(bigger)]
             assert before <= after
+
+
+class TestRecordedFacts:
+    """The constructor records a machine's class and tests in its one pass
+    over the transitions; what `classify`, `_param_tests`, `_constants` and
+    `expand_updates` read of them must be what the transitions say, for
+    every way a machine is made."""
+
+    @staticmethod
+    def _machines():
+        """Seeded machines of every class, each with the machines that the
+        library derives from it."""
+        rng = random.Random(9090)
+        for n in range(120):
+            m = random_machine(rng, max_params=n % 3,
+                               with_consts=n % 2 == 0,
+                               with_labels=True, max_update=1 + n % 4)
+            yield m
+            yield machine_from_data(machine_to_data(m))
+            yield fold_constants(m)[0]
+            expanded = expand_updates(m)[0]
+            yield expanded
+            yield fold_constants(expanded)[0]
+            accepting = rng.choice(sorted(m.states))
+            yield buchi_to_reach(expanded, accepting).machine
+        for n in range(40):
+            m = random_machine(rng, max_params=0, with_labels=True,
+                               max_update=1 + n % 3)
+            phi = nnf(parse(MC_FORMULAS[n % len(MC_FORMULAS)]))
+            yield succinct_to_unary(m, phi).machine
+            yield flat_mc_to_buchi(m, phi).instance.machine
+
+    def test_records_match_the_transitions(self):
+        seen = set()
+        for m in self._machines():
+            kind = _class_of(m)
+            tests = _tests_of(m)
+            assert classify(m) is kind
+            assert _param_tests(m) == tests
+            assert _constants(m) == sorted({key for key, _rel in tests
+                                            if isinstance(key, int)})
+            unary = kind in (MachineClass.OCA, MachineClass.OCA_P,
+                             MachineClass.OCA_PC)
+            assert (expand_updates(m)[0] is m) == unary
+            seen.add(kind)
+        assert seen == set(MachineClass)
 
 
 class TestSize:

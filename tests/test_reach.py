@@ -650,6 +650,67 @@ class TestSharedIntervalWork:
         assert boxes >= 60
 
 
+class TestSkippedIntervalSearches:
+    def test_a_start_with_no_inward_step_has_no_exit(self):
+        # From the lower end only a +1 step reaches an interior value or
+        # the upper end, and from the upper end only a -1 step: a start
+        # without one has no exit at any width, with or without a target,
+        # so the level search records none without searching.
+        rng = random.Random(5252)
+        skipped = searched = 0
+        for _ in range(200):
+            strip = _random_test_free(rng)
+            states = sorted(strip.states)
+            for q, from_lo, width, target in itertools.product(
+                    states, (True, False), range(1, 7), (None, *states)):
+                inward = [t for _i, t in strip.outgoing(q)
+                          if (t.op.delta > 0 if from_lo else t.op.delta < 0)]
+                exits = _segment_exits(
+                    strip, Config(q, 0 if from_lo else width), 0, width,
+                    target)
+                if inward:
+                    searched += 1
+                else:
+                    assert exits == {}, (q, from_lo, width, target)
+                    skipped += 1
+        assert skipped >= 12000 and searched >= 12000
+
+    def test_the_memo_holds_what_a_search_finds(self):
+        # After the level searches of the box and of every instantiation,
+        # each interval the memo records, skipped or searched, holds the
+        # exits that `_segment_exits` finds from its start.
+        rng = random.Random(5353)
+        states = [f"s{i}" for i in range(4)]
+        ops = ["+1", "+1", "-1", "-1", "0", "=0", "=x:x", "<x:x", ">x:x",
+               "=c:2"]
+        bound, ceiling = 2, 9
+        skipped = searched = 0
+        for _ in range(150):
+            m = CounterMachine.build(
+                [(rng.choice(states), rng.choice(ops), rng.choice(states))
+                 for _ in range(9)], initial="s0", params=["x"],
+                extra_states=states)
+            target = rng.choice(states)
+            tests = _param_tests(m)
+            memo: dict = {}
+            boxes = [{"x": (0, bound), 2: (2, 2)},
+                     *({"x": (v, v), 2: (2, 2)} for v in range(bound + 1))]
+            for box in boxes:
+                _level_search(m, tests, box, target, ceiling, memo, (bound,))
+            for strip, exits in memo.values():
+                for (q, from_lo, width), found in exits.items():
+                    start = Config(q, 0 if from_lo else width)
+                    want = _segment_exits(strip, start, 0, width, target)
+                    assert found == [(end, run.configs[1:], run.steps)
+                                     for end, run in want.items()]
+                    inward = [t for _i, t in strip.outgoing(q)
+                              if (t.op.delta > 0 if from_lo
+                                  else t.op.delta < 0)]
+                    skipped += not inward
+                    searched += bool(inward)
+        assert skipped >= 250 and searched >= 150
+
+
 def _box_search(machine: CounterMachine, target: str, box: dict,
                 ceiling: int):
     """The level search of `parametric_reach` on one box of ranges, with no
