@@ -186,8 +186,9 @@ _TOKEN = re.compile(r"->|[()&|!@.\[\]<=>]|[A-Za-z0-9_]+")
 _KEYWORDS = {"U", "R", "X", "F", "G", "true", "false"}
 
 # `parse` rejects formulas nested deeper than this, in the text (each
-# parenthesis and each operand of a unary, U, R or -> operator opens a level)
-# or in the built tree, measured by `_depth`. Deeper formulas would overflow
+# parenthesis and each operand of a unary, U, R or -> operator opens a level),
+# in an & or | chain, as soon as it has more than MAX_DEPTH + 1 operands, or
+# in the built tree, measured by `_depth`. Deeper formulas would overflow
 # the recursive parser, or the recursive traversals that follow, such as
 # `nnf` and `evaluate`.
 MAX_DEPTH = 100
@@ -272,17 +273,28 @@ class _Parser:
             return implies(left, self.nested(self.implies_level))
         return left
 
+    def longer(self, operands: int) -> int:
+        """Count one more operand of an & or | chain, which nests a level
+        deeper with each after the first (see MAX_DEPTH)."""
+        if operands > MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+        return operands + 1
+
     def or_level(self) -> Formula:
         left = self.and_level()
+        operands = 1
         while self.peek() == "|":
             self.take()
+            operands = self.longer(operands)
             left = Or(left, self.and_level())
         return left
 
     def and_level(self) -> Formula:
         left = self.unary()
+        operands = 1
         while self.peek() == "&":
             self.take()
+            operands = self.longer(operands)
             left = And(left, self.unary())
         return left
 

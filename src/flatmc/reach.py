@@ -31,10 +31,7 @@ a time in the documented order, so the first witness is the same as without
 sharing.
 
 A target that the control graph does not reach from the initial state is
-absent before anything is expanded or searched. An interval of width 1 has
-no interior value, so its exits are those of its +1 and -1 steps alone,
-the same under every test pattern: it is searched on one pattern, shared
-by all.
+absent before anything is expanded or searched.
 
 Before any instantiation is tried, one search decides the whole box of
 parameter ranges at once, on a relaxed machine in which a parameter test
@@ -258,22 +255,27 @@ def _constants(machine: CounterMachine) -> list[int]:
                    if isinstance(key, int)})
 
 
+def _fires(rel: str, span: tuple[int, int], value: int) -> bool:
+    """Whether a test `rel` fires at `value` for some value in `span`."""
+    lo, hi = span
+    return (value < hi if rel == "<" else value > lo if rel == ">"
+            else lo <= value <= hi)
+
+
 def _test_pattern(tests: tuple[tuple[str | int, str], ...],
                   box: Mapping[str | int, tuple[int, int]],
-                  low: int) -> tuple[bool, ...]:
-    """For each of the tests listed by `_param_tests`, whether it holds
-    throughout the open interval between adjacent levels whose lower one is
-    `low`, for some value in the inclusive range that `box` gives its key: a
-    parameter's range, or a constant's one value. Both ends of every range
-    are levels, so a greater-than test holds there if the lower end lies at
-    or below `low`, a less-than test if the upper end lies above it, and an
-    equality test if the interval lies between the two ends, which a range
-    of one value never allows. These comparisons alone decide which
-    transitions survive stripping."""
-    return tuple(box[x][0] <= low if rel == ">"
-                 else box[x][1] > low if rel == "<"
-                 else box[x][0] <= low < box[x][1]
-                 for x, rel in tests)
+                  low: int, high: int) -> tuple[bool, ...]:
+    """For each of the tests listed by `_param_tests`, whether it fires
+    throughout the open interval between the adjacent levels `low` and
+    `high`, for some value in the inclusive range that `box` gives its key:
+    a parameter's range, or a constant's one value. Both ends of every
+    range are levels, so each test reads throughout as at `low + 1`, and
+    at width 1, with no value inside, none holds. These verdicts alone
+    decide which transitions survive stripping."""
+    value = low + 1
+    # From a list: a generator per interval raised the peak memory of `reach`.
+    return tuple([value < high and _fires(rel, box[x], value)
+                  for x, rel in tests])
 
 
 def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
@@ -622,13 +624,6 @@ def _level_search(machine: CounterMachine,
     `machine`, since a stripped machine keeps their indices. Exits stop at
     `target`, so one memo serves one target.
 
-    An interval of width 1 is searched on the all-False pattern, whatever
-    its tests read: it has no interior value, so from its lower end only a
-    +1 step exits and from its upper end only a -1 step, and a test or a
-    0-update stays on the start's own value, which `_segment_exits` never
-    counts as an exit. Its exits, and their order, are the same under every
-    pattern, and every unit interval shares one strip and one memo entry.
-
     A start on the lower end with no +1 step in its strip, or on the upper
     end with no -1 step, has no exit and is not searched. Only such a step
     reaches an interior value or the opposite end: from the start, a
@@ -638,13 +633,11 @@ def _level_search(machine: CounterMachine,
     segments = len(level_values) - 1
     index_of = {v: i for i, v in enumerate(level_values)}
     entries: dict[int, tuple[StrippedMachine, dict]] = {}
-    unit = (False,) * len(tests)
 
     def exits_from(here: Config, segment: int) -> list:
         if segment not in entries:
-            low = level_values[segment]
-            pattern = (unit if level_values[segment + 1] - low == 1
-                       else _test_pattern(tests, box, low))
+            pattern = _test_pattern(tests, box, level_values[segment],
+                                    level_values[segment + 1])
             entry = memo.get(pattern)
             if entry is None:
                 entry = memo[pattern] = (_strip(machine, pattern), {})
@@ -669,10 +662,8 @@ def _level_search(machine: CounterMachine,
         """Whether `op` fires at `value` and keeps it."""
         if isinstance(op, Update):
             return op.delta == 0
-        lo, hi = (box[op.param] if isinstance(op, ParamTest)
-                  else (op.const, op.const))
-        return (value < hi if op.rel == "<" else value > lo
-                if op.rel == ">" else lo <= value <= hi)
+        return _fires(op.rel, (box[op.param] if isinstance(op, ParamTest)
+                               else (op.const, op.const)), value)
 
     # Macro nodes are (state, level value). Edges either stay on the level
     # (one value-preserving step of the relaxed machine) or traverse one open
@@ -713,51 +704,42 @@ def plain_rep_lasso(context: DivergenceContext, start: str,
                     good: str) -> Optional[LassoRun]:
     """A lasso witnessing an infinite run from (start, 0) that visits `good`
     infinitely often, on the test-free machine of the divergence analysis
-    `context`; its steps are the indices `outgoing` lists. None if there is
-    no such lasso, at once if `context.need(good)` is None.
+    `context`; its steps are the indices `outgoing` lists. None exactly
+    when `start` has no credit 0 in `context.credit(good)`, the states that
+    have one being the loop entries of `good`.
 
-    The prefix is the first path of the search from (start, 0) to `good`
-    with a value of at least `need`, the least value from which a non-empty
-    closed walk through `good` ends no lower than it started; from there the
-    closed walk, shifted up, is a loop. The loop is the first path back to
-    `good` with at least the anchor's value, which pumps since every
-    transition is an update. Paths are tried with transitions in declaration
-    order.
+    The prefix is the first path to `good` with a value of at least `need`,
+    the record's value at `good`, from which a non-empty closed walk through
+    `good` ends no lower. The loop is the first path back to `good` with at
+    least the anchor's value, which pumps since every transition is an
+    update. Paths are tried with transitions in declaration order.
 
-    Both searches enter only states from which `good` is reachable on the
-    incoming edges of `context`, each by a path of fewer than |Q| steps that
-    lowers the value by at most |Q| - 1 times the largest update K. So a
-    search whose end needs a value of at least v has an end within reach of
-    every configuration above v + (|Q| - 1) K. Either it finds an end, after
-    finitely many configurations, or it only meets values at most that high
-    and stops."""
+    A search for a value v enters a configuration only if its value is at
+    least its state's credit for v: the record's for the prefix and
+    `_credits(good, anchor.value)` for the loop. On a test-free machine
+    those are the configurations that reach an end. So the first path found
+    is the one an unpruned search finds, and one is found, since the search
+    admits only configurations that reach an end, its start included."""
     machine = context.machine
     if start not in machine.states or good not in machine.states:
         raise MachineError("unknown state")
-    need = context.need(good)
-    if need is None:
+    record = context.credit(good)
+    if record.get(start) != 0:
         return None
 
-    reaches: dict = {}
-    for _ in _bfs(good, lambda q: [(None, p) for p, _d in context.incoming[q]],
-                  lambda q: False, reaches):
-        pass  # with no ends, the search only fills `reaches`
-
-    def steps(here: Config) -> list:
-        return [step for step in successors(machine, {}, here)
-                if step[1].state in reaches]
-
-    def anchors(c: Config) -> bool:
-        return c.state == good and c.value >= need
+    def climb(origin: Config, value: int, credit: Mapping[str, int]) -> list:
+        def steps(here: Config) -> list:
+            return [(step, there)
+                    for step, there in successors(machine, {}, here)
+                    if there.state in credit
+                    and there.value >= credit[there.state]]
+        return _first_path(origin, steps,
+                           lambda c: c.state == good and c.value >= value)
 
     origin = Config(start, 0)
-    prefix = [] if anchors(origin) else _first_path(origin, steps, anchors)
-    if prefix is None:
-        return None
+    need = record[good]
+    prefix = [] if start == good and need == 0 else climb(origin, need, record)
     anchor = prefix[-1][1] if prefix else origin
-    loop = _first_path(anchor, steps, lambda c: c.state == good
-                       and c.value >= anchor.value)
-    if loop is None:
-        return None
+    loop = climb(anchor, anchor.value, context._credits(good, anchor.value))
     run = _run(origin, prefix + loop)
     return LassoRun(run.configs, run.steps, loop_start=len(prefix))

@@ -120,15 +120,17 @@ class DivergenceContext:
     A run from (q, 0) can visit f infinitely often iff (q, 0) reaches f with
     a value at least `need(f)`, the least entry value of a non-empty closed
     walk through f with effect >= 0. Both are decided on the control graph
-    by least-credit fixpoints (`_credits`), with no cap on counter values;
-    `plain_rep_lasso` reads `need(f)` and the incoming edges here and
-    rebuilds a loop witness without one either.
+    by least-credit fixpoints (`_credits`), with no cap on counter values,
+    and kept in one record per f, `credit(f)`, which the loop entries and
+    `plain_rep_lasso` read, so `need(f)` runs once per analysis.
 
     Only `component` is built at once: the divergence machine and its
     incoming edges are built from `source` when first read, so a machine
     with no accepting state on a cycle strips nothing."""
     source: CounterMachine
     component: Mapping[str, frozenset[str]]  # state -> its cyclic SCC, or {}
+    _records: dict = field(init=False, compare=False, repr=False,
+                           default_factory=dict)
 
     @functools.cached_property
     def machine(self) -> StrippedMachine:
@@ -200,14 +202,23 @@ class DivergenceContext:
             return None
         return next((v for v in range(top) if closes(v)), top)
 
+    def credit(self, accept_state: str) -> Mapping[str, int]:
+        """For each state that can reach `accept_state`, the least value
+        from which it reaches it with at least its `need`, which is thus the
+        value at `accept_state` itself; empty if the need is None. Computed
+        on first read and kept."""
+        record = self._records.get(accept_state)
+        if record is None:
+            need = self.need(accept_state)
+            record = self._records[accept_state] = (
+                {} if need is None else self._credits(accept_state, need))
+        return record
+
     def loop_entries(self, accept_state: str) -> frozenset[str]:
         """The states q such that some run from (q, 0) visits
-        `accept_state` infinitely often."""
-        need = self.need(accept_state)
-        if need is None:
-            return frozenset()
-        credit = self._credits(accept_state, need)
-        return frozenset(q for q, c in credit.items() if c == 0)
+        `accept_state` infinitely often: those of credit 0."""
+        return frozenset(q for q, c in self.credit(accept_state).items()
+                         if c == 0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +233,6 @@ class BuchiReduction:
     accepting: tuple[str, ...]      # sorted, each on a control cycle
     y: str
     origin: Mapping[int, int]       # new machine transition -> source transition
-    entries: Mapping[str, frozenset[str]]  # f -> the loop entries of f
     context: DivergenceContext
 
 
@@ -363,9 +373,8 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
                 transitions.append(
                     Transition(hat[t.source], t.op, hat[t.target]))
         transitions.append(Transition(hat[f], ParamTest("=", y), target))
-    entries = {f: context.loop_entries(f) for f in accepting}
-    transitions.extend(Transition(q, Update(0), chain[0])
-                       for q in sorted(set().union(*entries.values())))
+    entries = sorted(set().union(*map(context.loop_entries, accepting)))
+    transitions.extend(Transition(q, Update(0), chain[0]) for q in entries)
     transitions.extend(Transition(chain[i], guard, chain[i + 1])
                        for i, guard in enumerate(guards))
 
@@ -376,7 +385,7 @@ def buchi_to_reach(machine: CounterMachine, *accepting: str,
         transitions=tuple(transitions), labels=machine.labels)
     return BuchiReduction(machine=built, target=target, source=machine,
                           accepting=accepting, y=y, origin=origin,
-                          entries=entries, context=context)
+                          context=context)
 
 
 def buchi_witness_to_lasso(reduction: BuchiReduction,
@@ -384,13 +393,10 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
     """Translate a reachability witness for the reduced machine into an
     instantiation of the source parameters and a lasso of the source machine
     whose loop starts at an accepting state: the one at the run's store
-    step, its first `=y` test, or, in the divergence case, the least one
-    whose recorded loop entries contain the chain entry.
-
-    In the divergence case the loop comes from `plain_rep_lasso` on the
-    reduction's divergence analysis, which reads that state's `need` once:
-    the chain entry is one of its loop entries, so the search finds a loop
-    from it with no counter cap."""
+    step, its first `=y` test, or, in the divergence case, the least one in
+    whose credit record of the reduction's divergence analysis the chain
+    entry has credit 0. From there `plain_rep_lasso` on that analysis finds
+    a loop with no counter cap."""
     source = reduction.source
     run = witness.run
     gamma = {x: v for x, v in witness.gamma.items() if x in source.params}
@@ -413,12 +419,10 @@ def buchi_witness_to_lasso(reduction: BuchiReduction,
         cut = next(pos for pos, step in enumerate(run.steps)
                    if step >= len(source.transitions))
         anchor = run.configs[cut]
-        accept_state = next(f for f in reduction.accepting
-                            if anchor.state in reduction.entries[f])
+        accept_state = next(
+            f for f in reduction.accepting
+            if reduction.context.credit(f).get(anchor.state) == 0)
         base = plain_rep_lasso(reduction.context, anchor.state, accept_state)
-        if base is None:
-            raise AssertionError(
-                f"no divergence loop from {anchor.state!r} despite chain entry")
         shift = anchor.value
         configs = run.configs[:cut + 1] + tuple(
             Config(c.state, c.value + shift) for c in base.configs[1:])

@@ -614,7 +614,9 @@ class TestMc:
         "(" * 3000 + "p" + ")" * 3000,
         "p | " * 3000 + "p",
         "p U " * 3000 + "p",
-    ], ids=["next", "negation", "parentheses", "or-chain", "until-chain"])
+        "p & " * 3000 + "p )",
+    ], ids=["next", "negation", "parentheses", "or-chain", "until-chain",
+            "malformed-and-chain"])
     def test_deep_nesting_is_input_error(self, write, capsys, text):
         with pytest.raises(FormulaError):
             parse(text)

@@ -106,6 +106,26 @@ class TestParser:
             parse(text)
         assert time.process_time() - started < 1.0
 
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_a_chain_too_deep_is_rejected_before_the_rest_is_read(self, op):
+        # A chain of 102 operands nests 101 levels deep. It is rejected at
+        # its 102nd operand, so a text that is also malformed further on
+        # gets the depth error, where reading it to the end gave the
+        # syntax error first. One operand less is read to the end. A bad
+        # character is still named: the whole text is split into tokens
+        # before any of it is parsed.
+        chain = f" {op} ".join(["p"] * 102)
+        for text in (chain, chain + " )", chain + " " + op):
+            with pytest.raises(FormulaError) as info:
+                parse(text)
+            assert str(info.value) == "formula nests deeper than 100 levels"
+        with pytest.raises(FormulaSyntaxError, match="unexpected character"):
+            parse(chain + " #")
+        shorter = f" {op} ".join(["p"] * 101)
+        parse(shorter)
+        with pytest.raises(FormulaSyntaxError, match="trailing input"):
+            parse(shorter + " )")
+
     def test_register_test_needs_relation(self):
         with pytest.raises(FormulaSyntaxError):
             parse("[r]")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import deque
 from typing import Optional
 
 import pytest
@@ -16,18 +17,21 @@ from flatmc.machines import (
     Config,
     ConstTest,
     CounterMachine,
+    LassoRun,
     MachineError,
     ParamTest,
     Transition,
     Update,
     bounded_reach_oracle,
     rep_reach_oracle,
+    successors,
     validate_lasso,
     validate_run,
 )
 from flatmc.reach import (
     ReachWitness,
     StrippedMachine,
+    _fires,
     _interval_reach,
     _level_search,
     _param_tests,
@@ -99,7 +103,7 @@ def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
     over its value under `gamma` alone."""
     box = {x: (v, v) for x, v in gamma.items()}
     return _strip(machine, _test_pattern(_param_tests(machine), box,
-                                         levels[segment]))
+                                         levels[segment], levels[segment + 1]))
 
 
 def _kept(stripped: StrippedMachine) -> list[tuple[int, Transition]]:
@@ -179,10 +183,6 @@ class TestStripTests:
         # instantiation identifying parameters with levels. Same-value
         # crossings are compared with at least one interior configuration,
         # since value-preserving steps on a level are not interval business.
-        from collections import deque
-
-        from flatmc.machines import successors
-
         def direct(machine, gamma, start, goal, lo, hi, strict):
             if not strict and start == goal:
                 return True
@@ -1077,6 +1077,51 @@ class TestUnitIntervals:
         assert compared >= 8000 and to_target >= 300 and differ_at_two >= 150
 
 
+def _fires_somewhere(rel: str, span: tuple[int, int], value: int) -> bool:
+    """Whether a test of relation `rel` fires at `value` for some value in
+    the inclusive range `span`, tried one value at a time."""
+    return any(value < v if rel == "<" else value > v if rel == ">"
+               else value == v for v in range(span[0], span[1] + 1))
+
+
+class TestIntervalPattern:
+    def test_pattern_is_the_relaxed_verdict_inside_each_interval(self):
+        # On random boxes, whose range ends are all levels, and random extra
+        # levels: inside an interval of width >= 2 each test reads, at every
+        # interior value, as it fires for some value of its range, and at
+        # width 1, with no interior value, no test holds. The relaxed
+        # predicate of the level search reads the same at every value.
+        rng = random.Random(2718)
+        interiors = holding = units = 0
+        for _ in range(300):
+            box = {f"x{i}": tuple(sorted(rng.choices(range(12), k=2)))
+                   for i in range(rng.randint(0, 3))}
+            box.update((c, (c, c)) for c in rng.sample(range(1, 12),
+                                                       rng.randint(0, 2)))
+            tests = tuple((rng.choice(sorted(box, key=str)),
+                           rng.choice("<=>"))
+                          for _ in range(rng.randint(1, 6) if box else 0))
+            levels = sorted({0, rng.randint(12, 16),
+                             *rng.sample(range(16), rng.randint(0, 3)),
+                             *itertools.chain(*box.values())})
+            for low, high in zip(levels, levels[1:]):
+                pattern = _test_pattern(tests, box, low, high)
+                if high - low == 1:
+                    assert pattern == (False,) * len(tests)
+                    units += 1
+                for value in range(low + 1, high):
+                    assert pattern == tuple(
+                        _fires_somewhere(rel, box[x], value)
+                        for x, rel in tests), (box, tests, low, high)
+                    interiors += 1
+                    holding += sum(pattern)
+            for value in range(levels[-1] + 1):
+                for x, rel in tests:
+                    assert (_fires(rel, box[x], value)
+                            == _fires_somewhere(rel, box[x], value))
+        assert interiors >= 2000 and holding >= 2000 and units >= 300
+
+
 def _count_level_searches(monkeypatch) -> list:
     """Record the box of every level search from now on."""
     boxes = []
@@ -1154,3 +1199,142 @@ class TestPlainRepReach:
                 assert anchor.state == good and anchor.value >= need
                 found += 1
         assert found >= 50
+
+    def test_pruned_searches_find_the_lasso_of_the_unpruned_ones(
+            self, monkeypatch):
+        # On the test-free machines stripped from random ones, for every
+        # (start, good) pair: the same lasso as the search before credit
+        # pruning, or None with no configuration searched. Each search
+        # expands only configurations from which its end is reachable: the
+        # prefix's, `good` with at least `need`, and the loop's, `good`
+        # with at least the anchor's value. In the first machine g needs 1
+        # and is first reached with 2; the loop search must not enter
+        # (d, 1), which reaches g with 1 but not with 2, before it takes
+        # the loop through h.
+        expanded = []
+
+        def spied(machine, gamma, here):
+            expanded.append(here)
+            return successors(machine, gamma, here)
+
+        monkeypatch.setattr(reach_module, "successors", spied)
+        rng = random.Random(3141)
+        machines = [CounterMachine.build(
+            [("s", "+1", "t"), ("t", "+1", "g"), ("g", "-1", "d"),
+             ("d", "0", "g"), ("g", "-1", "h"), ("h", "+1", "g")],
+            initial="s")]
+        machines.extend(random_oca(rng, max_states=5, density=4.0)
+                        for _ in range(200))
+        lassos = raised = pumping = overshoot = 0
+        for m in machines:
+            context = divergence_context(m)
+            free = context.machine
+            for good, start in itertools.product(sorted(free.states),
+                                                 repeat=2):
+                want = _reference_rep_lasso(context, start, good)
+                expanded.clear()
+                got = plain_rep_lasso(context, start, good)
+                assert got == want, (m, start, good)
+                if got is None:
+                    assert expanded == []
+                    continue
+                anchor = got.configs[got.loop_start]
+                split = expanded.index(anchor)
+                need = context.need(good)
+                for configs, value in ((expanded[:split], need),
+                                       (expanded[split:], anchor.value)):
+                    covers = _coverers(free, good, value)
+                    assert all(map(covers, configs)), (m, start, good)
+                lassos += 1
+                raised += need > 0
+                pumping += got.loop_delta > 0
+                overshoot += anchor.value > need
+        assert lassos >= 800 and raised >= 60 and pumping >= 450
+        assert overshoot >= 250
+
+
+def _reference_rep_lasso(context, start: str,
+                         good: str) -> Optional[LassoRun]:
+    """`plain_rep_lasso` as it searched before its credit pruning: a first
+    path from (start, 0) to `good` with a value of at least `need`, then
+    one back to `good` with at least the anchor's value, each entering
+    only the states from which `good` is reachable in the control graph,
+    at any value."""
+    machine = context.machine
+    need = context.need(good)
+    if need is None:
+        return None
+    reaches = _reaching(machine, good)
+
+    def first_path(origin: Config, value: int) -> Optional[list]:
+        parents = {origin: None}
+        queue = deque([origin])
+        while queue:
+            here = queue.popleft()
+            for step, there in successors(machine, {}, here):
+                if there.state not in reaches:
+                    continue
+                if there.state == good and there.value >= value:
+                    path = [(step, there)]
+                    while parents[here] is not None:
+                        prev, edge = parents[here]
+                        path.append((edge, here))
+                        here = prev
+                    return path[::-1]
+                if there not in parents:
+                    parents[there] = (here, step)
+                    queue.append(there)
+        return None
+
+    origin = Config(start, 0)
+    prefix = ([] if start == good and need == 0
+              else first_path(origin, need))
+    if prefix is None:
+        return None
+    anchor = prefix[-1][1] if prefix else origin
+    loop = first_path(anchor, anchor.value)
+    if loop is None:
+        return None
+    path = prefix + loop
+    return LassoRun((origin, *(c for _s, c in path)),
+                    tuple(s for s, _c in path), len(prefix))
+
+
+def _reaching(machine, good: str) -> set[str]:
+    """The states from which `good` is reachable in the control graph of a
+    stripped machine."""
+    back: dict[str, set] = {q: set() for q in machine.states}
+    for q in machine.states:
+        for _i, t in machine.outgoing(q):
+            back[t.target].add(q)
+    reaching, work = {good}, [good]
+    while work:
+        for p in back[work.pop()] - reaching:
+            reaching.add(p)
+            work.append(p)
+    return reaching
+
+
+def _coverers(machine, good: str, value: int):
+    """A predicate on configurations of a test-free unary machine: whether
+    some run from there reaches `good` with a value of at least `value`.
+    Above value + |Q| that holds iff `good` is reachable in the control
+    graph, since a path of fewer than |Q| steps loses less than |Q|. At or
+    below it, some such run stays at or below value + 2|Q|: up to its first
+    value of at least value + |Q| - 1, and then along such a path. So a
+    backward fixpoint over the configurations up to there decides it."""
+    n = len(machine.states)
+    top = value + 2 * n
+    won = {Config(good, v) for v in range(value, top + 1)}
+    grown = True
+    while grown:
+        grown = False
+        for q, v in itertools.product(sorted(machine.states), range(top + 1)):
+            here = Config(q, v)
+            if here not in won and any(
+                    there in won for _i, there in successors(machine, {}, here)):
+                won.add(here)
+                grown = True
+    reaching = _reaching(machine, good)
+    return lambda c: (c in won if c.value <= value + n
+                      else c.state in reaching)
