@@ -81,14 +81,19 @@ def _load_formula(text: str) -> formulas.Formula:
 
 
 def _report(args, verdict: str, bound: Optional[int] = None,
-            witness: Optional[dict] = None, **extra) -> None:
+            witness: Optional[str] = None, **extra) -> None:
+    """Print the verdict; under --json as a report, which ends with
+    `witness`, the JSON text of a witness, at the report's indentation."""
     if args.json:
         payload = {"verdict": verdict, **extra}
         if bound is not None:
             payload["bound"] = bound
+        report = jsonio.dumps(payload)
         if witness is not None:
-            payload["witness"] = witness
-        print(json.dumps(payload, indent=2))
+            # The payload is never empty, so its text ends with "\n}".
+            report = (report[:-2] + ',\n  "witness": '
+                      + witness.replace("\n", "\n  ") + "\n}")
+        print(report)
     else:
         if verdict == "absent":
             print(f"absent up to bound {bound}: no witness with parameter "
@@ -102,20 +107,22 @@ def _report(args, verdict: str, bound: Optional[int] = None,
 def _answer(args, bound: int, witness: Optional[dict], **extra) -> int:
     """Report a solver's answer and return its exit code: absent (1) when
     there is no witness, else present (0) once the witness is written to
-    --witness or, without --json, to stdout. A --witness path that cannot
+    --witness or, without --json, to stdout. The witness is encoded once,
+    and a --json report carries that text. A --witness path that cannot
     be written is bad input."""
     if witness is None:
         _report(args, "absent", bound)
         return 1
+    text = jsonio.dumps(witness)
     if args.witness:
         try:
             with open(args.witness, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(witness, indent=2) + "\n")
+                handle.write(text + "\n")
         except OSError as err:
             raise InputError(f"cannot write {args.witness}: {err}") from err
     elif not args.json:
-        print(json.dumps(witness, indent=2))
-    _report(args, "present", bound, witness=witness, **extra)
+        print(text)
+    _report(args, "present", bound, witness=text, **extra)
     return 0
 
 
@@ -189,25 +196,25 @@ def cmd_translate(args) -> int:
     elif args.mode == "unary":
         phi = formulas.nnf(_load_formula(args.formula or "true"))
         reduction = succinct_to_unary(machine, phi)
-        print(json.dumps({
+        print(jsonio.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "formula": formulas.render(reduction.formula),
-        }, indent=2))
+        }))
     elif args.mode == "buchi2reach":
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
         # Expanded as `buchi` solves it, constant tests in place.
         reduction = buchi_to_reach(expand_updates(machine)[0], args.target)
-        print(json.dumps({
+        print(jsonio.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,
-        }, indent=2))
+        }))
     else:  # foldconst
         folded, pinned = fold_constants(machine)
-        print(json.dumps({
+        print(jsonio.dumps({
             "machine": jsonio.machine_to_data(folded),
             "pinned": pinned,
-        }, indent=2))
+        }))
     return 0
 
 

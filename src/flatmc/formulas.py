@@ -716,4 +716,9 @@ def evaluate(word: LassoWord, position: int, assignment, phi: Formula) -> bool:
             memo[here] = result
         return result
 
-    return sat(phi, position, dict(assignment))
+    try:
+        return sat(phi, position, dict(assignment))
+    finally:
+        # `sat` and `_sat` refer to each other; emptying their cells frees
+        # the memo now rather than at the next cyclic collection.
+        del sat, _sat

@@ -8,10 +8,14 @@ instantiation plus a run, and are designed to be re-checkable against a
 machine file without trusting their producer. A `LassoRun` is written as
 its run plus `loop_start`, and a file with `loop_start` is read back as one;
 this module alone maps between the two.
+
+`dumps` is the one JSON writer of the command line: it lays a value out
+byte for byte as `json.dumps` does with an indent of two spaces.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Optional
 
 from flatmc.machines import (
@@ -43,6 +47,46 @@ def machine_to_data(machine: CounterMachine) -> dict:
             for t in machine.transitions
         ],
     }
+
+
+def _texts(values, indent: str) -> list[str]:
+    """The JSON text of each of `values`, its lines after the first
+    starting with `indent`."""
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            texts.append(_string(value))
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        elif value is None:
+            texts.append("null")
+        elif value is True:
+            texts.append("true")
+        elif value is False:
+            texts.append("false")
+        elif kind is dict or kind is list:
+            inner = indent + "  "
+            parts = _texts(value.values() if kind is dict else value, inner)
+            if kind is dict:
+                parts = [f"{key}: {part}"
+                         for key, part in zip(map(_string, value), parts)]
+            ends = "{}" if kind is dict else "[]"
+            texts.append(f"{ends[0]}{inner}{(',' + inner).join(parts)}"
+                         f"{indent}{ends[1]}" if parts else ends)
+        else:
+            raise TypeError(f"Object of type {kind.__name__} "
+                            f"is not JSON serializable")
+    return texts
+
+
+def dumps(value: Any) -> str:
+    """The text `json.dumps` writes for `value` with an indent of two, for a
+    value made of dicts with string keys, lists, strings, integers, booleans
+    and None; any other type, a subclass of one of them included, raises
+    TypeError. Every newline of the text is a line break, since strings are
+    written with their newlines escaped."""
+    return _texts((value,), "\n")[0]
 
 
 def _is_int(value: Any) -> bool:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import gc
 import json
 import os
 import pathlib
@@ -19,7 +20,7 @@ import types
 import pytest
 
 import flatmc
-from flatmc import cli, reductions
+from flatmc import cli, jsonio, reductions
 from flatmc.cli import build_parser, main
 from flatmc.formulas import FormulaError, RegTest, parse, subformulas
 from flatmc.jsonio import (
@@ -249,24 +250,34 @@ class TestReach:
         assert len(run.steps) == 0
 
     def test_json_report_encodes_the_witness_once(self, write, capsys,
-                                                  monkeypatch):
-        # Under --json without --witness the witness is written only inside
-        # the report, so it is encoded once, with the report.
+                                                  monkeypatch, tmp_path):
+        # The witness is encoded once, whether it goes into the report, the
+        # --witness file or both.
         machine = write("m.json", CLIMB_AND_TEST)
         calls = []
-        dumps = json.dumps
+        dumps = jsonio.dumps
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return dumps(*args, **kwargs)
+        def counted(value):
+            calls.append(value)
+            return dumps(value)
 
-        monkeypatch.setattr(json, "dumps", counted)
-        assert main(["reach", machine, "--target", "q2", "--bound", "3",
-                     "--json"]) == 0
-        assert len(calls) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["verdict"] == "present"
-        assert report["witness"]["gamma"] == {"x": 0}
+        monkeypatch.setattr(jsonio, "dumps", counted)
+        for report, to_file in [(True, False), (True, True), (False, True)]:
+            flags = ["--json"] if report else []
+            if to_file:
+                flags += ["--witness", str(tmp_path / "w.json")]
+            calls.clear()
+            assert main(["reach", machine, "--target", "q2", "--bound", "3",
+                         *flags]) == 0
+            witnesses = [value for value in calls
+                         if isinstance(value, dict) and "gamma" in value]
+            assert len(witnesses) == 1
+            assert witnesses[0]["gamma"] == {"x": 0}
+            out = capsys.readouterr().out
+            if report:
+                printed = json.loads(out)
+                assert printed["verdict"] == "present"
+                assert printed["witness"] == witnesses[0]
 
     def test_absent_up_to_bound(self, write, capsys):
         data = {"states": ["q", "q2"], "initial": "q", "params": ["x"],
@@ -925,6 +936,38 @@ LOOP_TO_P = {
         {"from": "r", "op": "0", "to": "r"},
     ],
 }
+
+
+# A present answer of each command, with the machine it is asked of.
+PRESENT_QUERIES = {
+    "reach": (CLIMB_AND_TEST, ["--target", "q2"]),
+    "buchi": ({"states": ["q", "r"], "initial": "q", "params": ["x"],
+               "transitions": [{"from": "q", "op": "+1", "to": "q"},
+                               {"from": "q", "op": "=x:x", "to": "r"},
+                               {"from": "r", "op": "-1", "to": "q"}]},
+              ["--accepting", "r"]),
+    "mc": ({"states": ["q", "r"], "initial": "q", "labels": {"q": ["p"]},
+            "transitions": [{"from": "q", "op": "+1", "to": "r"},
+                            {"from": "r", "op": "-1", "to": "q"}]},
+           ["--formula", "F @r. G ([<r] | [=r])"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRESENT_QUERIES))
+def test_a_query_leaves_no_cyclic_garbage(command, write, tmp_path, capsys):
+    # Run once to fill the per-process caches; the second run must free
+    # everything it made by reference counting alone.
+    data, flags = PRESENT_QUERIES[command]
+    argv = [command, write("m.json", data), *flags, "--bound", "3",
+            "--json", "--witness", str(tmp_path / "w.json")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestWitnessPath:

@@ -3,6 +3,7 @@ lasso-word evaluator."""
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from dataclasses import fields
@@ -473,6 +474,22 @@ class TestEvaluate:
             rotated = LassoWord(w.prefix + w.loop[:k], w.loop[k:] + w.loop[:k])
             for i in range(w.span()):
                 assert evaluate(w, i, {}, f) == evaluate(rotated, i, {}, f)
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        # The memo is freed when `evaluate` returns, not left to the cyclic
+        # collector. A first pass fills what is cached per formula.
+        rng = random.Random(41)
+        cases = [(random_lasso(rng), random_formula(rng)) for _ in range(100)]
+        for w, f in cases:
+            evaluate(w, 0, {}, f)
+        gc.collect()
+        gc.disable()
+        try:
+            for w, f in cases:
+                evaluate(w, 0, {}, f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestClimbingLoops:
