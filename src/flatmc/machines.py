@@ -109,17 +109,6 @@ def format_op(op: Op) -> str:
     return f"{op.rel}x:{op.param}"
 
 
-def _test_key(op: Op) -> str | int | None:
-    """The key of a test in a box of ranges: a parameter's name, or the
-    constant c of a constant test other than =0, whose range is (c, c).
-    None for an update or a zero test."""
-    if isinstance(op, ParamTest):
-        return op.param
-    if isinstance(op, ConstTest) and (op.const or op.rel != "="):
-        return op.const
-    return None
-
-
 @dataclass(frozen=True)
 class Transition:
     source: str
@@ -159,9 +148,10 @@ class CounterMachine:
     construction time, in the one pass over the transitions that also
     records what later questions read of them: each state's outgoing
     transitions (`outgoing`), the machine's class (`classify`), and its
-    tests, the key (see `_test_key`) and relation of each parameter test
+    tests, the transition index, key and relation of each parameter test
     and each constant test other than =0, in transition order
-    (`_param_tests`).
+    (`_param_tests`). A test's key is its parameter's name, or the constant
+    c, whose range in a box is (c, c).
     """
 
     states: frozenset[str]
@@ -173,7 +163,7 @@ class CounterMachine:
         init=False, repr=False, compare=False, hash=False)
     _class: MachineClass = field(
         init=False, repr=False, compare=False, hash=False)
-    _tests: tuple[tuple[str | int, str], ...] = field(
+    _tests: tuple[tuple[int, str | int, str], ...] = field(
         init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -204,14 +194,14 @@ class CounterMachine:
                     raise MachineError(f"bad relation in {t}")
                 if op.param not in declared:
                     raise MachineError(f"undeclared parameter {op.param!r}")
-                tests.append((op.param, op.rel))
+                tests.append((i, op.param, op.rel))
             elif isinstance(op, ConstTest):
                 if op.rel not in RELATIONS:
                     raise MachineError(f"bad relation in {t}")
                 if op.const < 0:
                     raise MachineError(f"negative constant in {t}")
-                if _test_key(op) is not None:
-                    tests.append((op.const, op.rel))
+                if op.const or op.rel != "=":
+                    tests.append((i, op.const, op.rel))
                     constants = True
             else:
                 raise MachineError(f"unknown op in {t}")
@@ -281,10 +271,12 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # Classification and size
 # ---------------------------------------------------------------------------
 
-def _param_tests(machine: CounterMachine) -> tuple[tuple[str | int, str], ...]:
-    """The key (see `_test_key`) and relation of each parameter test and
+def _param_tests(machine: CounterMachine
+                 ) -> tuple[tuple[int, str | int, str], ...]:
+    """The transition index, key and relation of each parameter test and
     each constant test other than =0 of `machine`, in transition order, as
-    the constructor records them."""
+    the constructor records them: the one list of the tests that a test
+    pattern can hold."""
     return machine._tests
 
 

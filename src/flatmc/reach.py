@@ -17,8 +17,10 @@ is a level of every search and is enumerated after the parameters.
 Instantiations share that interval work within one solver call. Inside an
 open interval between two levels, a test against a parameter holds
 throughout or never, depending only on which side of the interval the
-parameter's level lies; the resulting test pattern fixes the test-free
-machine for the interval, so each distinct pattern is stripped once. Runs of
+parameter's level lies. The resulting test pattern, the set of transitions
+whose tests hold, is built once per interval from the tests the machine
+records; it fixes the test-free machine for the interval, so each distinct
+pattern is stripped once. Runs of
 a test-free unary machine through an interval are invariant under shifting
 the interval: interior values stay positive, and a decrement at the lower
 end leaves the interval whether or not it is enabled there. So the exits of
@@ -80,7 +82,6 @@ from flatmc.machines import (
     Transition,
     Update,
     _param_tests,
-    _test_key,
     classify,
     fresh_name,
     successors,
@@ -251,7 +252,7 @@ class StrippedMachine:
 
 def _constants(machine: CounterMachine) -> list[int]:
     """The constants of the tests other than =0, once each, ascending."""
-    return sorted({key for key, _rel in _param_tests(machine)
+    return sorted({key for _i, key, _rel in _param_tests(machine)
                    if isinstance(key, int)})
 
 
@@ -262,33 +263,36 @@ def _fires(rel: str, span: tuple[int, int], value: int) -> bool:
             else lo <= value <= hi)
 
 
-def _test_pattern(tests: tuple[tuple[str | int, str], ...],
+def _test_pattern(machine: CounterMachine,
                   box: Mapping[str | int, tuple[int, int]],
-                  low: int, high: int) -> tuple[bool, ...]:
-    """For each of the tests listed by `_param_tests`, whether it fires
-    throughout the open interval between the adjacent levels `low` and
-    `high`, for some value in the inclusive range that `box` gives its key:
-    a parameter's range, or a constant's one value. Both ends of every
-    range are levels, so each test reads throughout as at `low + 1`, and
-    at width 1, with no value inside, none holds. These verdicts alone
-    decide which transitions survive stripping."""
+                  low: int, high: int) -> frozenset[int]:
+    """The test pattern of the open interval between the adjacent levels
+    `low` and `high`: the set of transitions whose tests hold, those of the
+    tests recorded by `_param_tests` that fire throughout the interval for
+    some value in the inclusive range that `box` gives their key, a
+    parameter's range or a constant's one value. Both ends of every range
+    are levels, so each test reads throughout as at `low + 1`, and at width
+    1, with no value inside, none holds. This set alone decides which
+    transitions survive stripping."""
     value = low + 1
+    if value >= high:
+        return frozenset()
     # From a list: a generator per interval raised the peak memory of `reach`.
-    return tuple([value < high and _fires(rel, box[x], value)
-                  for x, rel in tests])
+    return frozenset([i for i, x, rel in _param_tests(machine)
+                      if _fires(rel, box[x], value)])
 
 
-def _strip(machine: CounterMachine, pattern: tuple[bool, ...]) -> StrippedMachine:
-    """The test-free machine selected by a test pattern over the tests of
-    `_param_tests`, parameter and constant tests alike: updates are kept,
-    tests that hold become 0-updates, and every other test is dropped, the
-    zero test too, since it never fires strictly inside an interval. Each
-    kept transition keeps its index in `machine`."""
+def _strip(machine: CounterMachine, holding: frozenset[int]) -> StrippedMachine:
+    """The test-free machine selected by a test pattern `holding`, the set
+    of transitions whose tests hold, parameter and constant tests alike:
+    updates are kept, the tests in `holding` become 0-updates, and every
+    other test is dropped. The zero test is never recorded, so it is never
+    in `holding` and always dropped, since it never fires strictly inside
+    an interval. Each kept transition keeps its index in `machine`."""
     outgoing: dict[str, list] = {q: [] for q in machine.states}
-    holds = iter(pattern)
     for i, t in enumerate(machine.transitions):
         if not isinstance(t.op, Update):
-            if _test_key(t.op) is None or not next(holds):
+            if i not in holding:
                 continue
             t = Transition(t.source, Update(0), t.target)
         outgoing[t.source].append((i, t))
@@ -311,13 +315,10 @@ def fold_constants(machine: CounterMachine) -> tuple[CounterMachine, dict[str, i
         return machine, {}
     taken = set(machine.params)
     name_of = {c: fresh_name(f"xc{c}", taken) for c in consts}
-    triples = []
-    for t in machine.transitions:
-        if isinstance(key := _test_key(t.op), int):
-            triples.append((t.source, ParamTest(t.op.rel, name_of[key]),
-                            t.target))
-        else:
-            triples.append((t.source, t.op, t.target))
+    pinned = {i: ParamTest(rel, name_of[key])
+              for i, key, rel in _param_tests(machine) if isinstance(key, int)}
+    triples = [(t.source, pinned.get(i, t.op), t.target)
+               for i, t in enumerate(machine.transitions)]
     folded = CounterMachine.build(
         triples, initial=machine.initial,
         params=(*machine.params, *name_of.values()),
@@ -551,7 +552,6 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     if target not in reached:
         return None
     expanded, origin = expand_updates(machine)
-    tests = _param_tests(expanded)
     constants = _constants(expanded)
     ranges = {**{x: (0, bound) for x in machine.params}, **(ranges or {}),
               **{c: (c, c) for c in constants}}
@@ -564,7 +564,7 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
     # Every search shares a level at the largest end of any range.
     peak = (max(hi for _lo, hi in ranges.values()),) if ranges else ()
     wide = [x for x, (lo, hi) in ranges.items() if lo < hi]
-    if wide and _level_search(expanded, tests, ranges, target, top, memo,
+    if wide and _level_search(expanded, ranges, target, top, memo,
                               peak) is None:
         return None
     # The first wide parameter is sliced once a point has missed, unless a
@@ -577,12 +577,12 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
             v = gamma[sliced]
             if v not in slices:
                 slices[v] = _level_search(
-                    expanded, tests, {**ranges, sliced: (v, v)}, target, top,
-                    memo, peak) is not None
+                    expanded, {**ranges, sliced: (v, v)}, target, top, memo,
+                    peak) is not None
             if not slices[v]:
                 continue
         point = {x: (v, v) for x, v in gamma.items()}
-        run = _level_search(expanded, tests, point, target, top, memo, peak)
+        run = _level_search(expanded, point, target, top, memo, peak)
         if run is None:
             if len(wide) > 1:
                 sliced = wide[0]
@@ -598,7 +598,6 @@ def parametric_reach(machine: CounterMachine, target: str, bound: int,
 
 
 def _level_search(machine: CounterMachine,
-                  tests: tuple[tuple[str | int, str], ...],
                   box: Mapping[str | int, tuple[int, int]], target: str,
                   top: int, memo: dict,
                   levels: tuple[int, ...]) -> Optional[Run]:
@@ -618,11 +617,12 @@ def _level_search(machine: CounterMachine,
     (see `parametric_reach`).
 
     `memo` carries the interval work from one search to the next: it maps a
-    test pattern to its stripped machine and to the exits already found,
-    keyed by start state, start side and interval width. An exit is stored
-    relative to the lower end of its interval; its steps are transitions of
-    `machine`, since a stripped machine keeps their indices. Exits stop at
-    `target`, so one memo serves one target.
+    test pattern, the set of transitions whose tests hold in an interval
+    (`_test_pattern`), to its stripped machine and to the exits already
+    found, keyed by start state, start side and interval width. An exit is
+    stored relative to the lower end of its interval; its steps are
+    transitions of `machine`, since a stripped machine keeps their indices.
+    Exits stop at `target`, so one memo serves one target.
 
     A start on the lower end with no +1 step in its strip, or on the upper
     end with no -1 step, has no exit and is not searched. Only such a step
@@ -636,7 +636,7 @@ def _level_search(machine: CounterMachine,
 
     def exits_from(here: Config, segment: int) -> list:
         if segment not in entries:
-            pattern = _test_pattern(tests, box, level_values[segment],
+            pattern = _test_pattern(machine, box, level_values[segment],
                                     level_values[segment + 1])
             entry = memo.get(pattern)
             if entry is None:

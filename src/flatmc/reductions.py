@@ -137,8 +137,8 @@ class DivergenceContext:
         """The source's tests stripped for the interval above every
         parameter and constant, where exactly the greater-than tests
         hold."""
-        return _strip(self.source, tuple(rel == ">" for _x, rel
-                                         in _param_tests(self.source)))
+        return _strip(self.source, frozenset(
+            [i for i, _x, rel in _param_tests(self.source) if rel == ">"]))
 
     @functools.cached_property
     def incoming(self) -> Mapping[str, tuple[tuple[str, int], ...]]:

@@ -65,14 +65,15 @@ def _class_of(machine: CounterMachine) -> MachineClass:
 
 
 def _tests_of(machine: CounterMachine) -> tuple:
-    """The (key, relation) of each parameter test and each constant test
-    other than =0, in transition order, read off the transitions."""
+    """The (transition index, key, relation) of each parameter test and
+    each constant test other than =0, in transition order, read off the
+    transitions."""
     tests = []
-    for t in machine.transitions:
+    for i, t in enumerate(machine.transitions):
         if isinstance(t.op, ParamTest):
-            tests.append((t.op.param, t.op.rel))
+            tests.append((i, t.op.param, t.op.rel))
         elif isinstance(t.op, ConstTest) and t.op != ConstTest("=", 0):
-            tests.append((t.op.const, t.op.rel))
+            tests.append((i, t.op.const, t.op.rel))
     return tuple(tests)
 
 
@@ -296,7 +297,9 @@ class TestRecordedFacts:
     """The constructor records a machine's class and tests in its one pass
     over the transitions; what `classify`, `_param_tests`, `_constants` and
     `expand_updates` read of them must be what the transitions say, for
-    every way a machine is made."""
+    every way a machine is made. Each recorded test names its transition
+    by index, so a test pattern, a set of such indices, reads no other
+    list."""
 
     @staticmethod
     def _machines():
@@ -329,7 +332,20 @@ class TestRecordedFacts:
             tests = _tests_of(m)
             assert classify(m) is kind
             assert _param_tests(m) == tests
-            assert _constants(m) == sorted({key for key, _rel in tests
+            # Each entry names a test transition by its index; each test
+            # other than =0 is named exactly once, and nothing else is.
+            for i, key, rel in _param_tests(m):
+                op = m.transitions[i].op
+                assert isinstance(op, (ParamTest, ConstTest))
+                assert (op.param if isinstance(op, ParamTest)
+                        else op.const) == key
+                assert op.rel == rel
+            named = [i for i, _key, _rel in _param_tests(m)]
+            assert sorted(set(named)) == named == [
+                i for i, t in enumerate(m.transitions)
+                if not isinstance(t.op, Update)
+                and t.op != ConstTest("=", 0)]
+            assert _constants(m) == sorted({key for _i, key, _rel in tests
                                             if isinstance(key, int)})
             unary = kind in (MachineClass.OCA, MachineClass.OCA_P,
                              MachineClass.OCA_PC)

@@ -102,8 +102,8 @@ def _strip_at(machine: CounterMachine, segment: int, levels: tuple[int, ...],
     `segment + 1` of the increasing values `levels`, each parameter ranging
     over its value under `gamma` alone."""
     box = {x: (v, v) for x, v in gamma.items()}
-    return _strip(machine, _test_pattern(_param_tests(machine), box,
-                                         levels[segment], levels[segment + 1]))
+    return _strip(machine, _test_pattern(machine, box, levels[segment],
+                                         levels[segment + 1]))
 
 
 def _kept(stripped: StrippedMachine) -> list[tuple[int, Transition]]:
@@ -156,7 +156,8 @@ class TestStripTests:
             for pattern in itertools.product((False, True),
                                              repeat=len(tested)):
                 holds = dict(zip(tested, pattern))
-                stripped = _strip(m, pattern)
+                stripped = _strip(m, frozenset(
+                    i for i, held in holds.items() if held))
                 assert stripped.states == m.states
                 listed = []
                 for q in sorted(m.states):
@@ -554,7 +555,7 @@ def _random_test_free(rng: random.Random) -> StrippedMachine:
                for _ in range(rng.randint(1, 3 * len(states)))]
     machine = CounterMachine.build(triples, initial=states[0],
                                    extra_states=states)
-    return _strip(machine, ())
+    return _strip(machine, frozenset())
 
 
 class _Forgetful(dict):
@@ -620,22 +621,21 @@ class TestSharedIntervalWork:
             reduction = buchi_to_reach(m, accept)
             for machine, target in ((m, accept),
                                     (reduction.machine, reduction.target)):
-                tests = _param_tests(machine)
                 memo: dict = {}
                 if machine.params:
                     box = {x: (0, bound) for x in machine.params}
-                    assert (_level_search(machine, tests, box, target,
-                                          ceiling, memo, peak)
-                            == _level_search(machine, tests, box, target,
-                                             ceiling, _Forgetful(), peak))
+                    assert (_level_search(machine, box, target, ceiling,
+                                          memo, peak)
+                            == _level_search(machine, box, target, ceiling,
+                                             _Forgetful(), peak))
                     boxes += 1
                 first = None
                 for gamma in all_gammas(machine.params, bound):
                     point = {x: (v, v) for x, v in gamma.items()}
-                    shared = _level_search(machine, tests, point, target,
-                                           ceiling, memo, peak)
-                    fresh = _level_search(machine, tests, point, target,
-                                          ceiling, _Forgetful(), peak)
+                    shared = _level_search(machine, point, target, ceiling,
+                                           memo, peak)
+                    fresh = _level_search(machine, point, target, ceiling,
+                                          _Forgetful(), peak)
                     assert shared == fresh
                     compared += 1
                     if fresh is not None and first is None:
@@ -691,12 +691,11 @@ class TestSkippedIntervalSearches:
                  for _ in range(9)], initial="s0", params=["x"],
                 extra_states=states)
             target = rng.choice(states)
-            tests = _param_tests(m)
             memo: dict = {}
             boxes = [{"x": (0, bound), 2: (2, 2)},
                      *({"x": (v, v), 2: (2, 2)} for v in range(bound + 1))]
             for box in boxes:
-                _level_search(m, tests, box, target, ceiling, memo, (bound,))
+                _level_search(m, box, target, ceiling, memo, (bound,))
             for strip, exits in memo.values():
                 for (q, from_lo, width), found in exits.items():
                     start = Config(q, 0 if from_lo else width)
@@ -715,8 +714,7 @@ def _box_search(machine: CounterMachine, target: str, box: dict,
                 ceiling: int):
     """The level search of `parametric_reach` on one box of ranges, with no
     further level."""
-    return _level_search(machine, _param_tests(machine), box, target,
-                         ceiling, {}, ())
+    return _level_search(machine, box, target, ceiling, {}, ())
 
 
 def _chain(*ops: str, params=("x",)) -> CounterMachine:
@@ -817,8 +815,8 @@ class TestSliceRefinement:
         searches = []
         search = reach_module._level_search
 
-        def recorded(machine, tests, box, *rest):
-            run = search(machine, tests, box, *rest)
+        def recorded(machine, box, *rest):
+            run = search(machine, box, *rest)
             searches.append((dict(box), run))
             return run
 
@@ -838,13 +836,11 @@ class TestSliceRefinement:
                     continue
                 peak = (max(hi for _lo, hi in ranges.values()),)
                 ceiling = peak[0] + rng.randint(1, 6)
-                tests = _param_tests(machine)
                 expected, tried = None, 0
                 for gamma in enumerate_gammas(machine.params, ranges):
                     tried += 1
                     point = {x: (v, v) for x, v in gamma.items()}
-                    run = search(machine, tests, point, target, ceiling, {},
-                                 peak)
+                    run = search(machine, point, target, ceiling, {}, peak)
                     if run is not None:
                         expected = (gamma, run.configs, run.steps)
                         break
@@ -908,7 +904,6 @@ class TestExtraLevels:
             cases += [(m, accept), (reduction.machine, reduction.target)]
         compared = present = points = 0
         for machine, target in cases:
-            tests = _param_tests(machine)
             memo: dict = {}
             box = {}
             for x in machine.params:
@@ -916,12 +911,11 @@ class TestExtraLevels:
                 box[x] = (lo, lo + rng.choice([0, 0, 1, 2, 3]))
             ceiling = max([hi for _lo, hi in box.values()], default=0)
             ceiling += rng.randint(1, 6)
-            base = _level_search(machine, tests, box, target, ceiling, {},
-                                 ())
+            base = _level_search(machine, box, target, ceiling, {}, ())
             gamma = ({x: lo for x, (lo, hi) in box.items()}
                      if all(lo == hi for lo, hi in box.values()) else None)
             for level in range(1, ceiling):
-                got = _level_search(machine, tests, box, target, ceiling,
+                got = _level_search(machine, box, target, ceiling,
                                     memo, (level,))
                 assert (got is None) == (base is None)
                 compared += 1
@@ -936,20 +930,19 @@ class TestExtraLevels:
 
     def test_parity_survives_every_extra_level(self):
         m = _parity()
-        tests = _param_tests(m)
         ceiling = 10
         memo: dict = {}
         for x in range(7):
             for levels in [(), *((v,) for v in range(1, ceiling))]:
-                run = _level_search(m, tests, {"x": (x, x)}, "t", ceiling,
+                run = _level_search(m, {"x": (x, x)}, "t", ceiling,
                                     memo, levels)
                 assert (run is not None) == (x % 2 == 0)
                 if run is not None:
                     assert validate_run(m, {"x": x}, run) is None
         for levels in [(), *((v,) for v in range(1, ceiling))]:
-            assert _level_search(m, tests, {"x": (1, 1)}, "t", ceiling,
+            assert _level_search(m, {"x": (1, 1)}, "t", ceiling,
                                  memo, levels) is None
-            assert _level_search(m, tests, {"x": (1, 2)}, "t", ceiling,
+            assert _level_search(m, {"x": (1, 2)}, "t", ceiling,
                                  memo, levels) is not None
 
     def test_top_interval_is_searched_at_one_width(self, monkeypatch):
@@ -985,9 +978,9 @@ class TestExtraLevels:
         calls = []
         search = reach_module._level_search
 
-        def counted(machine, tests, box, target, top, memo, levels):
+        def counted(machine, box, target, top, memo, levels):
             calls.append(levels)
-            return search(machine, tests, box, target, top, memo, levels)
+            return search(machine, box, target, top, memo, levels)
 
         monkeypatch.setattr(reach_module, "_level_search", counted)
         assert parametric_reach(m, "b", 3) is not None
@@ -1058,10 +1051,11 @@ class TestUnitIntervals:
         for _ in range(150):
             m = random_machine(rng, max_states=4, max_params=2, density=2.5,
                                with_consts=True)
-            tests = _param_tests(m)
-            none = _strip(m, (False,) * len(tests))
+            none = _strip(m, frozenset())
             for _ in range(3):
-                strip = _strip(m, tuple(rng.random() < 0.5 for _ in tests))
+                strip = _strip(m, frozenset(
+                    i for i, _key, _rel in _param_tests(m)
+                    if rng.random() < 0.5))
                 for q, side, target in itertools.product(
                         sorted(m.states), (0, 1), (None, *sorted(m.states))):
                     got = _segment_exits(strip, Config(q, side), 0, 1, target)
@@ -1101,20 +1095,26 @@ class TestIntervalPattern:
             tests = tuple((rng.choice(sorted(box, key=str)),
                            rng.choice("<=>"))
                           for _ in range(rng.randint(1, 6) if box else 0))
+            # Test i is transition i: a parameter or a constant test.
+            machine = CounterMachine.build(
+                [("q", f"{rel}{'x' if isinstance(x, str) else 'c'}:{x}", "q")
+                 for x, rel in tests],
+                initial="q", params=[x for x in box if isinstance(x, str)])
             levels = sorted({0, rng.randint(12, 16),
                              *rng.sample(range(16), rng.randint(0, 3)),
                              *itertools.chain(*box.values())})
             for low, high in zip(levels, levels[1:]):
-                pattern = _test_pattern(tests, box, low, high)
+                pattern = _test_pattern(machine, box, low, high)
                 if high - low == 1:
-                    assert pattern == (False,) * len(tests)
+                    assert pattern == frozenset()
                     units += 1
                 for value in range(low + 1, high):
-                    assert pattern == tuple(
-                        _fires_somewhere(rel, box[x], value)
-                        for x, rel in tests), (box, tests, low, high)
+                    assert pattern == frozenset(
+                        i for i, (x, rel) in enumerate(tests)
+                        if _fires_somewhere(rel, box[x], value)), (
+                            box, tests, low, high)
                     interiors += 1
-                    holding += sum(pattern)
+                    holding += len(pattern)
             for value in range(levels[-1] + 1):
                 for x, rel in tests:
                     assert (_fires(rel, box[x], value)
@@ -1127,9 +1127,9 @@ def _count_level_searches(monkeypatch) -> list:
     boxes = []
     search = reach_module._level_search
 
-    def counted(machine, tests, box, *rest):
+    def counted(machine, box, *rest):
         boxes.append(dict(box))
-        return search(machine, tests, box, *rest)
+        return search(machine, box, *rest)
 
     monkeypatch.setattr(reach_module, "_level_search", counted)
     return boxes
