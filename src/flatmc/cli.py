@@ -17,12 +17,16 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-from flatmc import formulas, jsonio
-from flatmc.formulas import FormulaError, evaluate
+# `formulas` and `reductions` are read only through their module objects,
+# which run on first attribute access (see the package docstring), so that
+# `reach`, and `check` without a formula, never load them: importing a name
+# from either would run it at start-up.
+from flatmc import formulas, jsonio, reductions
 from flatmc.machines import (
     ClassMismatch,
     Config,
     CounterMachine,
+    FormulaError,
     LassoRun,
     MachineError,
     validate_lasso,
@@ -33,13 +37,6 @@ from flatmc.reach import (
     expand_updates,
     fold_constants,
     parametric_reach,
-)
-from flatmc.reductions import (
-    buchi_to_reach,
-    lasso_word,
-    model_check,
-    repeated_reach,
-    succinct_to_unary,
 )
 
 
@@ -157,8 +154,8 @@ def cmd_buchi(args) -> int:
     bound = _bound(args, machine)
     # Only the machine's parameters are bounded by B: the stored value y
     # ranges up to the counter ceiling.
-    found = repeated_reach(machine, accepting, bound,
-                           ceiling=_limit(args, "cap"))
+    found = reductions.repeated_reach(machine, accepting, bound,
+                                      ceiling=_limit(args, "cap"))
     if found is None:
         return _answer(args, bound, None)
     certificate = jsonio.witness_to_data(dict(found.certificate.gamma),
@@ -172,7 +169,7 @@ def cmd_mc(args) -> int:
     machine = _load_machine(args.machine)
     phi = _load_formula(args.formula)
     bound = _bound(args, machine)
-    witness = model_check(machine, phi, bound)
+    witness = reductions.model_check(machine, phi, bound)
     if witness is None:
         return _answer(args, bound, None)
     return _answer(args, bound, jsonio.witness_to_data(
@@ -188,14 +185,15 @@ def cmd_translate(args) -> int:
     if args.mode == "a2a":
         if not args.target:
             raise InputError("--mode a2a needs --target")
-        # Imported here: no other command needs the automaton construction.
+        # Imported here, as a command loads only what it runs: no other
+        # command needs the automaton construction.
         from flatmc.alternating import dump_a2a, machine_to_a2a
         folded, _pinned = fold_constants(machine)
         translated = machine_to_a2a(folded, args.target)
         print(dump_a2a(translated.automaton), end="")
     elif args.mode == "unary":
         phi = formulas.nnf(_load_formula(args.formula or "true"))
-        reduction = succinct_to_unary(machine, phi)
+        reduction = reductions.succinct_to_unary(machine, phi)
         print(jsonio.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "formula": formulas.render(reduction.formula),
@@ -204,7 +202,8 @@ def cmd_translate(args) -> int:
         if not args.target:
             raise InputError("--mode buchi2reach needs --target")
         # Expanded as `buchi` solves it, constant tests in place.
-        reduction = buchi_to_reach(expand_updates(machine)[0], args.target)
+        reduction = reductions.buchi_to_reach(expand_updates(machine)[0],
+                                              args.target)
         print(jsonio.dumps({
             "machine": jsonio.machine_to_data(reduction.machine),
             "target": reduction.target,
@@ -246,7 +245,8 @@ def cmd_check(args) -> int:
     if phi is not None:
         if not is_lasso:
             return reject("a formula check needs a lasso witness")
-        if not evaluate(lasso_word(machine, run), 0, {}, phi):
+        word = reductions.lasso_word(machine, run)
+        if not formulas.evaluate(word, 0, {}, phi):
             return reject("the spelled word does not satisfy the formula")
     _report(args, "valid")
     return 0

@@ -16,11 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from flatmc.machines import NAME_RE
-
-
-class FormulaError(ValueError):
-    """A formula failed a structural requirement (sentence, flatness, ...)."""
+from flatmc.machines import NAME_RE, FormulaError
 
 
 class FormulaSyntaxError(FormulaError):

@@ -32,6 +32,12 @@ class ClassMismatch(ValueError):
     """An operation was applied to a machine outside its supported class."""
 
 
+class FormulaError(ValueError):
+    """A formula failed a structural requirement (sentence, flatness, ...).
+    Defined beside the machine errors, so that the command line catches it
+    without loading `formulas`, which re-exports it."""
+
+
 # ---------------------------------------------------------------------------
 # Transitions and machines
 # ---------------------------------------------------------------------------

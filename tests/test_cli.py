@@ -619,6 +619,30 @@ class TestMc:
         err = capsys.readouterr().err
         assert "not flat" in err and "U" in err
 
+    @pytest.mark.parametrize("command,formula,message", [
+        ("mc", "((", "formula: unexpected end of formula (at 2)"),
+        ("check", "((", "formula: unexpected end of formula (at 2)"),
+        ("mc", "G @r.(req -> F(serve & [=r]))", "not flat: "),
+    ], ids=["mc", "check", "mc-not-flat"])
+    def test_a_formula_error_exits_2_in_a_fresh_process(
+            self, command, formula, message, write):
+        # The formula module runs on first use, inside the command, and its
+        # errors are still reported as bad input, on one line.
+        machine = write("m.json", {"states": ["q"], "initial": "q",
+                                   "transitions": []})
+        witness = write("w.json", {
+            "gamma": {}, "loop_start": 0,
+            "run": [{"state": "q", "value": 0, "via": None}]})
+        argv = (["mc", machine, "--formula", formula] if command == "mc"
+                else ["check", witness, machine, formula])
+        src = pathlib.Path(flatmc.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatmc.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
     @pytest.mark.parametrize("text", [
         "X " * 3000 + "p",
         "!" * 3000 + "p",
@@ -1123,6 +1147,8 @@ class TestFlags:
         listed = re.findall(r"`(\w+)`", bullets.split("\n\n", 1)[0])
         assert sorted(listed) == sorted(flatmc.__all__)
         assert len(set(listed)) == len(listed)
+        # Exports resolve on first use: bind them all before reading vars.
+        exec("from flatmc import *", {})
         public = {name for name, value in vars(flatmc).items()
                   if not name.startswith("_")
                   and not isinstance(value, types.ModuleType)}
